@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .embeddings import EmbeddingMatrix, distance, l2_normalize, load_embeddings, save_embeddings
 from .gcn import GcnModel, aggregation_matrix, init_model, load_model, model_forward, save_model
-from .knn import Index, build_index, brute_force_knn, query_knn
+from .knn import Index, build_index, query_knn
 from .retrieval import RetrievalResult, export_pairs, gcn_retrieve, threshold_retrieve, topk_retrieve
 from .subgraph import Qes, QesParams, build_qes
 from .synthetic import SceneConfig, generate_scene
@@ -28,7 +28,6 @@ __all__ = [
     "SceneConfig",
     "TrainConfig",
     "aggregation_matrix",
-    "brute_force_knn",
     "build_index",
     "build_qes",
     "distance",

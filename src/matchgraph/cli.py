@@ -1,9 +1,10 @@
 """Command-line surface wiring the library together.
 
 Subcommands: synth, index, train, infer, baseline, eval, stats. Every
-command is a deterministic function of its inputs and --seed; --threads
-may parallelize per-query work but never changes output bytes. A --config
-file of key=value lines supplies defaults; explicit flags win.
+command is a deterministic function of its inputs; synth and train also
+take --seed. infer and baseline take --threads, which may parallelize
+per-query work but never changes output bytes. A --config file of
+key=value lines supplies defaults; explicit flags win.
 
 Exit codes: 0 success, 2 usage error, 3 parse/read error, 4 compute error.
 """
@@ -117,6 +118,17 @@ def _write_text(path: str | None, text: str) -> None:
             fp.write(text)
 
 
+def _write_results(args, results) -> None:
+    """The pair file, and with --results-out one CSV row per retrieved id."""
+    with open(args.pairs_out, "w", encoding="utf-8") as fp:
+        retrieval.export_pairs(results, fp)
+    if args.results_out:
+        rows = ["query_id,image_id,score"]
+        for result in results:
+            rows += [f"{result.query_id},{v},{s!r}" for v, s in result.retrieved]
+        _write_text(args.results_out, "\n".join(rows) + "\n")
+
+
 def cmd_synth(args, cfg) -> int:
     config = synthetic.SceneConfig(
         n_images=_resolve(args, cfg, "n_images", 360, int),
@@ -204,13 +216,7 @@ def cmd_infer(args, cfg) -> int:
     if log.isEnabledFor(logging.INFO):
         log.info("retrieved %d pairs for %d queries",
                  len(retrieval.collapse_pairs(results)), len(queries))
-    with open(args.pairs_out, "w", encoding="utf-8") as fp:
-        retrieval.export_pairs(results, fp)
-    if args.results_out:
-        rows = ["query_id,image_id,score"]
-        for result in results:
-            rows += [f"{result.query_id},{v},{s!r}" for v, s in result.retrieved]
-        _write_text(args.results_out, "\n".join(rows) + "\n")
+    _write_results(args, results)
     return EXIT_OK
 
 
@@ -231,13 +237,7 @@ def cmd_baseline(args, cfg) -> int:
         return retrieval.threshold_retrieve(index, q, tau)
 
     results = _map_queries(one, queries, threads)
-    with open(args.pairs_out, "w", encoding="utf-8") as fp:
-        retrieval.export_pairs(results, fp)
-    if args.results_out:
-        rows = ["query_id,image_id,score"]
-        for result in results:
-            rows += [f"{result.query_id},{v},{s!r}" for v, s in result.retrieved]
-        _write_text(args.results_out, "\n".join(rows) + "\n")
+    _write_results(args, results)
     return EXIT_OK
 
 
@@ -306,12 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--config", default=None, help="key=value defaults; flags win")
 
     p = sub.add_parser("synth", help="generate a synthetic ring scene")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--embeddings", required=True, help="output embedding file")
     p.add_argument("--overlaps", required=True, help="output overlap records")
     p.add_argument("--classes", default=None, help="output symmetry-class file")
@@ -331,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the subgraph classifier")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--overlaps", required=True)
     p.add_argument("--model", required=True, help="output checkpoint path")
@@ -352,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="classify subgraphs and export matchable pairs")
     common(p)
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--pairs-out", dest="pairs_out", required=True)
@@ -365,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="top-k or distance-threshold retrieval")
     common(p)
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--pairs-out", dest="pairs_out", required=True)
     p.add_argument("--results-out", dest="results_out", default=None)

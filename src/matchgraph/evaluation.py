@@ -6,6 +6,7 @@ is macro (per-query means), so the mean F-measure can legitimately fall
 below both the mean precision and the mean recall.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -18,11 +19,16 @@ class GroundTruth:
     universe: frozenset[int]
 
     def __post_init__(self):
+        partners: defaultdict[int, list[int]] = defaultdict(list)
         for a, b in self.matchable:
             if a == b:
                 raise ValueError(f"self-pair ({a}, {a}) in ground truth")
             if a > b:
                 raise ValueError("ground-truth pairs must be stored as (min, max)")
+            partners[a].append(b)
+            partners[b].append(a)
+        # Tuples take a fraction of a set's memory; relevant() builds the set.
+        object.__setattr__(self, "_partners", {v: tuple(p) for v, p in partners.items()})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], universe: Iterable[int] = ()):
@@ -46,13 +52,8 @@ class GroundTruth:
         return cls.from_pairs(pairs, universe)
 
     def relevant(self, query_id: int) -> set[int]:
-        out = set()
-        for a, b in self.matchable:
-            if a == query_id:
-                out.add(b)
-            elif b == query_id:
-                out.add(a)
-        return out
+        """A fresh set of the query's matchable partners."""
+        return set(self._partners.get(query_id, ()))
 
     def contains(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.matchable

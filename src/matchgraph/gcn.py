@@ -21,13 +21,12 @@ import numpy as np
 from .errors import (
     DimensionError,
     EmptyLossSet,
-    InvalidAdjacency,
     MalformedHeader,
     ShapeCorruption,
     TruncatedPayload,
     VersionMismatch,
 )
-from .subgraph import Qes
+from .subgraph import Qes, check_adjacency
 
 CHECKPOINT_MAGIC = b"MGCK"
 CHECKPOINT_VERSION = 1
@@ -121,8 +120,8 @@ class DenseLayer:
 
 class GcnModel:
     """Four ReLU graph convolutions followed by dense layers ending in a
-    single logit. Immutable during inference; training replaces parameter
-    arrays wholesale through set_parameters."""
+    single logit. Immutable during inference; training replaces the layers
+    wholesale through set_parameters."""
 
     version = CHECKPOINT_VERSION
 
@@ -166,19 +165,14 @@ class GcnModel:
         expected = 4 + 2 * len(self.fc_layers)
         if len(params) != expected:
             raise DimensionError(f"expected {expected} parameter arrays")
+        if any(np.shape(new) != old.shape for new, old in zip(params, self.parameters())):
+            raise DimensionError("parameter shape changed")
+        # The layer constructors check finiteness; build every layer before
+        # replacing any, so a rejected array leaves the model as it was.
         it = iter(params)
-        for layer in self.conv_layers:
-            w = np.asarray(next(it), dtype=np.float64)
-            if w.shape != layer.weights.shape:
-                raise DimensionError("conv weight shape changed")
-            layer.weights = w
-        for layer in self.fc_layers:
-            w = np.asarray(next(it), dtype=np.float64)
-            b = np.asarray(next(it), dtype=np.float64)
-            if w.shape != layer.weights.shape or b.shape != layer.bias.shape:
-                raise DimensionError("dense parameter shape changed")
-            layer.weights = w
-            layer.bias = b
+        conv = [GcnLayer(next(it), layer.activation) for layer in self.conv_layers]
+        fc = [DenseLayer(next(it), next(it), layer.activation) for layer in self.fc_layers]
+        self.conv_layers, self.fc_layers = conv, fc
 
 
 def init_model(
@@ -223,14 +217,12 @@ def aggregation_matrix(adjacency: np.ndarray) -> np.ndarray:
     added to dodge the undefined inverse.
     """
     a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidAdjacency("adjacency must be square")
-    if a.size and not np.array_equal(a, a.T):
-        raise InvalidAdjacency("adjacency must be symmetric")
-    if a.size and np.any(np.diag(a) != 0.0):
-        raise InvalidAdjacency("adjacency diagonal must be zero")
-    if not np.isin(a, (0.0, 1.0)).all():
-        raise InvalidAdjacency("adjacency entries must be 0 or 1")
+    check_adjacency(a)
+    return _normalize(a)
+
+
+def _normalize(a: np.ndarray) -> np.ndarray:
+    """D^(-1/2) A D^(-1/2) of an adjacency already known to be valid."""
     degrees = a.sum(axis=1)
     inv_sqrt = np.zeros_like(degrees)
     nz = degrees > 0
@@ -258,7 +250,8 @@ def _forward_cached(qes: Qes, model: GcnModel):
         raise DimensionError(
             f"model expects {model.input_dim}-d features, subgraph has {qes.dim}"
         )
-    g = aggregation_matrix(qes.adjacency)
+    # Qes checked its adjacency when it was built, and the array is read-only.
+    g = _normalize(qes.adjacency)
     h = qes.features
     conv_cache = []
     for layer in model.conv_layers:

@@ -1,17 +1,15 @@
 """Exact k-nearest-neighbor queries under the normalized-descriptor metric.
 
-Two independent routes answer the same contract: `query_knn` runs a
-vectorized scan over rows normalized once at build time, `brute_force_knn`
-re-ranks from scratch per pair. They must agree exactly; the brute-force
-route is the reference. Approximate search is deliberately out of scope
-because subgraph topology is the classifier's input signal.
+`query_knn` runs a vectorized scan over rows normalized once at build time.
+Approximate search is deliberately out of scope because subgraph topology
+is the classifier's input signal.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, distance
+from .embeddings import EmbeddingMatrix
 from .errors import DegenerateVector, UnknownImage
 
 
@@ -46,10 +44,6 @@ class Index:
     unit: np.ndarray
     _ids_array: np.ndarray
     _memo: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return self.emb.ids
 
     def __len__(self) -> int:
         return len(self.emb)
@@ -94,24 +88,4 @@ def query_knn(index: Index, query_id: int, k: int) -> NeighborList:
         neighbors=tuple(
             (int(index._ids_array[i]), float(dists[i])) for i in picked
         ),
-    )
-
-
-def brute_force_knn(emb: EmbeddingMatrix, query_id: int, k: int) -> NeighborList:
-    """Reference implementation: per-pair distance calls and a plain sort."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if query_id not in emb:
-        raise UnknownImage(f"unknown image id {query_id}")
-    qvec = emb.row(query_id)
-    scored = []
-    for other in emb.ids:
-        if other == query_id:
-            continue
-        scored.append((distance(qvec, emb.row(other)), other))
-    scored.sort()
-    take = min(k, len(scored))
-    return NeighborList(
-        query_id=query_id,
-        neighbors=tuple((i, d) for d, i in scored[:take]),
     )

@@ -48,16 +48,6 @@ class RetrievalResult:
         return len(self.retrieved)
 
 
-def truncate_result(result: RetrievalResult, k: int) -> RetrievalResult:
-    """Keep at most the k best-scored items (ties broken by ascending id)."""
-    ranked = sorted(result.retrieved, key=lambda pair: (-pair[1], pair[0]))
-    return RetrievalResult(
-        query_id=result.query_id,
-        retrieved=tuple(sorted(ranked[:k])),
-        method=result.method,
-    )
-
-
 def gcn_retrieve(
     model: GcnModel,
     index: Index,

@@ -6,7 +6,6 @@ proximity over the entire collection), and compute query-relative node
 features (raw descriptor differences). The query itself is never a node.
 """
 
-import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -32,6 +31,19 @@ class QesParams:
             raise ValueError("k2 must be >= 0")
         if self.u < 1:
             raise ValueError("u must be >= 1")
+
+
+def check_adjacency(a: np.ndarray) -> None:
+    """Enforce the adjacency contract: square, symmetric, entries 0 or 1,
+    zero diagonal."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidAdjacency("adjacency must be square")
+    if not np.array_equal(a, a.T):
+        raise InvalidAdjacency("adjacency must be symmetric")
+    if np.any(np.diag(a) != 0.0):
+        raise InvalidAdjacency("adjacency diagonal must be zero")
+    if not np.isin(a, (0.0, 1.0)).all():
+        raise InvalidAdjacency("adjacency entries must be 0 or 1")
 
 
 class Qes:
@@ -61,12 +73,7 @@ class Qes:
             raise InvalidRecord("hop tags must be 1 or 2")
         if adjacency.shape != (n, n):
             raise DimensionError(f"adjacency must be {n}x{n}")
-        if n and not np.array_equal(adjacency, adjacency.T):
-            raise InvalidAdjacency("adjacency must be symmetric")
-        if n and np.any(np.diag(adjacency) != 0.0):
-            raise InvalidAdjacency("adjacency diagonal must be zero")
-        if not np.isin(adjacency, (0.0, 1.0)).all():
-            raise InvalidAdjacency("adjacency entries must be 0 or 1")
+        check_adjacency(adjacency)
         if features.ndim != 2 or features.shape[0] != n:
             raise DimensionError("features must have one row per node")
         if labels is not None:
@@ -171,73 +178,4 @@ def build_qes(
     label_vec = None
     if labels is not None:
         label_vec = [bool(labels.get(v, False)) for v in nodes]
-    return Qes(query_id, nodes, hop, adjacency, features, label_vec)
-
-
-_QES_HEADER = re.compile(r"^QES query=(\d+) n=(\d+) d=(\d+)$")
-
-
-def save_qes(qes: Qes) -> str:
-    """Textual dump: header, node lines, edge lines, feature rows."""
-    lines = [f"QES query={qes.query_id} n={len(qes)} d={qes.dim}"]
-    for i, (v, h) in enumerate(zip(qes.nodes, qes.hop)):
-        label = "?" if qes.labels is None else ("1" if qes.labels[i] else "0")
-        lines.append(f"{v} hop={h} label={label}")
-    n = len(qes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if qes.adjacency[i, j]:
-                a, b = sorted((qes.nodes[i], qes.nodes[j]))
-                lines.append(f"{a} {b}")
-    for row in qes.features:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def load_qes(text: str) -> Qes:
-    """Inverse of save_qes. The final n lines are feature rows; everything
-    between the node block and those is an edge line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidRecord("empty subgraph dump", offset=0)
-    m = _QES_HEADER.match(lines[0].strip())
-    if not m:
-        raise InvalidRecord(f"bad subgraph header {lines[0]!r}", offset=0)
-    query_id, n, dim = (int(g) for g in m.groups())
-    if len(lines) < 1 + 2 * n:
-        raise InvalidRecord("subgraph dump shorter than header promises")
-    nodes, hop, labels = [], [], []
-    any_unlabeled = False
-    for ln in lines[1 : 1 + n]:
-        parts = ln.split()
-        if len(parts) != 3 or not parts[1].startswith("hop=") or not parts[2].startswith("label="):
-            raise InvalidRecord(f"bad node line {ln!r}")
-        nodes.append(int(parts[0]))
-        hop.append(int(parts[1][4:]))
-        tag = parts[2][6:]
-        if tag == "?":
-            any_unlabeled = True
-            labels.append(False)
-        else:
-            labels.append(bool(int(tag)))
-    feature_lines = lines[len(lines) - n :] if n else []
-    edge_lines = lines[1 + n : len(lines) - n] if n else lines[1:]
-    pos = {v: i for i, v in enumerate(nodes)}
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    for ln in edge_lines:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidRecord(f"bad edge line {ln!r}")
-        a, b = int(parts[0]), int(parts[1])
-        if a not in pos or b not in pos:
-            raise InvalidRecord(f"edge references unknown node: {ln!r}")
-        adjacency[pos[a], pos[b]] = 1.0
-        adjacency[pos[b], pos[a]] = 1.0
-    features = np.zeros((n, dim), dtype=np.float64)
-    for i, ln in enumerate(feature_lines):
-        parts = ln.split()
-        if len(parts) != dim:
-            raise InvalidRecord(f"feature row has {len(parts)} values, expected {dim}")
-        features[i] = [float(x) for x in parts]
-    label_vec = None if (any_unlabeled or n == 0) else labels
     return Qes(query_id, nodes, hop, adjacency, features, label_vec)

@@ -319,7 +319,10 @@ def train(
                 beta2=config.beta2,
                 eps=config.eps,
             )
-            model.set_parameters(params)
+            try:
+                model.set_parameters(params)
+            except DimensionError as exc:
+                raise DimensionError(f"training diverged in epoch {epoch}: {exc}") from exc
             losses.extend(g.loss for g in grads)
         precision, recall, fmeasure = _epoch_metrics(model, subgraphs)
         stats = EpochStats(

@@ -27,7 +27,6 @@ from matchgraph.gcn import (
 )
 from matchgraph.retrieval import (
     read_pair_file,
-    truncate_result,
     write_pair_file,
 )
 from matchgraph.subgraph import Qes, QesParams
@@ -41,6 +40,7 @@ from matchgraph.trainer import (
 
 from gcn_oracle import finite_difference_gradients, max_relative_error
 from qes_oracle import edges_of_qes, oracle_build
+from retrieval_oracle import truncate_result
 
 
 @contextlib.contextmanager

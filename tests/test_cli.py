@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import matchgraph as mg
-from matchgraph.cli import main
+from matchgraph.cli import build_parser, main
 from matchgraph.evaluation import GroundTruth, macro_average, per_query_prf
 from matchgraph.retrieval import read_pair_file, pairs_to_query_sets
 from matchgraph.trainer import load_overlaps
@@ -129,6 +133,29 @@ class TestPipeline:
             pair_files.append(pairs.read_bytes())
         assert pair_files[0] == pair_files[1]
 
+    def test_blas_thread_count_does_not_change_checkpoint(self, tmp_path):
+        # Subgraphs of 60+ nodes and 128-wide convs give products such as
+        # (60 x 256) @ (256 x 128), which OpenBLAS splits across two threads.
+        src = Path(mg.__file__).resolve().parents[1]
+        scene = [
+            "synth", "--embeddings", tmp_path / "s.emb", "--overlaps", tmp_path / "s.ov",
+            "--n-images", 120, "--symmetry", 2, "--noise-sigma", 0.05, "--dim", 32, "--seed", 5,
+        ]
+        assert run(*scene) == 0
+        checkpoints = []
+        for blas_threads in ("1", "2"):
+            model = tmp_path / f"model-{blas_threads}.ckpt"
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas_threads)
+            argv = [
+                "train", "--embeddings", tmp_path / "s.emb", "--overlaps", tmp_path / "s.ov",
+                "--model", model, "--k1", 60, "--k2", 3, "--u", 8, "--epochs", 3, "--seed", 2,
+                "--lr", 0.01, "--conv-widths", "128,128,64,64", "--fc-widths", "32",
+            ]
+            subprocess.run([sys.executable, "-m", "matchgraph.cli", *map(str, argv)],
+                           env=env, check=True, timeout=300)
+            checkpoints.append(model.read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
 
 class TestEval:
     def test_pair_file_against_itself_is_perfect(self, scene_files, tmp_path):
@@ -215,6 +242,38 @@ class TestConfigFile:
         assert code == 3
 
 
+# Minimal argv per subcommand; the tests only parse it.
+COMMAND_ARGS = {
+    "synth": ["--embeddings", "e", "--overlaps", "o"],
+    "index": ["--embeddings", "e"],
+    "train": ["--embeddings", "e", "--overlaps", "o", "--model", "m"],
+    "infer": ["--embeddings", "e", "--model", "m", "--pairs-out", "p"],
+    "baseline": ["--embeddings", "e", "--pairs-out", "p"],
+    "eval": ["--pairs", "p"],
+    "stats": ["--pairs", "p"],
+}
+FLAG_READERS = {"synth": "--seed", "train": "--seed", "infer": "--threads", "baseline": "--threads"}
+
+
+class TestSeedAndThreadFlags:
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag)
+        for command in COMMAND_ARGS
+        for flag in ("--seed", "--threads")
+        if FLAG_READERS.get(command) != flag
+    ])
+    def test_flag_without_effect_is_usage_error(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *COMMAND_ARGS[command], flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", sorted(FLAG_READERS.items()))
+    def test_flag_with_effect_is_accepted(self, command, flag):
+        args = build_parser().parse_args([command, *COMMAND_ARGS[command], flag, "3"])
+        assert getattr(args, flag[2:]) == 3
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert run("train") == 2
@@ -236,6 +295,19 @@ class TestExitCodes:
                    "--model", model, "--pairs-out", tmp_path / "p.txt",
                    "--k1", 4, "--k2", 2, "--u", 3)
         assert code == 4
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_diverged_training_is_compute_error_and_writes_nothing(self, scene_files, tmp_path):
+        model = tmp_path / "model.ckpt"
+        history = tmp_path / "history.csv"
+        code = run(
+            "train", "--embeddings", scene_files["embeddings"],
+            "--overlaps", scene_files["overlaps"], "--model", model,
+            "--history-out", history, "--k1", 6, "--k2", 2, "--u", 3,
+            "--epochs", 3, "--lr", 1e100, "--conv-widths", "8,8,6,6", "--fc-widths", "4",
+        )
+        assert code == 4
+        assert not model.exists() and not history.exists()
 
     def test_log_env_accepted(self, scene_files, monkeypatch, capsys):
         monkeypatch.setenv("MATCHGRAPH_LOG", "debug")

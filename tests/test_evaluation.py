@@ -134,6 +134,15 @@ class TestGroundTruth:
         assert truth.relevant(2) == {1, 5}
         assert truth.relevant(9) == set()
 
+        rng = np.random.default_rng(11)
+        pairs = [tuple(int(v) for v in rng.choice(40, size=2, replace=False)) for _ in range(150)]
+        truth = GroundTruth.from_pairs(pairs)
+        for q in range(42):
+            scan = {b for a, b in truth.matchable if a == q} | {a for a, b in truth.matchable if b == q}
+            assert truth.relevant(q) == scan
+        truth.relevant(3).add(99)
+        assert 99 not in truth.relevant(3)
+
 
 class TestMetricsReport:
     def test_report_shape(self):

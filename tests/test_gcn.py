@@ -366,3 +366,13 @@ class TestModelValidation:
             (64, 256), (512, 256), (512, 128), (256, 128)
         ]
         assert [l.weights.shape for l in model.fc_layers] == [(128, 64), (64, 1)]
+
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_set_parameters_rejects_non_finite_and_keeps_model(self, position):
+        model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0)
+        before = save_model(model)
+        params = [p + 1.0 for p in model.parameters()]
+        params[position] = np.full_like(params[position], np.nan)
+        with pytest.raises(DimensionError, match="finite"):
+            model.set_parameters(params)
+        assert save_model(model) == before

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import matchgraph as mg
 from matchgraph.embeddings import EmbeddingMatrix
 from matchgraph.errors import DegenerateVector, UnknownImage
-from matchgraph.knn import build_index, brute_force_knn, query_knn
+from matchgraph.knn import build_index, query_knn
+
+from retrieval_oracle import brute_force_knn
 
 
 def ring_matrix(n, start=0):
@@ -112,3 +115,8 @@ class TestOracleAgreement:
             small = query_knn(index, q, 4).ids()
             big = query_knn(index, q, 20).ids()
             assert big[: len(small)] == small
+
+
+def test_public_api_resolves_and_names_no_oracle():
+    assert all(hasattr(mg, name) for name in mg.__all__)
+    assert not {"brute_force_knn", "truncate_result"} & set(mg.__all__)

@@ -14,10 +14,11 @@ from matchgraph.retrieval import (
     read_pair_file,
     threshold_retrieve,
     topk_retrieve,
-    truncate_result,
     write_pair_file,
 )
 from matchgraph.subgraph import QesParams
+
+from retrieval_oracle import truncate_result
 
 
 def ring_index(n=12, dim=6, seed=1):

@@ -13,8 +13,6 @@ from matchgraph.subgraph import (
     build_qes,
     compute_features,
     discover_nodes,
-    load_qes,
-    save_qes,
 )
 
 from qes_oracle import edges_of_qes, oracle_build
@@ -204,32 +202,6 @@ class TestQesValidation:
         with pytest.raises(InvalidAdjacency):
             Qes(0, [1], [1], [[1.0]], np.zeros((1, 2)))
 
-
-class TestSerialization:
-    def test_round_trip_labeled(self):
-        emb, index = ring_scene(10, dim=3, seed=4)
-        qes = build_qes(index, emb, 2, QesParams(3, 2, 2), labels={0: True, 5: True})
-        assert load_qes(save_qes(qes)) == qes
-
-    def test_round_trip_unlabeled(self):
-        emb, index = ring_scene(10, dim=3, seed=4)
-        qes = build_qes(index, emb, 2, QesParams(3, 2, 2))
-        text = save_qes(qes)
-        assert "label=?" in text
-        assert load_qes(text) == qes
-
-    def test_round_trip_two_dim_features(self):
-        # feature rows with two columns must not be confused with edges
-        emb, index = ring_scene(8)
-        qes = build_qes(index, emb, 1, QesParams(3, 1, 2))
-        assert qes.dim == 2
-        assert load_qes(save_qes(qes)) == qes
-
-    def test_header_line(self):
-        emb, index = ring_scene(5)
-        qes = build_qes(index, emb, 0, QesParams(2, 0, 1))
-        assert save_qes(qes).splitlines()[0] == f"QES query=0 n={len(qes)} d=2"
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(InvalidRecord):
-            load_qes("garbage\n")
+    def test_rejects_non_binary_adjacency(self):
+        with pytest.raises(InvalidAdjacency):
+            Qes(0, [1, 2], [1, 1], [[0, 0.5], [0.5, 0]], np.zeros((2, 2)))
