@@ -14,7 +14,7 @@ import numpy as np
 from .embeddings import EmbeddingMatrix
 from .errors import InvalidRecord, MalformedHeader
 from .gcn import GcnModel, model_forward
-from .knn import Index, query_knn
+from .knn import Index
 from .subgraph import QesParams, build_qes
 
 PAIR_FILE_HEADER = "# matchgraph pairs v1"
@@ -74,21 +74,21 @@ def _distance_score(d: float) -> float:
 
 def topk_retrieve(index: Index, query_id: int, k: int) -> RetrievalResult:
     """The k nearest neighbors, scored by a monotone map of distance."""
-    neighbors = query_knn(index, query_id, k)
+    neighbors = index.neighbors(query_id, k)
     retrieved = tuple(sorted((v, _distance_score(d)) for v, d in neighbors.neighbors))
     return RetrievalResult(query_id=query_id, retrieved=retrieved, method=TOPK)
 
 
 def threshold_retrieve(index: Index, query_id: int, tau: float) -> RetrievalResult:
     """Everything within distance tau of the query."""
-    n = len(index)
-    if n > 1:
-        neighbors = query_knn(index, query_id, n - 1)
-        retrieved = tuple(
-            sorted((v, _distance_score(d)) for v, d in neighbors.neighbors if d <= tau)
-        )
-    else:
-        retrieved = ()
+    row = index.emb.position(query_id)
+    dists = index.distances(row)
+    hits = np.flatnonzero(dists <= tau)
+    hits = hits[hits != row]  # the query's own inf passes an infinite tau
+    retrieved = tuple(sorted(
+        (v, _distance_score(d))
+        for v, d in zip(index.ids[hits].tolist(), dists[hits].tolist())
+    ))
     return RetrievalResult(query_id=query_id, retrieved=retrieved, method=THRESHOLD)
 
 

@@ -123,15 +123,16 @@ def discover_nodes(index: Index, query_id: int, k1: int, k2: int):
     Returns (nodes, hop_tags); a node found in both hops keeps tag 1
     because classification coverage must equal the 1-hop set.
     """
-    one_hop = list(index.neighbors(query_id, k1).ids())
-    first = set(one_hop)
-    two_hop: set[int] = set()
-    if k2 >= 1:
-        for p in one_hop:
-            for r in index.neighbors(p, k2).ids():
-                if r != query_id and r not in first:
-                    two_hop.add(r)
-    nodes = one_hop + sorted(two_hop)
+    qrow = index.emb.position(query_id)
+    near, _ = index.table([qrow], k1)
+    first = near[0]
+    one_hop = index.ids[first].tolist()
+    two_hop = []
+    if k2 >= 1 and first.size:
+        reached = np.unique(index.ids[index.table(first, k2)[0]])
+        two_hop = np.setdiff1d(reached, index.ids[np.append(first, qrow)],
+                               assume_unique=True).tolist()
+    nodes = one_hop + two_hop
     hop = [1] * len(one_hop) + [2] * len(two_hop)
     return nodes, hop
 
@@ -139,19 +140,18 @@ def discover_nodes(index: Index, query_id: int, k1: int, k2: int):
 def append_edges(index: Index, nodes, u: int) -> np.ndarray:
     """Stage 2: undirected edge p-r whenever r is among the u nearest
     neighbors of p searched over the entire collection and r is a node."""
-    nodes = list(nodes)
-    if not nodes:
+    rows = np.array([index.emb.position(v) for v in nodes], dtype=np.intp)
+    if not rows.size:
         raise InvalidRecord("cannot append edges to an empty node set")
-    pos = {v: i for i, v in enumerate(nodes)}
-    n = len(nodes)
+    n = len(rows)
+    slot = np.full(len(index), -1, dtype=np.intp)
+    slot[rows] = np.arange(n)
+    near = slot[index.table(rows, u)[0]]
+    i, j = np.nonzero(near >= 0)
+    j = near[i, j]
     adjacency = np.zeros((n, n), dtype=np.float64)
-    for p in nodes:
-        for r in index.neighbors(p, u).ids():
-            j = pos.get(r)
-            if j is not None:
-                i = pos[p]
-                adjacency[i, j] = 1.0
-                adjacency[j, i] = 1.0
+    adjacency[i, j] = 1.0
+    adjacency[j, i] = 1.0
     return adjacency
 
 

@@ -86,14 +86,17 @@ def generate_scene(config: SceneConfig) -> Scene:
         vectors = vectors + rng.normal(0.0, config.noise_sigma, size=vectors.shape)
     emb = EmbeddingMatrix(list(range(n)), vectors)
 
+    # Pairs j > i at circular offset m = min(j - i, n - (j - i)) lie m * step
+    # apart, which grows with m, so only offsets up to the window are visited.
     step = 2.0 * math.pi / n
     store = OverlapStore()
-    for i in range(n):
-        for j in range(i + 1, n):
-            circ = min(j - i, n - (j - i)) * step
-            if circ <= config.overlap_angle:
-                mo = max(0.0, 1.0 - circ / config.overlap_angle)
-                store.add(OverlapRecord(i, j, mo, mo))
+    m = 1
+    while m <= n // 2 and m * step <= config.overlap_angle:
+        mo = max(0.0, 1.0 - m * step / config.overlap_angle)
+        for gap in sorted({m, n - m}):
+            for i in range(n - gap):
+                store.add(OverlapRecord(i, i + gap, mo, mo))
+        m += 1
 
     classes = {i: (i * s) // n for i in range(n)}
     return Scene(embeddings=emb, overlaps=store, classes=classes)

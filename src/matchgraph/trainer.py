@@ -53,34 +53,34 @@ class OverlapRecord:
 
 
 class OverlapStore:
-    """Symmetric store of overlap records keyed by unordered pair."""
+    """Symmetric store of overlap records keyed by unordered pair; each
+    record is kept as added, oriented so that i < j."""
 
     def __init__(self, records: Iterable[OverlapRecord] = ()):
-        self._pairs: dict[tuple[int, int], tuple[float, float]] = {}
+        self._pairs: dict[tuple[int, int], OverlapRecord] = {}
         for record in records:
             self.add(record)
 
     def add(self, record: OverlapRecord) -> None:
-        key = (min(record.i, record.j), max(record.i, record.j))
-        value = (float(record.mo), float(record.ct))
+        if record.i > record.j:
+            record = OverlapRecord(record.j, record.i, record.mo, record.ct)
+        key = (record.i, record.j)
         existing = self._pairs.get(key)
-        if existing is not None and existing != value:
+        if existing is not None and existing != record:
             raise InvalidRecord(
-                f"conflicting overlap scores for pair {key}: {existing} vs {value}"
+                f"conflicting overlap scores for pair {key}: "
+                f"{(existing.mo, existing.ct)} vs {(record.mo, record.ct)}"
             )
-        self._pairs[key] = value
+        self._pairs[key] = record
 
     def get(self, i: int, j: int) -> OverlapRecord | None:
-        value = self._pairs.get((min(i, j), max(i, j)))
-        if value is None:
-            return None
-        return OverlapRecord(i, j, value[0], value[1])
+        record = self._pairs.get((min(i, j), max(i, j)))
+        if record is None or record.i == i:
+            return record
+        return OverlapRecord(i, j, record.mo, record.ct)
 
     def records(self) -> list[OverlapRecord]:
-        return [
-            OverlapRecord(a, b, mo, ct)
-            for (a, b), (mo, ct) in sorted(self._pairs.items())
-        ]
+        return [self._pairs[key] for key in sorted(self._pairs)]
 
     def __len__(self) -> int:
         return len(self._pairs)

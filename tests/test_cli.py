@@ -133,6 +133,20 @@ class TestPipeline:
             pair_files.append(pairs.read_bytes())
         assert pair_files[0] == pair_files[1]
 
+    @pytest.mark.parametrize("mode", [("--topk", 7), ("--tau-dist", 0.6)])
+    def test_thread_count_does_not_change_baseline(self, scene_files, tmp_path, mode):
+        # each run fills and widens the neighbor table of a fresh index
+        outputs = []
+        for threads in (1, 4):
+            pairs = tmp_path / f"pairs-t{threads}.txt"
+            results = tmp_path / f"results-t{threads}.csv"
+            assert run(
+                "baseline", "--embeddings", scene_files["embeddings"], *mode,
+                "--pairs-out", pairs, "--results-out", results, "--threads", threads,
+            ) == 0
+            outputs.append((pairs.read_bytes(), results.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_blas_thread_count_does_not_change_checkpoint(self, tmp_path):
         # Subgraphs of 60+ nodes and 128-wide convs give products such as
         # (60 x 256) @ (256 x 128), which OpenBLAS splits across two threads.

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import matchgraph as mg
 from matchgraph.embeddings import EmbeddingMatrix
 from matchgraph.errors import DegenerateVector, UnknownImage
 from matchgraph.knn import build_index, query_knn
+from matchgraph.synthetic import SceneConfig, generate_scene
 
 from retrieval_oracle import brute_force_knn
 
@@ -74,14 +77,6 @@ class TestQueryKnn:
             ds = [d for _, d in query_knn(index, q, 15).neighbors]
             assert ds == sorted(ds)
 
-    def test_memoized_neighbors_match(self):
-        rng = np.random.default_rng(12)
-        emb = EmbeddingMatrix(range(30), rng.normal(size=(30, 4)))
-        index = build_index(emb)
-        assert index.neighbors(3, 5) == query_knn(index, 3, 5)
-        assert index.neighbors(3, 5) is index.neighbors(3, 5)
-
-
 class TestOracleAgreement:
     def test_accelerated_equals_brute_force(self):
         # the two routes share no ranking code and must agree exactly
@@ -115,6 +110,57 @@ class TestOracleAgreement:
             small = query_knn(index, q, 4).ids()
             big = query_knn(index, q, 20).ids()
             assert big[: len(small)] == small
+
+
+def random_scene(n=60):
+    rng = np.random.default_rng(12)
+    return EmbeddingMatrix(range(n), rng.normal(size=(n, 4)))
+
+
+def duplicate_scene(n=64):
+    # zero noise and 4-fold symmetry: every row has exact duplicates
+    return generate_scene(SceneConfig(n_images=n, symmetry_s=4, dim=6)).embeddings
+
+
+class TestNeighborTable:
+    @pytest.mark.parametrize("make", [random_scene, duplicate_scene])
+    def test_mixed_k_order_matches_oracle(self, make):
+        # each k narrower than, wider than or capped at the table in turn
+        emb = make()
+        n = len(emb)
+        index = build_index(emb)
+        for q in (0, 5, n - 1):
+            for k in (5, 100, 3, n - 1, n + 1, 7):
+                assert index.neighbors(q, k) == brute_force_knn(emb, q, k)
+
+    def test_rows_and_distances_align(self):
+        emb = duplicate_scene()
+        index = build_index(emb)
+        pos, dist = index.table([3, 3, 10], 6)
+        assert pos.shape == dist.shape == (3, 6)
+        for row, q in enumerate((3, 3, 10)):
+            want = brute_force_knn(emb, q, 6).neighbors
+            assert list(zip(index.ids[pos[row]].tolist(), dist[row].tolist())) == list(want)
+
+    def test_k_below_one_rejected(self):
+        index = build_index(random_scene())
+        with pytest.raises(ValueError):
+            index.neighbors(0, 0)
+
+    def test_concurrent_widening_matches_oracle(self):
+        # more threads than cores, switching often, widen and fill one table
+        emb = random_scene(80)
+        index = build_index(emb)
+        jobs = [(q, k) for q in range(80) for k in (3, 40, 9, 79)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda job: index.neighbors(*job), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for (q, k), result in zip(jobs, got):
+            assert result == brute_force_knn(emb, q, k)
 
 
 def test_public_api_resolves_and_names_no_oracle():

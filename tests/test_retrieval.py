@@ -5,7 +5,7 @@ import pytest
 
 import matchgraph as mg
 from matchgraph.embeddings import EmbeddingMatrix
-from matchgraph.errors import InvalidRecord, MalformedHeader
+from matchgraph.errors import InvalidRecord, MalformedHeader, UnknownImage
 from matchgraph.retrieval import (
     RetrievalResult,
     collapse_pairs,
@@ -17,8 +17,9 @@ from matchgraph.retrieval import (
     write_pair_file,
 )
 from matchgraph.subgraph import QesParams
+from matchgraph.synthetic import SceneConfig, generate_scene
 
-from retrieval_oracle import truncate_result
+from retrieval_oracle import brute_force_knn, truncate_result
 
 
 def ring_index(n=12, dim=6, seed=1):
@@ -112,6 +113,25 @@ class TestThresholdRetrieve:
         small = threshold_retrieve(index, 2, 0.8).ids()
         large = threshold_retrieve(index, 2, 1.4).ids()
         assert small <= large
+
+    @pytest.mark.parametrize("emb", [
+        EmbeddingMatrix([4], [[1.0, 2.0]]),
+        EmbeddingMatrix([9, 2], [[1.0, 0.0], [0.0, 1.0]]),
+        generate_scene(SceneConfig(n_images=48, symmetry_s=4, dim=6)).embeddings,
+    ])
+    def test_matches_filtered_oracle_ranking(self, emb):
+        index = mg.build_index(emb)
+        n = len(emb)
+        for q in emb.ids:
+            ranked = brute_force_knn(emb, q, n).neighbors
+            for tau in (0.0, 0.3, 1.0, 2.0, float("inf")):
+                want = tuple(sorted((v, 1.0 - d / 2.0) for v, d in ranked if d <= tau))
+                assert threshold_retrieve(index, q, tau).retrieved == want
+
+    def test_unknown_query(self):
+        emb, index = ring_index(5)
+        with pytest.raises(UnknownImage):
+            threshold_retrieve(index, 99, 1.0)
 
 
 class TestTruncateResult:

@@ -6,6 +6,7 @@ import pytest
 from matchgraph.embeddings import EmbeddingMatrix
 from matchgraph.errors import InvalidAdjacency, InvalidRecord, UnknownImage
 from matchgraph.knn import build_index
+from matchgraph.synthetic import SceneConfig, generate_scene
 from matchgraph.subgraph import (
     Qes,
     QesParams,
@@ -154,6 +155,25 @@ class TestBuildQes:
         assert qes.hop == tuple(o_hops)
         assert edges_of_qes(qes) == o_edges
         assert np.array_equal(qes.features, o_features)
+
+    def test_duplicate_rows_against_oracle(self):
+        # Zero noise and 4-fold symmetry: every row has three exact
+        # duplicates. The oracle's distance formula differs from the
+        # library's in the last bits, so on rings where a node's two
+        # mirror neighbors tie only up to rounding the two orders differ
+        # (n=360 with k1=100 does, on the parent code too); on this ring
+        # every tie within reach is exact.
+        emb = generate_scene(SceneConfig(n_images=48, symmetry_s=4, dim=32)).embeddings
+        index = build_index(emb)
+        for q in emb.ids:
+            qes = build_qes(index, emb, q, QesParams(12, 3, 5))
+            o_nodes, o_hops, o_edges, o_features = oracle_build(
+                list(emb.ids), emb.vectors, q, 12, 3, 5
+            )
+            assert qes.nodes == tuple(o_nodes)
+            assert qes.hop == tuple(o_hops)
+            assert edges_of_qes(qes) == o_edges
+            assert np.array_equal(qes.features, o_features)
 
     def test_labels_mapping(self):
         emb, index = ring_scene(6)
