@@ -65,8 +65,9 @@ def _resolve(args, cfg, name, default, cast):
         raw = cfg[name]
         try:
             return cast(raw)
-        except ValueError:
-            raise InvalidRecord(f"config value {name}={raw!r} is not a valid {cast.__name__}")
+        except (ValueError, argparse.ArgumentTypeError):
+            kind = cast.__name__.lstrip("_")
+            raise InvalidRecord(f"config value {name}={raw!r} is not a valid {kind}")
     return default
 
 

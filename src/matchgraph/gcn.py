@@ -3,11 +3,12 @@
 Each graph convolution mixes a node's own feature with a degree-normalized
 aggregate of its neighbors' features:
 
-    Y = act([X || G X] W),   G = D^(-1/2) A D^(-1/2)
+    Y = relu([X || G X] W),   G = D^(-1/2) A D^(-1/2)
 
 with concatenation along the feature axis and no bias. Four such layers
-feed two dense layers ending in one logit per node; a sigmoid turns logits
-into matchability probabilities. The loss and its gradients are masked to
+feed dense layers with bias; each is relu except the last, which is the
+identity and gives one logit per node. A sigmoid turns logits into
+matchability probabilities. The loss and its gradients are masked to
 1-hop nodes only. The backward pass is fully analytic (no autodiff) and is
 validated against central finite differences.
 """
@@ -32,15 +33,8 @@ CHECKPOINT_MAGIC = b"MGCK"
 CHECKPOINT_VERSION = 1
 PROB_CLAMP = 1e-12
 
-RELU = "relu"
-IDENTITY = "identity"
-
 _KIND_CONV = 0
 _KIND_FC = 1
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -54,20 +48,11 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply(act: str, x: np.ndarray) -> np.ndarray:
-    if act == RELU:
-        return relu(x)
-    if act == IDENTITY:
-        return x
-    raise ValueError(f"unknown activation {act!r}")
-
-
 @dataclass
 class GcnLayer:
     """One graph convolution: weights shaped (2 * d_in) x d_out, no bias."""
 
     weights: np.ndarray
-    activation: str = RELU
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -77,8 +62,6 @@ class GcnLayer:
             raise DimensionError("conv weights must have an even row count")
         if not np.all(np.isfinite(self.weights)):
             raise DimensionError("conv weights must be finite")
-        if self.activation not in (RELU, IDENTITY):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
@@ -95,7 +78,6 @@ class DenseLayer:
 
     weights: np.ndarray
     bias: np.ndarray
-    activation: str = RELU
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -106,8 +88,6 @@ class DenseLayer:
             raise DimensionError("bias length must equal output width")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise DimensionError("dense parameters must be finite")
-        if self.activation not in (RELU, IDENTITY):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
@@ -119,25 +99,20 @@ class DenseLayer:
 
 
 class GcnModel:
-    """Four ReLU graph convolutions followed by dense layers ending in a
-    single logit. Immutable during inference; training replaces the layers
+    """Four graph convolutions followed by dense layers ending in a single
+    logit. Every layer is relu except the last dense layer, which is the
+    identity. Immutable during inference; training replaces the layers
     wholesale through set_parameters."""
-
-    version = CHECKPOINT_VERSION
 
     def __init__(self, conv_layers: Sequence[GcnLayer], fc_layers: Sequence[DenseLayer]):
         conv_layers = list(conv_layers)
         fc_layers = list(fc_layers)
         if len(conv_layers) != 4:
             raise DimensionError("model requires exactly 4 graph conv layers")
-        if any(layer.activation != RELU for layer in conv_layers):
-            raise DimensionError("graph conv layers must use relu")
         if not fc_layers:
             raise DimensionError("model requires at least one dense layer")
         if fc_layers[-1].out_dim != 1:
             raise DimensionError("final dense layer must output one logit")
-        if fc_layers[-1].activation != IDENTITY:
-            raise DimensionError("final dense layer must be identity-activated")
         width = conv_layers[0].in_dim
         for i, layer in enumerate(conv_layers):
             if layer.in_dim != width:
@@ -170,8 +145,8 @@ class GcnModel:
         # The layer constructors check finiteness; build every layer before
         # replacing any, so a rejected array leaves the model as it was.
         it = iter(params)
-        conv = [GcnLayer(next(it), layer.activation) for layer in self.conv_layers]
-        fc = [DenseLayer(next(it), next(it), layer.activation) for layer in self.fc_layers]
+        conv = [GcnLayer(next(it)) for _ in self.conv_layers]
+        fc = [DenseLayer(next(it), next(it)) for _ in self.fc_layers]
         self.conv_layers, self.fc_layers = conv, fc
 
 
@@ -184,8 +159,8 @@ def init_model(
     """Seeded uniform initialization in +-sqrt(6 / (fan_in + fan_out)).
 
     Biases draw from the same bound rather than starting at zero, so no
-    pre-activation sits exactly on the ReLU kink even when an upstream
-    layer goes quiet.
+    ReLU input sits exactly on the kink even when an upstream layer goes
+    quiet.
     """
     if len(conv_widths) != 4:
         raise DimensionError("conv_widths must list exactly 4 widths")
@@ -198,13 +173,12 @@ def init_model(
     width = input_dim
     for out in conv_widths:
         bound = np.sqrt(6.0 / (2 * width + out))
-        conv_layers.append(GcnLayer(uniform(bound, 2 * width, out), RELU))
+        conv_layers.append(GcnLayer(uniform(bound, 2 * width, out)))
         width = out
     fc_layers = []
-    for i, out in enumerate(list(fc_widths) + [1]):
+    for out in list(fc_widths) + [1]:
         bound = np.sqrt(6.0 / (width + out))
-        act = IDENTITY if i == len(fc_widths) else RELU
-        fc_layers.append(DenseLayer(uniform(bound, width, out), uniform(bound, out), act))
+        fc_layers.append(DenseLayer(uniform(bound, width, out), uniform(bound, out)))
         width = out
     return GcnModel(conv_layers, fc_layers)
 
@@ -230,20 +204,6 @@ def _normalize(a: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * a * inv_sqrt[None, :]
 
 
-def layer_forward(x: np.ndarray, g: np.ndarray, layer: GcnLayer) -> np.ndarray:
-    """act([X || GX] W) with concatenation along the feature axis."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if x.ndim != 2 or g.shape != (x.shape[0], x.shape[0]):
-        raise DimensionError("G must be n x n for an n-row feature matrix")
-    if x.shape[1] != layer.in_dim:
-        raise DimensionError(
-            f"layer expects {layer.in_dim} input features, got {x.shape[1]}"
-        )
-    concat = np.concatenate([x, g @ x], axis=1)
-    return _apply(layer.activation, concat @ layer.weights)
-
-
 def _forward_cached(qes: Qes, model: GcnModel):
     """Forward pass retaining the intermediates the backward pass needs."""
     if qes.dim != model.input_dim:
@@ -258,12 +218,13 @@ def _forward_cached(qes: Qes, model: GcnModel):
         concat = np.concatenate([h, g @ h], axis=1)
         z = concat @ layer.weights
         conv_cache.append((concat, z))
-        h = _apply(layer.activation, z)
+        h = np.maximum(z, 0.0)
+    head = len(model.fc_layers) - 1
     fc_cache = []
-    for layer in model.fc_layers:
+    for i, layer in enumerate(model.fc_layers):
         z = h @ layer.weights + layer.bias
         fc_cache.append((h, z))
-        h = _apply(layer.activation, z)
+        h = z if i == head else np.maximum(z, 0.0)
     logits = h[:, 0]
     probs = sigmoid(logits)
     return probs, g, conv_cache, fc_cache
@@ -332,17 +293,19 @@ def backward(qes: Qes, model: GcnModel, labels) -> ModelGradients:
     dh = dz[:, None]
     fc_w_grads: list[np.ndarray] = []
     fc_b_grads: list[np.ndarray] = []
-    for layer, (h_in, z) in zip(reversed(model.fc_layers), reversed(fc_cache)):
-        dzl = dh if layer.activation == IDENTITY else dh * (z > 0)
+    head = len(model.fc_layers) - 1
+    for i in range(head, -1, -1):
+        h_in, z = fc_cache[i]
+        dzl = dh if i == head else dh * (z > 0)
         fc_w_grads.append(h_in.T @ dzl)
         fc_b_grads.append(dzl.sum(axis=0))
-        dh = dzl @ layer.weights.T
+        dh = dzl @ model.fc_layers[i].weights.T
     fc_w_grads.reverse()
     fc_b_grads.reverse()
 
     conv_grads: list[np.ndarray] = []
     for layer, (concat, z) in zip(reversed(model.conv_layers), reversed(conv_cache)):
-        dzl = dh if layer.activation == IDENTITY else dh * (z > 0)
+        dzl = dh * (z > 0)
         conv_grads.append(concat.T @ dzl)
         dconcat = dzl @ layer.weights.T
         d = layer.in_dim
@@ -411,11 +374,7 @@ def load_model(data: bytes) -> GcnModel:
     if offset != len(data):
         raise ShapeCorruption("trailing bytes after checkpoint", offset=offset)
     try:
-        conv_layers = [GcnLayer(w, RELU) for w in conv_weights]
-        fc_layers = [
-            DenseLayer(w, b, IDENTITY if i == len(fc_params) - 1 else RELU)
-            for i, (w, b) in enumerate(fc_params)
-        ]
-        return GcnModel(conv_layers, fc_layers)
+        return GcnModel([GcnLayer(w) for w in conv_weights],
+                        [DenseLayer(w, b) for w, b in fc_params])
     except DimensionError as exc:
         raise ShapeCorruption(f"inconsistent checkpoint shapes: {exc}") from exc

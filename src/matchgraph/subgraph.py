@@ -6,8 +6,8 @@ proximity over the entire collection), and compute query-relative node
 features (raw descriptor differences). The query itself is never a node.
 """
 
+import copy
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -76,10 +76,6 @@ class Qes:
         check_adjacency(adjacency)
         if features.ndim != 2 or features.shape[0] != n:
             raise DimensionError("features must have one row per node")
-        if labels is not None:
-            labels = tuple(bool(b) for b in labels)
-            if len(labels) != n:
-                raise DimensionError("labels must align with nodes")
         adjacency.setflags(write=False)
         features.setflags(write=False)
         self.query_id = int(query_id)
@@ -87,7 +83,7 @@ class Qes:
         self.hop = hop
         self.adjacency = adjacency
         self.features = features
-        self.labels = labels
+        self.labels = None if labels is None else self._checked_labels(labels)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -99,9 +95,18 @@ class Qes:
     def hop_mask(self, which: int) -> np.ndarray:
         return np.array([h == which for h in self.hop], dtype=bool)
 
+    def _checked_labels(self, labels) -> tuple[bool, ...]:
+        labels = tuple(bool(b) for b in labels)
+        if len(labels) != len(self.nodes):
+            raise DimensionError("labels must align with nodes")
+        return labels
+
     def with_labels(self, labels) -> "Qes":
-        return Qes(self.query_id, self.nodes, self.hop, self.adjacency,
-                   self.features, labels)
+        """A copy with new labels, sharing the read-only arrays this one
+        already checked."""
+        labeled = copy.copy(self)
+        labeled.labels = self._checked_labels(labels)
+        return labeled
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Qes):
@@ -160,22 +165,9 @@ def compute_features(emb: EmbeddingMatrix, query_id: int, nodes) -> np.ndarray:
     return emb.rows(nodes) - emb.row(query_id)
 
 
-def build_qes(
-    index: Index,
-    emb: EmbeddingMatrix,
-    query_id: int,
-    params: QesParams,
-    labels: Mapping[int, bool] | None = None,
-) -> Qes:
-    """Run the three stages and assemble the subgraph.
-
-    When a label mapping is given, every node gets a label; ids missing
-    from the mapping are labeled False.
-    """
+def build_qes(index: Index, emb: EmbeddingMatrix, query_id: int, params: QesParams) -> Qes:
+    """Run the three stages and assemble the unlabeled subgraph."""
     nodes, hop = discover_nodes(index, query_id, params.k1, params.k2)
     adjacency = append_edges(index, nodes, params.u)
     features = compute_features(emb, query_id, nodes)
-    label_vec = None
-    if labels is not None:
-        label_vec = [bool(labels.get(v, False)) for v in nodes]
-    return Qes(query_id, nodes, hop, adjacency, features, label_vec)
+    return Qes(query_id, nodes, hop, adjacency, features)

@@ -248,12 +248,15 @@ class TestConfigFile:
         n_flag = len(read_pair_file(pairs_flag.read_text()))
         assert n_flag > n_cfg
 
-    def test_bad_config_line(self, scene_files, tmp_path):
+    @pytest.mark.parametrize("line", ["nonsense", "k1=abc", "conv_widths=8,x", "fc_widths="])
+    def test_bad_config_line(self, scene_files, tmp_path, line):
         config = tmp_path / "run.cfg"
-        config.write_text("nonsense\n")
-        code = run("baseline", "--embeddings", scene_files["embeddings"],
-                   "--pairs-out", tmp_path / "p.txt", "--topk", 3, "--config", config)
+        config.write_text(line + "\n")
+        model = tmp_path / "model.ckpt"
+        code = run("train", "--embeddings", scene_files["embeddings"],
+                   "--overlaps", scene_files["overlaps"], "--model", model, "--config", config)
         assert code == 3
+        assert not model.exists()
 
 
 # Minimal argv per subcommand; the tests only parse it.

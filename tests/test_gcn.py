@@ -13,12 +13,12 @@ from matchgraph.errors import (
     VersionMismatch,
 )
 from matchgraph.gcn import (
+    DenseLayer,
     GcnLayer,
     GcnModel,
     aggregation_matrix,
     backward,
     init_model,
-    layer_forward,
     load_model,
     masked_loss,
     model_forward,
@@ -128,48 +128,6 @@ class TestAggregationMatrix:
             eig = np.linalg.eigvalsh(g)
             assert eig.min() >= -1.0 - 1e-9
             assert eig.max() <= 1.0 + 1e-9
-
-
-class TestLayerForward:
-    def test_zero_aggregation_identity_weights(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(5, 3))
-        w = np.vstack([np.eye(3), np.eye(3)])
-        layer = GcnLayer(w, activation="identity")
-        out = layer_forward(x, np.zeros((5, 5)), layer)
-        assert np.array_equal(out, x)
-
-    def test_zero_input_relu(self):
-        layer = GcnLayer(np.ones((4, 2)), activation="relu")
-        out = layer_forward(np.zeros((3, 2)), np.zeros((3, 3)), layer)
-        assert np.array_equal(out, np.zeros((3, 2)))
-
-    def test_against_straight_line_recomputation(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(4, 3))
-        a = random_graph(rng, 4)
-        g = aggregation_matrix(a)
-        w = rng.normal(size=(6, 2))
-        layer = GcnLayer(w, activation="identity")
-        out = layer_forward(x, g, layer)
-        # manual triple-loop recomputation
-        gx = np.zeros((4, 3))
-        for i in range(4):
-            for j in range(4):
-                for c in range(3):
-                    gx[i, c] += g[i, j] * x[j, c]
-        concat = np.hstack([x, gx])
-        expected = np.zeros((4, 2))
-        for i in range(4):
-            for k in range(6):
-                for j in range(2):
-                    expected[i, j] += concat[i, k] * w[k, j]
-        assert np.allclose(out, expected, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        layer = GcnLayer(np.ones((6, 2)))
-        with pytest.raises(DimensionError):
-            layer_forward(np.zeros((4, 2)), np.zeros((4, 4)), layer)
 
 
 class TestModelForward:
@@ -315,11 +273,20 @@ class TestCheckpoints:
 
     def test_forward_outputs_survive_round_trip(self):
         rng = np.random.default_rng(12)
-        model = init_model(4, conv_widths=(5, 5, 4, 4), fc_widths=(3,), seed=13)
-        clone = load_model(save_model(model))
-        for _ in range(10):
-            qes = random_qes(rng, int(rng.integers(2, 9)), 4)
-            assert np.array_equal(model_forward(qes, model), model_forward(qes, clone))
+        w = np.random.default_rng(14).normal
+        built = GcnModel(
+            [GcnLayer(w(size=(8, 5))), GcnLayer(w(size=(10, 5))),
+             GcnLayer(w(size=(10, 4))), GcnLayer(w(size=(8, 4)))],
+            [DenseLayer(w(size=(4, 3)), w(size=3)), DenseLayer(w(size=(3, 1)), w(size=1))],
+        )
+        for model in (init_model(4, conv_widths=(5, 5, 4, 4), fc_widths=(3,), seed=13), built):
+            clone = load_model(save_model(model))
+            for _ in range(10):
+                qes = random_qes(rng, int(rng.integers(2, 9)), 4)
+                probs = model_forward(qes, model)
+                expected = oracle_forward(qes.features.tolist(), qes.adjacency.tolist(), model)
+                assert np.allclose(probs, expected, atol=1e-12)
+                assert np.array_equal(probs, model_forward(qes, clone))
 
     def test_truncated_stream(self):
         data = save_model(init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0))
@@ -348,17 +315,13 @@ class TestCheckpoints:
 class TestModelValidation:
     def test_requires_four_conv_layers(self):
         layers = [GcnLayer(np.ones((4, 2))) for _ in range(3)]
-        from matchgraph.gcn import DenseLayer
-
         with pytest.raises(DimensionError):
-            GcnModel(layers, [DenseLayer(np.ones((2, 1)), np.zeros(1), "identity")])
+            GcnModel(layers, [DenseLayer(np.ones((2, 1)), np.zeros(1))])
 
     def test_final_width_must_be_one(self):
-        from matchgraph.gcn import DenseLayer
-
         convs = [GcnLayer(np.ones((4, 2))) for _ in range(4)]
         with pytest.raises(DimensionError):
-            GcnModel(convs, [DenseLayer(np.ones((2, 3)), np.zeros(3), "identity")])
+            GcnModel(convs, [DenseLayer(np.ones((2, 3)), np.zeros(3))])
 
     def test_default_widths(self):
         model = init_model(32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matchgraph.embeddings import EmbeddingMatrix
-from matchgraph.errors import InvalidAdjacency, InvalidRecord, UnknownImage
+from matchgraph.errors import DimensionError, InvalidAdjacency, InvalidRecord, UnknownImage
 from matchgraph.knn import build_index
 from matchgraph.synthetic import SceneConfig, generate_scene
 from matchgraph.subgraph import (
@@ -175,14 +175,6 @@ class TestBuildQes:
             assert edges_of_qes(qes) == o_edges
             assert np.array_equal(qes.features, o_features)
 
-    def test_labels_mapping(self):
-        emb, index = ring_scene(6)
-        qes = build_qes(index, emb, 0, QesParams(2, 1, 2), labels={1: True})
-        assert qes.labels is not None
-        got = dict(zip(qes.nodes, qes.labels))
-        assert got[1] is True
-        assert all(not lab for v, lab in got.items() if v != 1)
-
     def test_invariants_over_random_scenes(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -225,3 +217,11 @@ class TestQesValidation:
     def test_rejects_non_binary_adjacency(self):
         with pytest.raises(InvalidAdjacency):
             Qes(0, [1, 2], [1, 1], [[0, 0.5], [0.5, 0]], np.zeros((2, 2)))
+
+    def test_with_labels_shares_arrays_and_checks_length(self):
+        qes = Qes(0, [1, 2], [1, 2], [[0, 1], [1, 0]], np.ones((2, 3)))
+        labeled = qes.with_labels([1, 0])
+        assert labeled.labels == (True, False) and qes.labels is None
+        assert labeled.adjacency is qes.adjacency and labeled.features is qes.features
+        with pytest.raises(DimensionError):
+            qes.with_labels([True])
