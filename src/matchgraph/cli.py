@@ -153,10 +153,12 @@ def cmd_index(args, cfg) -> int:
     index = build_index(emb)
     if args.knn_out:
         k = _resolve(args, cfg, "k", 10, int)
+        ids = sorted(emb.ids)
+        pos, dist = index.table([emb.position(q) for q in ids], k)
         lines = []
-        for q in sorted(emb.ids):
+        for q, near, ds in zip(ids, index.ids[pos].tolist(), dist.tolist()):
             parts = [str(q)]
-            for v, d in index.neighbors(q, k).neighbors:
+            for v, d in zip(near, ds):
                 parts.append(str(v))
                 parts.append(repr(d))
             lines.append(" ".join(parts))
@@ -231,6 +233,9 @@ def cmd_baseline(args, cfg) -> int:
     index = build_index(emb)
     queries = _read_queries(args.queries) if args.queries else sorted(emb.ids)
     threads = _resolve(args, cfg, "threads", 1, int)
+    if topk is not None:
+        # rank all query rows in blocks up front; each query then reads the table
+        index.table([emb.position(q) for q in queries], topk)
 
     def one(q):
         if topk is not None:

@@ -11,7 +11,10 @@ import matchgraph as mg
 from matchgraph.cli import build_parser, main
 from matchgraph.evaluation import GroundTruth, macro_average, per_query_prf
 from matchgraph.retrieval import read_pair_file, pairs_to_query_sets
+from matchgraph.synthetic import SceneConfig, generate_scene
 from matchgraph.trainer import load_overlaps
+
+from retrieval_oracle import brute_force_knn
 
 
 def run(*argv):
@@ -59,6 +62,26 @@ class TestIndex:
 
     def test_missing_file_is_parse_error(self, tmp_path):
         assert run("index", "--embeddings", tmp_path / "absent.emb") == 3
+
+    @pytest.mark.parametrize("k", [1, 5, 23, 40])
+    def test_knn_out_lines_equal_oracle(self, scene_files, tmp_path, k):
+        # the synth scene, and a zero-noise 4-fold scene (exact ties) whose
+        # ids are shuffled so that id order is not row order
+        tied = generate_scene(SceneConfig(n_images=32, symmetry_s=4, dim=6)).embeddings
+        ids = np.random.default_rng(4).permutation(100)[:32].tolist()
+        shuffled = tmp_path / "shuffled.emb"
+        shuffled.write_bytes(mg.save_embeddings(mg.EmbeddingMatrix(ids, tied.vectors)))
+        for path in (scene_files["embeddings"], shuffled):
+            out = tmp_path / "knn.txt"
+            assert run("index", "--embeddings", path, "--k", k, "--knn-out", out) == 0
+            emb = mg.load_embeddings(path.read_bytes())
+            want = []
+            for q in sorted(emb.ids):
+                parts = [str(q)]
+                for v, d in brute_force_knn(emb, q, k).neighbors:
+                    parts += [str(v), repr(d)]
+                want.append(" ".join(parts))
+            assert out.read_text() == "\n".join(want) + "\n"
 
 
 class TestPipeline:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import matchgraph as mg
+from matchgraph import knn
 from matchgraph.embeddings import EmbeddingMatrix
 from matchgraph.errors import DegenerateVector, UnknownImage
 from matchgraph.knn import build_index, query_knn
@@ -122,6 +123,18 @@ def duplicate_scene(n=64):
     return generate_scene(SceneConfig(n_images=n, symmetry_s=4, dim=6)).embeddings
 
 
+def near_tie_scene():
+    # clusters of six rows about 1e-9 apart: their squared distances
+    # (~1e-17) are below the rounding of the GEMM form |a|² + |b|² - 2a·b
+    rng = np.random.default_rng(21)
+    centers = np.repeat(rng.normal(size=(12, 8)), 6, axis=0)
+    return EmbeddingMatrix(range(72), centers + 1e-9 * rng.normal(size=centers.shape))
+
+
+def table_rows(index, pos, dist):
+    return [list(zip(index.ids[p].tolist(), d.tolist())) for p, d in zip(pos, dist)]
+
+
 class TestNeighborTable:
     @pytest.mark.parametrize("make", [random_scene, duplicate_scene])
     def test_mixed_k_order_matches_oracle(self, make):
@@ -147,20 +160,84 @@ class TestNeighborTable:
         with pytest.raises(ValueError):
             index.neighbors(0, 0)
 
+    @pytest.mark.parametrize("make", [random_scene, duplicate_scene, near_tie_scene])
+    @pytest.mark.parametrize("k", [1, 7, "n-1"])
+    def test_one_call_fills_every_row_exactly(self, make, k):
+        emb = make()
+        n = len(emb)
+        k = n - 1 if k == "n-1" else k
+        index = build_index(emb)
+        pos, dist = index.table(range(n), k)
+        want = [list(brute_force_knn(emb, q, k).neighbors) for q in range(n)]
+        assert table_rows(index, pos, dist) == want
+
+    def test_gemm_form_misorders_near_ties(self):
+        # The scene keeps its purpose only while the GEMM form orders some
+        # pair of neighbors against the difference formula: then a fill
+        # that ranked by it, or cut its candidates without a margin, fails
+        # the oracle comparison that follows.
+        emb = near_tie_scene()
+        index = build_index(emb)
+        approx = index.sqnorm[:, None] + index.sqnorm - 2.0 * (index.unit @ index.unit.T)
+        misordered = 0
+        for q in range(len(emb)):
+            exact = index.distances(q)
+            near = np.argsort(exact)[:5]
+            a, e = approx[q, near], exact[near]
+            misordered += int(np.sum((a[:, None] > a) & (e[:, None] < e)))
+        assert misordered > 0
+        for k in (2, 3, 5):
+            pos, dist = index.table(range(len(emb)), k)
+            assert table_rows(index, pos, dist) == [
+                list(brute_force_knn(emb, q, k).neighbors) for q in range(len(emb))]
+
+    def test_rows_across_blocks_with_repeats_and_filled_rows(self):
+        rng = np.random.default_rng(5)
+        n = 1024
+        emb = EmbeddingMatrix(rng.permutation(5000)[:n].tolist(), rng.normal(size=(n, 4)))
+        index = build_index(emb)
+        index.table(range(0, n, 5), 9)
+        rows = np.concatenate([rng.permutation(n), rng.integers(0, n, size=300)])
+        assert rows.size - n // 5 > knn._BLOCK_ENTRIES // n
+        pos, dist = index.table(rows, 9)
+        got = table_rows(index, pos, dist)
+        # every row against a full ranking by the library's own distances
+        by_row = {}
+        for r, line in zip(rows.tolist(), got):
+            d = index.distances(r)
+            order = np.lexsort((index.ids, d))[:9]
+            assert line == list(zip(index.ids[order].tolist(), d[order].tolist()))
+            assert by_row.setdefault(r, line) == line
+        for r in range(0, n, 37):
+            assert by_row[r] == list(brute_force_knn(emb, emb.ids[r], 9).neighbors)
+
     def test_concurrent_widening_matches_oracle(self):
         # more threads than cores, switching often, widen and fill one table
+        # through single-row and overlapping multi-row requests
         emb = random_scene(80)
         index = build_index(emb)
-        jobs = [(q, k) for q in range(80) for k in (3, 40, 9, 79)]
+        jobs = [([q], k) for q in range(80) for k in (3, 40, 9, 79)]
+        jobs += [(list(range(q, q + 30)), k) for q in range(0, 50, 7) for k in (3, 40, 9, 79)]
+        order = np.random.default_rng(3).permutation(len(jobs))
+        jobs = [jobs[i] for i in order]
+
+        def run(job):
+            rows, k = job
+            if len(rows) == 1:
+                return [list(index.neighbors(rows[0], k).neighbors)]
+            return table_rows(index, *index.table(rows, k))
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(lambda job: index.neighbors(*job), jobs, timeout=60))
+                got = list(pool.map(run, jobs, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        for (q, k), result in zip(jobs, got):
-            assert result == brute_force_knn(emb, q, k)
+        want = {(q, k): list(brute_force_knn(emb, q, k).neighbors)
+                for q in range(80) for k in (3, 40, 9, 79)}
+        for (rows, k), lines in zip(jobs, got):
+            assert lines == [want[q, k] for q in rows]
 
 
 def test_public_api_resolves_and_names_no_oracle():
