@@ -8,7 +8,7 @@ of a fixed top-k list.
 
 __version__ = "0.1.0"
 
-from .embeddings import EmbeddingMatrix, distance, l2_normalize, load_embeddings, save_embeddings
+from .embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 from .gcn import GcnModel, aggregation_matrix, init_model, load_model, model_forward, save_model
 from .knn import Index, build_index, query_knn
 from .retrieval import RetrievalResult, export_pairs, gcn_retrieve, threshold_retrieve, topk_retrieve
@@ -30,12 +30,10 @@ __all__ = [
     "aggregation_matrix",
     "build_index",
     "build_qes",
-    "distance",
     "export_pairs",
     "gcn_retrieve",
     "generate_scene",
     "init_model",
-    "l2_normalize",
     "label_pair",
     "load_embeddings",
     "load_model",

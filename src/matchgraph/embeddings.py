@@ -1,18 +1,17 @@
-"""Image embedding storage, file I/O, and the normalized-descriptor metric.
+"""Image embedding storage and file I/O.
 
 Embeddings are consumed precomputed: each image contributes one global
-descriptor row. Distances are measured between L2-normalized rows, but the
-rows themselves are stored raw so that consumers needing unnormalized
-descriptors (e.g. query-relative node features) still have them.
+descriptor row. Distances are measured between L2-normalized rows (see
+`knn`), but the rows themselves are stored raw so that consumers needing
+unnormalized descriptors (e.g. query-relative node features) still have them.
 """
 
 import struct
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from .errors import (
-    DegenerateVector,
     DimensionError,
     DuplicateId,
     InvalidRecord,
@@ -92,41 +91,6 @@ class EmbeddingMatrix:
 
     def row(self, image_id: int) -> np.ndarray:
         return self._vectors[self.position(image_id)]
-
-    def rows(self, image_ids: Iterable[int]) -> np.ndarray:
-        idx = [self.position(i) for i in image_ids]
-        return self._vectors[idx] if idx else np.zeros((0, self.dim))
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm, preserving direction.
-
-    Raises DegenerateVector for zero-norm or non-finite input, which
-    signals a corrupt embedding row.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise DegenerateVector("vector has non-finite entries")
-    norm = np.sqrt(np.sum(v * v))
-    if norm == 0.0:
-        raise DegenerateVector("vector has zero norm")
-    if not np.isfinite(norm):
-        raise DegenerateVector("vector norm overflows")
-    return v / norm
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between the L2-normalized versions of a and b.
-
-    Symmetric, scale-invariant, and bounded by [0, 2] (chord metric on the
-    unit sphere).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = l2_normalize(a) - l2_normalize(b)
-    return float(np.sqrt(np.sum(diff * diff)))
 
 
 def load_embeddings(source: bytes | BinaryIO) -> EmbeddingMatrix:

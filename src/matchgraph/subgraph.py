@@ -4,6 +4,8 @@ A query's subgraph is built in three stages: discover nodes (the query's
 nearest neighbors plus their nearest neighbors), append edges (mutual
 proximity over the entire collection), and compute query-relative node
 features (raw descriptor differences). The query itself is never a node.
+The stages work on row positions of the index; `build_qes` maps the query
+id to its row and the node rows to ids once, where it assembles the `Qes`.
 """
 
 import copy
@@ -76,14 +78,22 @@ class Qes:
         check_adjacency(adjacency)
         if features.ndim != 2 or features.shape[0] != n:
             raise DimensionError("features must have one row per node")
+        self._hold(int(query_id), nodes, hop, adjacency, features)
+        self.labels = None if labels is None else self._checked_labels(labels)
+
+    @classmethod
+    def _built(cls, query_id, nodes, hop, adjacency, features) -> "Qes":
+        """The subgraph `build_qes` assembled. Its fresh arrays hold the
+        contract by construction: stored read-only, not copied or checked."""
+        qes = cls.__new__(cls)
+        qes._hold(query_id, nodes, hop, adjacency, features)
+        return qes
+
+    def _hold(self, query_id, nodes, hop, adjacency, features) -> None:
         adjacency.setflags(write=False)
         features.setflags(write=False)
-        self.query_id = int(query_id)
-        self.nodes = nodes
-        self.hop = hop
-        self.adjacency = adjacency
-        self.features = features
-        self.labels = None if labels is None else self._checked_labels(labels)
+        self.query_id, self.nodes, self.hop = query_id, nodes, hop
+        self.adjacency, self.features, self.labels = adjacency, features, None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -121,34 +131,29 @@ class Qes:
         )
 
 
-def discover_nodes(index: Index, query_id: int, k1: int, k2: int):
-    """Stage 1: the query's k1 nearest neighbors, then the k2 nearest
-    neighbors of each of those, deduplicated. Expansion stops at two hops.
+def discover_nodes(index: Index, qrow: int, k1: int, k2: int):
+    """Stage 1: the k1 nearest rows of the query row, then the k2 nearest
+    rows of each of those, deduplicated. Expansion stops at two hops.
 
-    Returns (nodes, hop_tags); a node found in both hops keeps tag 1
+    Returns (rows, hop) as arrays: the 1-hop rows in rank order, then the
+    2-hop rows in ascending id. A row found in both hops keeps tag 1
     because classification coverage must equal the 1-hop set.
     """
-    qrow = index.emb.position(query_id)
-    near, _ = index.table([qrow], k1)
-    first = near[0]
-    one_hop = index.ids[first].tolist()
-    two_hop = []
+    first = index.table([qrow], k1)[0][0]
+    second = first[:0]
     if k2 >= 1 and first.size:
-        reached = np.unique(index.ids[index.table(first, k2)[0]])
-        two_hop = np.setdiff1d(reached, index.ids[np.append(first, qrow)],
-                               assume_unique=True).tolist()
-    nodes = one_hop + two_hop
-    hop = [1] * len(one_hop) + [2] * len(two_hop)
-    return nodes, hop
+        reached = np.unique(index.table(first, k2)[0])
+        second = np.setdiff1d(reached, np.append(first, qrow), assume_unique=True)
+        second = second[np.argsort(index.ids[second])]
+    return np.concatenate((first, second)), np.repeat((1, 2), (first.size, second.size))
 
 
-def append_edges(index: Index, nodes, u: int) -> np.ndarray:
+def append_edges(index: Index, rows, u: int) -> np.ndarray:
     """Stage 2: undirected edge p-r whenever r is among the u nearest
-    neighbors of p searched over the entire collection and r is a node."""
-    rows = np.array([index.emb.position(v) for v in nodes], dtype=np.intp)
-    if not rows.size:
-        raise InvalidRecord("cannot append edges to an empty node set")
+    rows of p searched over the entire collection and r is a node row."""
     n = len(rows)
+    if not n:
+        raise InvalidRecord("cannot append edges to an empty node set")
     slot = np.full(len(index), -1, dtype=np.intp)
     slot[rows] = np.arange(n)
     near = slot[index.table(rows, u)[0]]
@@ -160,14 +165,18 @@ def append_edges(index: Index, nodes, u: int) -> np.ndarray:
     return adjacency
 
 
-def compute_features(emb: EmbeddingMatrix, query_id: int, nodes) -> np.ndarray:
+def compute_features(emb: EmbeddingMatrix, qrow: int, rows) -> np.ndarray:
     """Stage 3: per-node raw descriptor minus the raw query descriptor."""
-    return emb.rows(nodes) - emb.row(query_id)
+    return emb.vectors[rows] - emb.vectors[qrow]
 
 
 def build_qes(index: Index, emb: EmbeddingMatrix, query_id: int, params: QesParams) -> Qes:
     """Run the three stages and assemble the unlabeled subgraph."""
-    nodes, hop = discover_nodes(index, query_id, params.k1, params.k2)
-    adjacency = append_edges(index, nodes, params.u)
-    features = compute_features(emb, query_id, nodes)
-    return Qes(query_id, nodes, hop, adjacency, features)
+    if emb is not index.emb:
+        raise ValueError("emb must be the matrix the index was built from: pass index.emb")
+    qrow = emb.position(query_id)
+    rows, hop = discover_nodes(index, qrow, params.k1, params.k2)
+    adjacency = append_edges(index, rows, params.u)
+    features = compute_features(emb, qrow, rows)
+    return Qes._built(int(query_id), tuple(index.ids[rows].tolist()), tuple(hop.tolist()),
+                      adjacency, features)

@@ -1,14 +1,49 @@
-"""Reference kNN ranking and top-k truncation, used only by tests.
+"""Reference distances, kNN ranking and top-k truncation, used only by tests.
 
-`brute_force_knn` re-ranks from scratch with per-pair distance calls and a
-plain sort, so `query_knn` must agree with it exactly, ties included.
-`truncate_result` cuts one wide top-k result down to any smaller k.
+`distance` is the normalized-descriptor metric written per pair, on top of
+`l2_normalize`. `brute_force_knn` re-ranks from scratch with per-pair
+distance calls and a plain sort, so `query_knn` must agree with it exactly,
+ties included. `truncate_result` cuts one wide top-k result down to any
+smaller k.
 """
 
-from matchgraph.embeddings import EmbeddingMatrix, distance
-from matchgraph.errors import UnknownImage
+import numpy as np
+
+from matchgraph.embeddings import EmbeddingMatrix
+from matchgraph.errors import DegenerateVector, DimensionError, UnknownImage
 from matchgraph.knn import NeighborList
 from matchgraph.retrieval import RetrievalResult
+
+
+def l2_normalize(v) -> np.ndarray:
+    """Scale a vector to unit Euclidean norm, preserving direction.
+
+    Raises DegenerateVector for zero-norm or non-finite input, which
+    signals a corrupt embedding row.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise DegenerateVector("vector has non-finite entries")
+    norm = np.sqrt(np.sum(v * v))
+    if norm == 0.0:
+        raise DegenerateVector("vector has zero norm")
+    if not np.isfinite(norm):
+        raise DegenerateVector("vector norm overflows")
+    return v / norm
+
+
+def distance(a, b) -> float:
+    """Euclidean distance between the L2-normalized versions of a and b.
+
+    Symmetric, scale-invariant, and bounded by [0, 2] (chord metric on the
+    unit sphere).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    diff = l2_normalize(a) - l2_normalize(b)
+    return float(np.sqrt(np.sum(diff * diff)))
 
 
 def brute_force_knn(emb: EmbeddingMatrix, query_id: int, k: int) -> NeighborList:

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matchgraph.embeddings import (
-    EmbeddingMatrix,
-    distance,
-    l2_normalize,
-    load_embeddings,
-    save_embeddings,
-)
+from matchgraph.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 from matchgraph.errors import (
     DegenerateVector,
     DimensionError,
@@ -25,6 +19,8 @@ from matchgraph.errors import (
     UnknownImage,
     VersionMismatch,
 )
+
+from retrieval_oracle import distance, l2_normalize
 
 
 def make_file(ids, vectors):

@@ -19,7 +19,7 @@ from matchgraph.retrieval import (
 from matchgraph.subgraph import QesParams
 from matchgraph.synthetic import SceneConfig, generate_scene
 
-from retrieval_oracle import brute_force_knn, truncate_result
+from retrieval_oracle import brute_force_knn, distance, truncate_result
 
 
 def ring_index(n=12, dim=6, seed=1):
@@ -104,7 +104,7 @@ class TestThresholdRetrieve:
         tau = 1.2
         result = threshold_retrieve(index, 7, tau)
         expected = {
-            v for v in emb.ids if v != 7 and mg.distance(emb.row(7), emb.row(v)) <= tau
+            v for v in emb.ids if v != 7 and distance(emb.row(7), emb.row(v)) <= tau
         }
         assert result.ids() == expected
 

@@ -19,14 +19,29 @@ from matchgraph.subgraph import (
 from qes_oracle import edges_of_qes, oracle_build
 
 
-def ring_scene(n, dim=2, seed=None):
+def shuffled_ids(n):
+    """Ids that are neither contiguous nor in row order."""
+    return 1000 + 7 * np.random.default_rng(n).permutation(n)
+
+
+def ring_scene(n, dim=2, seed=None, shuffled=False):
     if seed is None:
         angles = [2 * math.pi * i / n for i in range(n)]
         vectors = [[math.cos(a), math.sin(a)] for a in angles]
     else:
         vectors = np.random.default_rng(seed).normal(size=(n, dim))
-    emb = EmbeddingMatrix(range(n), vectors)
+    emb = EmbeddingMatrix(shuffled_ids(n) if shuffled else range(n), vectors)
     return emb, build_index(emb)
+
+
+def rows_of(emb, ids):
+    return np.array([emb.position(v) for v in ids], dtype=np.intp)
+
+
+def discover_ids(index, query_id, k1, k2):
+    """`discover_nodes` from the query's row, node rows mapped to ids."""
+    rows, hop = discover_nodes(index, index.emb.position(query_id), k1, k2)
+    return index.ids[rows].tolist(), hop.tolist()
 
 
 class TestQesParams:
@@ -43,24 +58,24 @@ class TestQesParams:
 class TestDiscoverNodes:
     def test_k2_zero_is_pure_first_hop(self):
         emb, index = ring_scene(8)
-        nodes, hops = discover_nodes(index, 0, k1=3, k2=0)
+        nodes, hops = discover_ids(index, 0, k1=3, k2=0)
         assert hops == [1, 1, 1]
         assert set(nodes) == set(index.neighbors(0, 3).ids())
 
     def test_saturated_first_hop(self):
         emb, index = ring_scene(5)
-        nodes, hops = discover_nodes(index, 2, k1=4, k2=3)
+        nodes, hops = discover_ids(index, 2, k1=4, k2=3)
         assert sorted(nodes) == [0, 1, 3, 4]
         assert hops == [1, 1, 1, 1]
 
     def test_query_excluded(self):
         emb, index = ring_scene(10)
-        nodes, _ = discover_nodes(index, 4, k1=3, k2=2)
+        nodes, _ = discover_ids(index, 4, k1=3, k2=2)
         assert 4 not in nodes
 
     def test_dual_reachability_keeps_tag_one(self):
         emb, index = ring_scene(8)
-        nodes, hops = discover_nodes(index, 0, k1=2, k2=2)
+        nodes, hops = discover_ids(index, 0, k1=2, k2=2)
         one_hop = set(index.neighbors(0, 2).ids())
         for v, h in zip(nodes, hops):
             if v in one_hop:
@@ -68,62 +83,58 @@ class TestDiscoverNodes:
 
     def test_eight_ring_against_oracle(self):
         emb, index = ring_scene(8)
-        nodes, hops = discover_nodes(index, 0, k1=2, k2=1)
+        nodes, hops = discover_ids(index, 0, k1=2, k2=1)
         o_nodes, o_hops, _, _ = oracle_build(list(emb.ids), emb.vectors, 0, 2, 1, 1)
         assert nodes == o_nodes
         assert hops == o_hops
-
-    def test_unknown_query(self):
-        emb, index = ring_scene(4)
-        with pytest.raises(UnknownImage):
-            discover_nodes(index, 77, 2, 1)
 
 
 class TestAppendEdges:
     def test_single_node(self):
         emb, index = ring_scene(5)
-        adjacency = append_edges(index, [2], u=3)
+        adjacency = append_edges(index, rows_of(emb, [2]), u=3)
         assert adjacency.shape == (1, 1)
         assert adjacency[0, 0] == 0.0
 
     def test_u_saturated_gives_complete_graph(self):
         emb, index = ring_scene(6)
         nodes = [0, 2, 4]
-        adjacency = append_edges(index, nodes, u=5)
+        adjacency = append_edges(index, rows_of(emb, nodes), u=5)
         expected = np.ones((3, 3)) - np.eye(3)
         assert np.array_equal(adjacency, expected)
 
     def test_eight_ring_against_oracle(self):
         emb, index = ring_scene(8)
-        nodes, hops = discover_nodes(index, 0, k1=2, k2=1)
-        adjacency = append_edges(index, nodes, u=2)
-        qes = Qes(0, nodes, hops, adjacency, compute_features(emb, 0, nodes))
+        nodes, hops = discover_ids(index, 0, k1=2, k2=1)
+        rows = rows_of(emb, nodes)
+        adjacency = append_edges(index, rows, u=2)
+        qes = Qes(0, nodes, hops, adjacency, compute_features(emb, emb.position(0), rows))
         _, _, o_edges, _ = oracle_build(list(emb.ids), emb.vectors, 0, 2, 1, 2)
         assert edges_of_qes(qes) == o_edges
 
     def test_node_order_irrelevant(self):
         emb, index = ring_scene(9)
         nodes = [1, 3, 5, 7]
-        a1 = append_edges(index, nodes, u=3)
-        a2 = append_edges(index, list(reversed(nodes)), u=3)
+        a1 = append_edges(index, rows_of(emb, nodes), u=3)
+        a2 = append_edges(index, rows_of(emb, reversed(nodes)), u=3)
         assert np.array_equal(a1, np.flip(a2))
 
 
 class TestComputeFeatures:
     def test_identical_embedding_gives_zero_row(self):
         emb = EmbeddingMatrix([0, 1], [[0.5, -1.0], [0.5, -1.0]])
-        features = compute_features(emb, 0, [1])
+        features = compute_features(emb, emb.position(0), rows_of(emb, [1]))
         assert np.array_equal(features, [[0.0, 0.0]])
 
     def test_zero_query_passes_raw_rows(self):
         emb = EmbeddingMatrix([0, 1], [[0.0, 0.0], [2.0, 3.0]])
-        features = compute_features(emb, 0, [1])
+        features = compute_features(emb, emb.position(0), rows_of(emb, [1]))
         assert np.array_equal(features, [[2.0, 3.0]])
 
     def test_elementwise_against_recomputation(self):
         rng = np.random.default_rng(5)
         emb = EmbeddingMatrix(range(6), rng.normal(size=(6, 4)))
-        features = compute_features(emb, 2, [0, 1, 3, 4, 5])
+        features = compute_features(emb, emb.position(2), rows_of(emb, [0, 1, 3, 4, 5]))
         for row, v in enumerate([0, 1, 3, 4, 5]):
             for col in range(4):
                 assert features[row, col] == emb.vectors[v, col] - emb.vectors[2, col]
@@ -134,11 +145,26 @@ class TestBuildQes:
         emb, index = ring_scene(12, dim=5, seed=3)
         params = QesParams(3, 2, 2)
         qes = build_qes(index, emb, 4, params)
-        nodes, hops = discover_nodes(index, 4, 3, 2)
-        assert qes.nodes == tuple(nodes)
-        assert qes.hop == tuple(hops)
-        assert np.array_equal(qes.adjacency, append_edges(index, nodes, 2))
-        assert np.array_equal(qes.features, compute_features(emb, 4, nodes))
+        qrow = emb.position(4)
+        rows, hops = discover_nodes(index, qrow, 3, 2)
+        assert qes.nodes == tuple(index.ids[rows].tolist())
+        assert qes.hop == tuple(hops.tolist())
+        assert np.array_equal(qes.adjacency, append_edges(index, rows, 2))
+        assert np.array_equal(qes.features, compute_features(emb, qrow, rows))
+
+    def test_unknown_query(self):
+        emb, index = ring_scene(4)
+        with pytest.raises(UnknownImage):
+            build_qes(index, emb, 77, QesParams(2, 1, 1))
+
+    def test_rejects_a_matrix_other_than_the_index_one(self):
+        # The stages read features by the index's rows, so a matrix with
+        # the same ids in another row order would give wrong features.
+        emb, index = ring_scene(6, dim=3, seed=4)
+        for other in (EmbeddingMatrix(emb.ids[::-1], emb.vectors[::-1]),
+                      EmbeddingMatrix(emb.ids, emb.vectors)):
+            with pytest.raises(ValueError, match="index.emb"):
+                build_qes(index, other, 0, QesParams(2, 1, 1))
 
     def test_deterministic(self):
         emb, index = ring_scene(15, dim=4, seed=9)
@@ -175,22 +201,51 @@ class TestBuildQes:
             assert edges_of_qes(qes) == o_edges
             assert np.array_equal(qes.features, o_features)
 
+    def test_shuffled_ids_against_oracle(self):
+        # Ids 1000 + 7·perm: a stage that takes a row for an id, or sorts
+        # 2-hop nodes by row instead of id, disagrees with the oracle. In
+        # the second scene every row has three exact copies, so ids break
+        # the ties at each cut; exact copies tie in any distance formula,
+        # unlike the mirror neighbors of a zero-noise ring.
+        copies = np.repeat(np.random.default_rng(8).normal(size=(12, 6)), 4, axis=0)
+        for emb, params in (
+            (ring_scene(40, dim=6, seed=8, shuffled=True)[0], QesParams(6, 3, 4)),
+            (EmbeddingMatrix(shuffled_ids(48), copies), QesParams(12, 3, 5)),
+        ):
+            index = build_index(emb)
+            for q in emb.ids:
+                qes = build_qes(index, emb, q, params)
+                o_nodes, o_hops, o_edges, o_features = oracle_build(
+                    list(emb.ids), emb.vectors, q, params.k1, params.k2, params.u
+                )
+                assert qes.nodes == tuple(o_nodes)
+                assert qes.hop == tuple(o_hops)
+                assert edges_of_qes(qes) == o_edges
+                assert np.array_equal(qes.features, o_features)
+
     def test_invariants_over_random_scenes(self):
         rng = np.random.default_rng(17)
-        for _ in range(25):
+        for trial in range(25):
             n = int(rng.integers(5, 40))
-            emb, index = ring_scene(n, dim=int(rng.integers(2, 8)), seed=int(rng.integers(1e6)))
+            emb, index = ring_scene(n, dim=int(rng.integers(2, 8)), seed=int(rng.integers(1e6)),
+                                    shuffled=trial % 2 == 1)
             params = QesParams(
                 k1=int(rng.integers(1, n)),
                 k2=int(rng.integers(0, 4)),
                 u=int(rng.integers(1, 6)),
             )
-            q = int(rng.integers(n))
+            q = emb.ids[int(rng.integers(n))]
             qes = build_qes(index, emb, q, params)
             assert q not in qes.nodes
             assert np.array_equal(qes.adjacency, qes.adjacency.T)
             assert not qes.adjacency.diagonal().any()
             assert sum(1 for h in qes.hop if h == 1) == min(params.k1, n - 1)
+            # The builder skips the checks of `Qes(...)`; its output must pass them.
+            assert Qes(q, qes.nodes, qes.hop, qes.adjacency, qes.features) == qes
+            assert not qes.adjacency.flags.writeable and not qes.features.flags.writeable
+            assert type(qes.query_id) is int and qes.labels is None
+            for tags in (qes.nodes, qes.hop):
+                assert type(tags) is tuple and all(type(v) is int for v in tags)
 
     def test_edge_superset_with_larger_u(self):
         emb, index = ring_scene(20, dim=4, seed=2)
