@@ -288,10 +288,7 @@ def cmd_stats(args, cfg) -> int:
     if args.classes:
         with open(args.classes, "r", encoding="utf-8") as fp:
             classes = synthetic.load_classes(fp.read())
-    results = [
-        retrieval.RetrievalResult(a, ((b, score),), "gcn")
-        for a, b, score in pairs
-    ]
+    results = [retrieval.RetrievalResult(a, ((b, score),)) for a, b, score in pairs]
     stats = evaluation.view_graph_stats(results, truth, classes)
     cross = "NA" if stats.cross_class_false_positives is None else stats.cross_class_false_positives
     text = (

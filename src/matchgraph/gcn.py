@@ -258,19 +258,12 @@ def masked_loss(probs, labels, hop) -> float:
 
 @dataclass
 class ModelGradients:
-    """Loss gradients in the same order as GcnModel.parameters()."""
+    """Loss gradients in GcnModel.parameters() order, with the loss and the
+    per-node probabilities of the forward pass they were taken at."""
 
-    conv: list[np.ndarray]
-    fc_w: list[np.ndarray]
-    fc_b: list[np.ndarray]
+    grads: list[np.ndarray]
     loss: float
-
-    def flat(self) -> list[np.ndarray]:
-        arrays = list(self.conv)
-        for w, b in zip(self.fc_w, self.fc_b):
-            arrays.append(w)
-            arrays.append(b)
-        return arrays
+    probs: np.ndarray
 
 
 def backward(qes: Qes, model: GcnModel, labels) -> ModelGradients:
@@ -291,28 +284,24 @@ def backward(qes: Qes, model: GcnModel, labels) -> ModelGradients:
     dz = np.where(mask & live, (probs - y) / m, 0.0)
 
     dh = dz[:, None]
-    fc_w_grads: list[np.ndarray] = []
-    fc_b_grads: list[np.ndarray] = []
+    grads: list[np.ndarray] = []  # reversed parameter order until the end
     head = len(model.fc_layers) - 1
     for i in range(head, -1, -1):
         h_in, z = fc_cache[i]
         dzl = dh if i == head else dh * (z > 0)
-        fc_w_grads.append(h_in.T @ dzl)
-        fc_b_grads.append(dzl.sum(axis=0))
+        grads.append(dzl.sum(axis=0))
+        grads.append(h_in.T @ dzl)
         dh = dzl @ model.fc_layers[i].weights.T
-    fc_w_grads.reverse()
-    fc_b_grads.reverse()
 
-    conv_grads: list[np.ndarray] = []
     for layer, (concat, z) in zip(reversed(model.conv_layers), reversed(conv_cache)):
         dzl = dh * (z > 0)
-        conv_grads.append(concat.T @ dzl)
+        grads.append(concat.T @ dzl)
         dconcat = dzl @ layer.weights.T
         d = layer.in_dim
         dh = dconcat[:, :d] + g.T @ dconcat[:, d:]
-    conv_grads.reverse()
+    grads.reverse()
 
-    return ModelGradients(conv=conv_grads, fc_w=fc_w_grads, fc_b=fc_b_grads, loss=loss)
+    return ModelGradients(grads=grads, loss=loss, probs=probs)
 
 
 def save_model(model: GcnModel) -> bytes:

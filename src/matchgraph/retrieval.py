@@ -19,10 +19,6 @@ from .subgraph import QesParams, build_qes
 
 PAIR_FILE_HEADER = "# matchgraph pairs v1"
 
-GCN = "gcn"
-TOPK = "topk"
-THRESHOLD = "threshold"
-
 
 @dataclass(frozen=True)
 class RetrievalResult:
@@ -30,7 +26,6 @@ class RetrievalResult:
 
     query_id: int
     retrieved: tuple[tuple[int, float], ...]
-    method: str
 
     def __post_init__(self):
         ids = [v for v, _ in self.retrieved]
@@ -65,7 +60,7 @@ def gcn_retrieve(
         for v, h, p in zip(qes.nodes, qes.hop, probs)
         if h == 1 and p > prob_threshold
     ]
-    return RetrievalResult(query_id=query_id, retrieved=tuple(sorted(retrieved)), method=GCN)
+    return RetrievalResult(query_id=query_id, retrieved=tuple(sorted(retrieved)))
 
 
 def _distance_score(d: float) -> float:
@@ -76,7 +71,7 @@ def topk_retrieve(index: Index, query_id: int, k: int) -> RetrievalResult:
     """The k nearest neighbors, scored by a monotone map of distance."""
     neighbors = index.neighbors(query_id, k)
     retrieved = tuple(sorted((v, _distance_score(d)) for v, d in neighbors.neighbors))
-    return RetrievalResult(query_id=query_id, retrieved=retrieved, method=TOPK)
+    return RetrievalResult(query_id=query_id, retrieved=retrieved)
 
 
 def threshold_retrieve(index: Index, query_id: int, tau: float) -> RetrievalResult:
@@ -89,7 +84,7 @@ def threshold_retrieve(index: Index, query_id: int, tau: float) -> RetrievalResu
         (v, _distance_score(d))
         for v, d in zip(index.ids[hits].tolist(), dists[hits].tolist())
     ))
-    return RetrievalResult(query_id=query_id, retrieved=retrieved, method=THRESHOLD)
+    return RetrievalResult(query_id=query_id, retrieved=retrieved)
 
 
 def collapse_pairs(results: Iterable[RetrievalResult]) -> list[tuple[int, int, float]]:

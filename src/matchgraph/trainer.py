@@ -15,14 +15,8 @@ import numpy as np
 
 from . import evaluation
 from .embeddings import EmbeddingMatrix
-from .errors import (
-    DimensionError,
-    EmptyLossSet,
-    InvalidRecord,
-    NoTrainingData,
-    NonFiniteValue,
-)
-from .gcn import GcnModel, ModelGradients, backward, init_model, model_forward
+from .errors import DimensionError, InvalidRecord, NoTrainingData, NonFiniteValue
+from .gcn import GcnModel, ModelGradients, backward, init_model
 from .knn import build_index
 from .subgraph import Qes, QesParams, build_qes
 
@@ -110,8 +104,9 @@ def load_overlaps(text: str) -> OverlapStore:
                 raise InvalidRecord(f"bad overlap line {stripped!r}", offset=offset)
             try:
                 store.add(OverlapRecord(i, j, mo, ct))
-            except InvalidRecord as exc:
-                raise InvalidRecord(str(exc), offset=offset) from None
+            except (InvalidRecord, NonFiniteValue) as exc:
+                raise type(exc)(str(exc), offset=offset) from None
+        offset += len(line.encode("utf-8"))
     return store
 
 
@@ -140,7 +135,6 @@ class TrainConfig:
     seed: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not (0.0 <= self.tau_mo <= 1.0 and 0.0 <= self.tau_ct <= 1.0):
@@ -151,8 +145,6 @@ class TrainConfig:
             raise ValueError("epoch count must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
 
@@ -220,9 +212,8 @@ def optimizer_step(
 
 def average_gradients(grads: Sequence[ModelGradients]) -> list[np.ndarray]:
     """Mean of per-subgraph gradients, reduced in list order."""
-    flats = [g.flat() for g in grads]
     out = []
-    for arrays in zip(*flats):
+    for arrays in zip(*(g.grads for g in grads)):
         total = arrays[0].copy()
         for a in arrays[1:]:
             total += a
@@ -232,7 +223,10 @@ def average_gradients(grads: Sequence[ModelGradients]) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class EpochStats:
-    """Mean training loss plus 1-hop node classification quality."""
+    """One epoch's mean training loss and macro 1-hop precision, recall and
+    F over the training subgraphs. Each subgraph's loss and scores come from
+    the forward pass its gradient was taken at, so they describe the model
+    before that subgraph's batch step, not the model at the epoch's end."""
 
     epoch: int
     loss: float
@@ -261,17 +255,14 @@ def build_training_set(
     return subgraphs
 
 
-def _epoch_metrics(model: GcnModel, subgraphs: Sequence[Qes]):
-    triples = []
-    for qes in subgraphs:
-        probs = model_forward(qes, model)
-        hop1 = qes.hop_mask(1)
-        labels = np.asarray(qes.labels, dtype=bool)
-        nodes = np.asarray(qes.nodes)
-        predicted = set(int(v) for v in nodes[hop1 & (probs > 0.5)])
-        relevant = set(int(v) for v in nodes[hop1 & labels])
-        triples.append(evaluation.per_query_prf(predicted, relevant))
-    return evaluation.macro_average(triples)
+def _hop1_prf(qes: Qes, probs: np.ndarray) -> tuple[float, float, float]:
+    """Precision, recall and F of the 1-hop nodes predicted above 0.5."""
+    hop1 = qes.hop_mask(1)
+    labels = np.asarray(qes.labels, dtype=bool)
+    nodes = np.asarray(qes.nodes)
+    predicted = set(int(v) for v in nodes[hop1 & (probs > 0.5)])
+    relevant = set(int(v) for v in nodes[hop1 & labels])
+    return evaluation.per_query_prf(predicted, relevant)
 
 
 def train(
@@ -298,36 +289,31 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(subgraphs))
         losses: list[float] = []
+        scores = [None] * len(subgraphs)  # by subgraph: a fixed summation order
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             grads = []
             for qi in batch:
                 qes = subgraphs[qi]
-                try:
-                    grads.append(backward(qes, model, np.asarray(qes.labels, dtype=bool)))
-                except EmptyLossSet:
-                    log.warning("query %d lost its 1-hop nodes; skipping", qes.query_id)
-            if not grads:
-                continue
-            mean_grads = average_gradients(grads)
+                grads.append(backward(qes, model, qes.labels))
+                scores[qi] = _hop1_prf(qes, grads[-1].probs)
             params, state = optimizer_step(
                 model.parameters(),
-                mean_grads,
+                average_gradients(grads),
                 state,
                 learning_rate=config.learning_rate,
                 beta1=config.beta1,
                 beta2=config.beta2,
-                eps=config.eps,
             )
             try:
                 model.set_parameters(params)
             except DimensionError as exc:
                 raise DimensionError(f"training diverged in epoch {epoch}: {exc}") from exc
             losses.extend(g.loss for g in grads)
-        precision, recall, fmeasure = _epoch_metrics(model, subgraphs)
+        precision, recall, fmeasure = evaluation.macro_average(scores)
         stats = EpochStats(
             epoch=epoch,
-            loss=float(np.mean(losses)) if losses else float("nan"),
+            loss=float(np.mean(losses)),
             precision=precision,
             recall=recall,
             fmeasure=fmeasure,

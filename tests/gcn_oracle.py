@@ -85,7 +85,7 @@ def max_relative_error(analytic, numeric):
     norm is the strictest comparison the oracle itself can support.
     """
     worst = 0.0
-    for a, f in zip(analytic, numeric):
+    for a, f in zip(analytic, numeric, strict=True):
         na = float(np.linalg.norm(a))
         nf = float(np.linalg.norm(f))
         rel = float(np.linalg.norm(a - f)) / max(na, nf, 1e-8)

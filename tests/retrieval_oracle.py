@@ -72,5 +72,4 @@ def truncate_result(result: RetrievalResult, k: int) -> RetrievalResult:
     return RetrievalResult(
         query_id=result.query_id,
         retrieved=tuple(sorted(ranked[:k])),
-        method=result.method,
     )

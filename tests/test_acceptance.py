@@ -86,7 +86,7 @@ def test_criterion_1_gradient_oracle():
             qes = random_qes(rng, n, d)
             labels = rng.random(n) < 0.5
             model = init_model(d, conv_widths=(10, 8, 6, 6), fc_widths=(4,), seed=trial)
-            analytic = backward(qes, model, labels).flat()
+            analytic = backward(qes, model, labels).grads
             numeric = finite_difference_gradients(qes, model, labels, step=1e-6)
             worst = max_relative_error(analytic, numeric)
             assert worst <= 1e-5, f"trial {trial}: relative error {worst}"

@@ -69,8 +69,8 @@ class TestViewGraphStats:
     def test_perfect_retrieval_no_false_positives(self):
         truth = GroundTruth.from_pairs([(1, 2), (2, 3)])
         results = [
-            RetrievalResult(1, ((2, 1.0),), "gcn"),
-            RetrievalResult(2, ((1, 1.0), (3, 1.0)), "gcn"),
+            RetrievalResult(1, ((2, 1.0),)),
+            RetrievalResult(2, ((1, 1.0), (3, 1.0))),
         ]
         stats = view_graph_stats(results, truth)
         assert stats.true_positive_pairs == 2
@@ -103,7 +103,7 @@ class TestViewGraphStats:
             others = [v for v in ids if v != q]
             chosen = rng.choice(others, size=5, replace=False)
             results.append(
-                RetrievalResult(q, tuple((int(v), 0.5) for v in sorted(chosen)), "topk")
+                RetrievalResult(q, tuple((int(v), 0.5) for v in sorted(chosen)))
             )
         stats = view_graph_stats(results, truth, classes)
         # brute-force recount

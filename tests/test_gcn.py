@@ -230,7 +230,7 @@ class TestBackward:
         params[-1] = np.array([60.0])
         model.set_parameters(params)
         grads = backward(qes, model, [True] * 6)
-        total = sum(float(np.sum(g * g)) for g in grads.flat())
+        total = sum(float(np.sum(g * g)) for g in grads.grads)
         assert math.sqrt(total) <= 1e-6
 
     def test_final_bias_gradient_closed_form(self):
@@ -242,7 +242,7 @@ class TestBackward:
         grads = backward(qes, model, labels)
         mask = qes.hop_mask(1)
         expected = np.mean(probs[mask] - labels[mask].astype(float))
-        assert abs(grads.fc_b[-1][0] - expected) <= 1e-12
+        assert abs(grads.grads[-1][0] - expected) <= 1e-12
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -251,7 +251,7 @@ class TestBackward:
             qes = random_qes(rng, n, d)
             labels = rng.random(n) < 0.5
             model = init_model(d, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=trial)
-            analytic = backward(qes, model, labels).flat()
+            analytic = backward(qes, model, labels).grads
             numeric = finite_difference_gradients(qes, model, labels)
             assert max_relative_error(analytic, numeric) <= 1e-5
 
@@ -261,7 +261,9 @@ class TestBackward:
         labels = [True, False, True, False, True, False]
         model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=1)
         grads = backward(qes, model, labels)
-        assert grads.loss == masked_loss(model_forward(qes, model), labels, qes.hop)
+        probs = model_forward(qes, model)
+        assert np.array_equal(grads.probs, probs)
+        assert grads.loss == masked_loss(probs, labels, qes.hop)
 
 
 class TestCheckpoints:

@@ -43,7 +43,6 @@ class TestGcnRetrieve:
         model = constant_logit_model(6, 0.0)
         result = gcn_retrieve(model, index, emb, 0, QesParams(4, 2, 3))
         assert result.retrieved == ()
-        assert result.method == "gcn"
 
     def test_saturated_positive_model_retrieves_all_first_hop(self):
         emb, index = ring_index()
@@ -136,20 +135,20 @@ class TestThresholdRetrieve:
 
 class TestTruncateResult:
     def test_keeps_best_scores(self):
-        result = RetrievalResult(0, ((1, 0.9), (2, 0.4), (3, 0.7)), "gcn")
+        result = RetrievalResult(0, ((1, 0.9), (2, 0.4), (3, 0.7)))
         kept = truncate_result(result, 2)
         assert kept.ids() == {1, 3}
 
     def test_no_op_when_k_exceeds_size(self):
-        result = RetrievalResult(0, ((1, 0.9), (2, 0.4)), "gcn")
+        result = RetrievalResult(0, ((1, 0.9), (2, 0.4)))
         assert truncate_result(result, 10) == result
 
 
 class TestPairExport:
     def test_deduplicates_directions(self):
         results = [
-            RetrievalResult(1, ((2, 0.5),), "gcn"),
-            RetrievalResult(2, ((1, 0.8),), "gcn"),
+            RetrievalResult(1, ((2, 0.5),)),
+            RetrievalResult(2, ((1, 0.8),)),
         ]
         sink = io.StringIO()
         export_pairs(results, sink)
@@ -170,7 +169,7 @@ class TestPairExport:
                 (int(v), float(round(rng.random(), 6)))
                 for v in sorted(rng.choice([x for x in range(10) if x != q], size=3, replace=False))
             )
-            results.append(RetrievalResult(q, retrieved, "topk"))
+            results.append(RetrievalResult(q, retrieved))
         pairs = collapse_pairs(results)
         sink = io.StringIO()
         write_pair_file(pairs, sink)
@@ -188,8 +187,8 @@ class TestPairExport:
 class TestResultValidation:
     def test_self_retrieval_rejected(self):
         with pytest.raises(InvalidRecord):
-            RetrievalResult(1, ((1, 0.5),), "gcn")
+            RetrievalResult(1, ((1, 0.5),))
 
     def test_score_range_enforced(self):
         with pytest.raises(InvalidRecord):
-            RetrievalResult(1, ((2, 1.5),), "gcn")
+            RetrievalResult(1, ((2, 1.5),))

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matchgraph as mg
-from matchgraph.errors import InvalidRecord, NoTrainingData
+from matchgraph import evaluation, gcn
+from matchgraph.errors import InvalidRecord, NoTrainingData, NonFiniteValue
 from matchgraph.gcn import masked_loss, save_model
 from matchgraph.subgraph import QesParams
 from matchgraph.trainer import (
@@ -70,6 +71,26 @@ class TestOverlapIO:
 
     def test_empty_text(self):
         assert len(load_overlaps("")) == 0
+
+    def test_bad_record_reports_its_line_offset(self):
+        with pytest.raises(InvalidRecord) as info:
+            load_overlaps("0 1 0.5 0.5\n2 3 1.5 0.5\n")
+        assert info.value.offset == 12
+        assert "byte offset 12" in str(info.value)
+
+    def test_offset_counts_utf8_bytes_and_blank_lines(self):
+        # U+00A0 is whitespace to str.split but two bytes in UTF-8.
+        text = "\n0 1 0.5 0.5\u00a0\n2 3 0.5\n"
+        with pytest.raises(InvalidRecord) as info:
+            load_overlaps(text)
+        assert info.value.offset == len("\n0 1 0.5 0.5\u00a0\n".encode("utf-8")) == 15
+
+    @pytest.mark.parametrize("score", ["nan", "inf"])
+    def test_non_finite_score_reports_its_line_offset(self, score):
+        with pytest.raises(NonFiniteValue) as info:
+            load_overlaps(f"0 1 0.5 0.5\n2 3 {score} 0.5\n")
+        assert info.value.offset == 12
+        assert "byte offset 12" in str(info.value)
 
 
 class TestLabelPair:
@@ -215,6 +236,44 @@ class TestTrain:
         scene = small_scene()
         with pytest.raises(NoTrainingData):
             train(scene.embeddings, scene.overlaps, [], TrainConfig())
+
+    def test_epoch_scores_come_from_the_pre_step_forward(self):
+        # One batch holds every subgraph, so all of epoch 1 is scored with
+        # the initial model, before the only step of the epoch.
+        scene = small_scene()
+        ids = list(scene.embeddings.ids)
+        cfg = TrainConfig(qes_params=QesParams(4, 2, 3), epochs=1,
+                          batch_size=len(ids), learning_rate=0.1, seed=7)
+        widths = dict(conv_widths=(6, 6, 4, 4), fc_widths=(3,))
+        _, history = train(scene.embeddings, scene.overlaps, ids, cfg, **widths)
+        model = mg.init_model(8, seed=[7, 0], **widths)
+        triples = []
+        for qes in build_training_set(scene.embeddings, scene.overlaps, ids, cfg):
+            probs = mg.model_forward(qes, model)
+            nodes = np.asarray(qes.nodes)
+            hop1 = qes.hop_mask(1)
+            predicted = set(nodes[hop1 & (probs > 0.5)].tolist())
+            relevant = set(nodes[hop1 & np.asarray(qes.labels)].tolist())
+            triples.append(evaluation.per_query_prf(predicted, relevant))
+        row = history[0]
+        assert (row.precision, row.recall, row.fmeasure) == evaluation.macro_average(triples)
+
+    def test_one_forward_per_subgraph_per_epoch(self, monkeypatch):
+        scene = small_scene()
+        ids = list(scene.embeddings.ids)
+        cfg = TrainConfig(qes_params=QesParams(4, 2, 3), epochs=3, batch_size=5, seed=2)
+        forward = gcn._forward_cached
+        calls = []
+
+        def counted(qes, model):
+            calls.append(qes.query_id)
+            return forward(qes, model)
+
+        monkeypatch.setattr(gcn, "_forward_cached", counted)
+        train(scene.embeddings, scene.overlaps, ids, cfg,
+              conv_widths=(6, 6, 4, 4), fc_widths=(3,))
+        n = len(build_training_set(scene.embeddings, scene.overlaps, ids, cfg))
+        assert len(calls) == 3 * n
 
     def test_history_length_matches_epochs(self):
         scene = small_scene()
