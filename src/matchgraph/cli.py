@@ -4,7 +4,10 @@ Subcommands: synth, index, train, infer, baseline, eval, stats. Every
 command is a deterministic function of its inputs; synth and train also
 take --seed. infer and baseline take --threads, which may parallelize
 per-query work but never changes output bytes. A --config file of
-key=value lines supplies defaults; explicit flags win.
+key=value lines, keyed by long flag name with _ for -, supplies settings;
+explicit flags win. A setting given nowhere takes the library's default;
+the only defaults stated here are synth's 360 images, index's k of 10 and
+one query thread.
 
 Exit codes: 0 success, 2 usage error, 3 parse/read error, 4 compute error.
 """
@@ -57,18 +60,28 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _resolve(args, cfg, name, default, cast):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        raw = cfg[name]
-        try:
-            return cast(raw)
-        except (ValueError, argparse.ArgumentTypeError):
-            kind = cast.__name__.lstrip("_")
-            raise InvalidRecord(f"config value {name}={raw!r} is not a valid {kind}")
-    return default
+# Library names whose flag, and so config key, differs.
+_FLAGS = {"learning_rate": "lr", "symmetry_s": "symmetry"}
+
+
+def _given(args, cfg, **casts) -> dict:
+    """The settings named in `casts` that were given, by library name: the
+    flag's value, else the config value parsed by its cast. Settings given
+    nowhere are left out."""
+    given = {}
+    for name, cast in casts.items():
+        key = _FLAGS.get(name, name)
+        value = getattr(args, key)
+        if value is None and key in cfg:
+            raw = cfg[key]
+            try:
+                value = cast(raw)
+            except (ValueError, argparse.ArgumentTypeError):
+                kind = cast.__name__.lstrip("_")
+                raise InvalidRecord(f"config value {key}={raw!r} is not a valid {kind}")
+        if value is not None:
+            given[name] = value
+    return given
 
 
 def _widths(text: str) -> tuple[int, ...]:
@@ -96,7 +109,7 @@ def _load_embeddings_file(path: str):
         return load_embeddings(fp)
 
 
-def _map_queries(fn, queries, threads: int):
+def _map_queries(fn, queries, threads: int = 1):
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, queries))
@@ -104,11 +117,7 @@ def _map_queries(fn, queries, threads: int):
 
 
 def _qes_params(args, cfg) -> QesParams:
-    return QesParams(
-        k1=_resolve(args, cfg, "k1", 100, int),
-        k2=_resolve(args, cfg, "k2", 5, int),
-        u=_resolve(args, cfg, "u", 10, int),
-    )
+    return QesParams(**_given(args, cfg, k1=int, k2=int, u=int))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -131,15 +140,9 @@ def _write_results(args, results) -> None:
 
 
 def cmd_synth(args, cfg) -> int:
-    config = synthetic.SceneConfig(
-        n_images=_resolve(args, cfg, "n_images", 360, int),
-        symmetry_s=_resolve(args, cfg, "symmetry", 1, int),
-        overlap_angle=_resolve(args, cfg, "overlap_angle", 0.2617993877991494, float),
-        noise_sigma=_resolve(args, cfg, "noise_sigma", 0.0, float),
-        dim=_resolve(args, cfg, "dim", 32, int),
-        seed=_resolve(args, cfg, "seed", 0, int),
-    )
-    scene = synthetic.generate_scene(config)
+    settings = _given(args, cfg, n_images=int, symmetry_s=int, overlap_angle=float,
+                      noise_sigma=float, dim=int, seed=int)
+    scene = synthetic.generate_scene(synthetic.SceneConfig(**{"n_images": 360, **settings}))
     with open(args.embeddings, "wb") as fp:
         fp.write(save_embeddings(scene.embeddings))
     _write_text(args.overlaps, trainer.save_overlaps(scene.overlaps))
@@ -152,7 +155,7 @@ def cmd_index(args, cfg) -> int:
     emb = _load_embeddings_file(args.embeddings)
     index = build_index(emb)
     if args.knn_out:
-        k = _resolve(args, cfg, "k", 10, int)
+        k = _given(args, cfg, k=int).get("k", 10)
         ids = sorted(emb.ids)
         pos, dist = index.table([emb.position(q) for q in ids], k)
         lines = []
@@ -173,21 +176,13 @@ def cmd_train(args, cfg) -> int:
         records = trainer.load_overlaps(fp.read())
     queries = _read_queries(args.queries) if args.queries else sorted(emb.ids)
     config = trainer.TrainConfig(
-        tau_mo=_resolve(args, cfg, "tau_mo", 0.25, float),
-        tau_ct=_resolve(args, cfg, "tau_ct", 0.15, float),
         qes_params=_qes_params(args, cfg),
-        learning_rate=_resolve(args, cfg, "lr", 1e-3, float),
-        epochs=_resolve(args, cfg, "epochs", 50, int),
-        batch_size=_resolve(args, cfg, "batch_size", 16, int),
-        seed=_resolve(args, cfg, "seed", 0, int),
-        beta1=_resolve(args, cfg, "beta1", 0.9, float),
-        beta2=_resolve(args, cfg, "beta2", 0.999, float),
+        **_given(args, cfg, tau_mo=float, tau_ct=float, learning_rate=float, epochs=int,
+                 batch_size=int, seed=int, beta2=float),
     )
-    conv_widths = _resolve(args, cfg, "conv_widths", (256, 256, 128, 128), _widths)
-    fc_widths = _resolve(args, cfg, "fc_widths", (64,), _widths)
+    widths = _given(args, cfg, conv_widths=_widths, fc_widths=_widths)
     log.info("training on %d queries, %d overlap records", len(queries), len(records))
-    model, history = trainer.train(emb, records, queries, config,
-                                   conv_widths=conv_widths, fc_widths=fc_widths)
+    model, history = trainer.train(emb, records, queries, config, **widths)
     if history:
         log.info("final epoch loss %.6f, fmeasure %.4f",
                  history[-1].loss, history[-1].fmeasure)
@@ -208,14 +203,14 @@ def cmd_infer(args, cfg) -> int:
         model = load_model(fp.read())
     index = build_index(emb)
     params = _qes_params(args, cfg)
-    threshold = _resolve(args, cfg, "prob_threshold", 0.5, float)
+    threshold = _given(args, cfg, prob_threshold=float)
     queries = _read_queries(args.queries) if args.queries else sorted(emb.ids)
-    threads = _resolve(args, cfg, "threads", 1, int)
+    threads = _given(args, cfg, threads=int)
 
     def one(q):
-        return retrieval.gcn_retrieve(model, index, emb, q, params, threshold)
+        return retrieval.gcn_retrieve(model, index, emb, q, params, **threshold)
 
-    results = _map_queries(one, queries, threads)
+    results = _map_queries(one, queries, **threads)
     if log.isEnabledFor(logging.INFO):
         log.info("retrieved %d pairs for %d queries",
                  len(retrieval.collapse_pairs(results)), len(queries))
@@ -224,15 +219,15 @@ def cmd_infer(args, cfg) -> int:
 
 
 def cmd_baseline(args, cfg) -> int:
-    topk = _resolve(args, cfg, "topk", None, int)
-    tau = _resolve(args, cfg, "tau_dist", None, float)
-    if (topk is None) == (tau is None):
+    mode = _given(args, cfg, topk=int, tau_dist=float)
+    threads = _given(args, cfg, threads=int)
+    if len(mode) != 1:
         sys.stderr.write("matchgraph: error: give exactly one of --topk / --tau-dist\n")
         return EXIT_USAGE
+    topk, tau = mode.get("topk"), mode.get("tau_dist")
     emb = _load_embeddings_file(args.embeddings)
     index = build_index(emb)
     queries = _read_queries(args.queries) if args.queries else sorted(emb.ids)
-    threads = _resolve(args, cfg, "threads", 1, int)
     if topk is not None:
         # rank all query rows in blocks up front; each query then reads the table
         index.table([emb.position(q) for q in queries], topk)
@@ -242,7 +237,7 @@ def cmd_baseline(args, cfg) -> int:
             return retrieval.topk_retrieve(index, q, topk)
         return retrieval.threshold_retrieve(index, q, tau)
 
-    results = _map_queries(one, queries, threads)
+    results = _map_queries(one, queries, **threads)
     _write_results(args, results)
     return EXIT_OK
 
@@ -256,10 +251,7 @@ def _load_truth(args, cfg) -> evaluation.GroundTruth:
         with open(args.overlaps, "r", encoding="utf-8") as fp:
             records = trainer.load_overlaps(fp.read())
         return evaluation.GroundTruth.from_records(
-            records.records(),
-            _resolve(args, cfg, "tau_mo", 0.25, float),
-            _resolve(args, cfg, "tau_ct", 0.15, float),
-        )
+            records.records(), **_given(args, cfg, tau_mo=float, tau_ct=float))
     raise InvalidRecord("ground truth requires --truth-pairs or --overlaps")
 
 
@@ -347,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--beta1", type=float, default=None)
     p.add_argument("--beta2", type=float, default=None)
     p.add_argument("--conv-widths", dest="conv_widths", type=_widths, default=None)
     p.add_argument("--fc-widths", dest="fc_widths", type=_widths, default=None)

@@ -10,6 +10,15 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+# Labeling thresholds of the balanced operating point.
+TAU_MO = 0.25
+TAU_CT = 0.15
+
+
+def label_pair(record, tau_mo: float, tau_ct: float) -> bool:
+    """Matchable when either score reaches its threshold (inclusive)."""
+    return record.mo >= tau_mo or record.ct >= tau_ct
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -40,15 +49,11 @@ class GroundTruth:
         return cls(matchable=canonical, universe=frozenset(ids))
 
     @classmethod
-    def from_records(cls, records, tau_mo: float, tau_ct: float,
+    def from_records(cls, records, tau_mo: float = TAU_MO, tau_ct: float = TAU_CT,
                      universe: Iterable[int] = ()):
         """Threshold overlap records (anything with .i/.j/.mo/.ct) into the
         matchable relation."""
-        pairs = [
-            (r.i, r.j)
-            for r in records
-            if r.mo >= tau_mo or r.ct >= tau_ct
-        ]
+        pairs = [(r.i, r.j) for r in records if label_pair(r, tau_mo, tau_ct)]
         return cls.from_pairs(pairs, universe)
 
     def relevant(self, query_id: int) -> set[int]:

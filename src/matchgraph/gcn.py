@@ -32,6 +32,8 @@ from .subgraph import Qes, check_adjacency
 CHECKPOINT_MAGIC = b"MGCK"
 CHECKPOINT_VERSION = 1
 PROB_CLAMP = 1e-12
+CONV_WIDTHS = (256, 256, 128, 128)  # default layer widths
+FC_WIDTHS = (64,)
 
 _KIND_CONV = 0
 _KIND_FC = 1
@@ -152,8 +154,8 @@ class GcnModel:
 
 def init_model(
     input_dim: int,
-    conv_widths: Sequence[int] = (256, 256, 128, 128),
-    fc_widths: Sequence[int] = (64,),
+    conv_widths: Sequence[int] = CONV_WIDTHS,
+    fc_widths: Sequence[int] = FC_WIDTHS,
     seed=0,
 ) -> GcnModel:
     """Seeded uniform initialization in +-sqrt(6 / (fan_in + fan_out)).
@@ -296,6 +298,8 @@ def backward(qes: Qes, model: GcnModel, labels) -> ModelGradients:
     for layer, (concat, z) in zip(reversed(model.conv_layers), reversed(conv_cache)):
         dzl = dh * (z > 0)
         grads.append(concat.T @ dzl)
+        if layer is model.conv_layers[0]:
+            break  # below it are the node features, which are not parameters
         dconcat = dzl @ layer.weights.T
         d = layer.in_dim
         dh = dconcat[:, :d] + g.T @ dconcat[:, d:]

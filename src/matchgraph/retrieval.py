@@ -115,11 +115,11 @@ def export_pairs(results: Iterable[RetrievalResult], sink: TextIO) -> None:
 
 
 def read_pair_file(text: str) -> list[tuple[int, int, float]]:
-    lines = text.splitlines()
+    lines = text.splitlines(keepends=True)
     if not lines or lines[0].strip() != PAIR_FILE_HEADER:
         raise MalformedHeader("missing pair-file header", offset=0)
     pairs = []
-    offset = len(lines[0]) + 1
+    offset = len(lines[0].encode("utf-8"))
     for line in lines[1:]:
         stripped = line.strip()
         if stripped:
@@ -135,7 +135,7 @@ def read_pair_file(text: str) -> list[tuple[int, int, float]]:
             if not 0.0 <= score <= 1.0 or not np.isfinite(score):
                 raise InvalidRecord(f"pair score {score} outside [0, 1]", offset=offset)
             pairs.append((a, b, score))
-        offset += len(line) + 1
+        offset += len(line.encode("utf-8"))
     return pairs
 
 

@@ -22,9 +22,9 @@ from .knn import Index
 class QesParams:
     """Neighbor counts: k1 first-hop, k2 second-hop, u for edge appending."""
 
-    k1: int
-    k2: int
-    u: int
+    k1: int = 100
+    k2: int = 5
+    u: int = 10
 
     def __post_init__(self):
         if self.k1 < 1:

@@ -16,7 +16,8 @@ import numpy as np
 from . import evaluation
 from .embeddings import EmbeddingMatrix
 from .errors import DimensionError, InvalidRecord, NoTrainingData, NonFiniteValue
-from .gcn import GcnModel, ModelGradients, backward, init_model
+from .evaluation import label_pair
+from .gcn import CONV_WIDTHS, FC_WIDTHS, GcnModel, ModelGradients, backward, init_model
 from .knn import build_index
 from .subgraph import Qes, QesParams, build_qes
 
@@ -126,14 +127,13 @@ class TrainConfig:
     artifact configuration with no canonical values.
     """
 
-    tau_mo: float = 0.25
-    tau_ct: float = 0.15
-    qes_params: QesParams = field(default_factory=lambda: QesParams(k1=100, k2=5, u=10))
+    tau_mo: float = evaluation.TAU_MO
+    tau_ct: float = evaluation.TAU_CT
+    qes_params: QesParams = field(default_factory=QesParams)
     learning_rate: float = 1e-3
     epochs: int = 50
     batch_size: int = 16
     seed: int = 0
-    beta1: float = 0.9
     beta2: float = 0.999
 
     def __post_init__(self):
@@ -145,13 +145,8 @@ class TrainConfig:
             raise ValueError("epoch count must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-
-
-def label_pair(record: OverlapRecord, tau_mo: float, tau_ct: float) -> bool:
-    """Matchable when either score reaches its threshold (inclusive)."""
-    return record.mo >= tau_mo or record.ct >= tau_ct
+        if not 0.0 <= self.beta2 < 1.0:
+            raise ValueError("beta2 must lie in [0, 1)")
 
 
 def label_qes(qes: Qes, store: OverlapStore, config: TrainConfig) -> Qes:
@@ -270,8 +265,8 @@ def train(
     records: OverlapStore,
     queries: Sequence[int],
     config: TrainConfig,
-    conv_widths: Sequence[int] = (256, 256, 128, 128),
-    fc_widths: Sequence[int] = (64,),
+    conv_widths: Sequence[int] = CONV_WIDTHS,
+    fc_widths: Sequence[int] = FC_WIDTHS,
 ) -> tuple[GcnModel, list[EpochStats]]:
     """Optimize a fresh model on the labeled subgraphs of the given queries.
 
@@ -302,7 +297,6 @@ def train(
                 average_gradients(grads),
                 state,
                 learning_rate=config.learning_rate,
-                beta1=config.beta1,
                 beta2=config.beta2,
             )
             try:

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import math
 import os
 import subprocess
@@ -8,11 +10,12 @@ import numpy as np
 import pytest
 
 import matchgraph as mg
+from matchgraph import cli
 from matchgraph.cli import build_parser, main
 from matchgraph.evaluation import GroundTruth, macro_average, per_query_prf
 from matchgraph.retrieval import read_pair_file, pairs_to_query_sets
 from matchgraph.synthetic import SceneConfig, generate_scene
-from matchgraph.trainer import load_overlaps
+from matchgraph.trainer import TrainConfig, load_overlaps, save_overlaps
 
 from retrieval_oracle import brute_force_knn
 
@@ -280,6 +283,115 @@ class TestConfigFile:
                    "--overlaps", scene_files["overlaps"], "--model", model, "--config", config)
         assert code == 3
         assert not model.exists()
+
+
+@pytest.fixture()
+def train_calls(monkeypatch):
+    """Replace the trainer under the CLI; record each call's arguments with
+    the trainer's own defaults filled in."""
+    calls = []
+    signature = inspect.signature(cli.trainer.train)
+
+    def fake(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return mg.init_model(2, conv_widths=(2, 2, 2, 2), fc_widths=(2,)), []
+
+    monkeypatch.setattr(cli.trainer, "train", fake)
+    return calls
+
+
+class TestLibraryDefaults:
+    """A setting given neither as a flag nor in --config takes the
+    library's default; config keys are the long flag names."""
+
+    def test_synth_without_optional_flags(self, tmp_path):
+        emb, ov = tmp_path / "s.emb", tmp_path / "s.ov"
+        assert run("synth", "--embeddings", emb, "--overlaps", ov) == 0
+        scene = generate_scene(SceneConfig(n_images=360))
+        assert emb.read_bytes() == mg.save_embeddings(scene.embeddings)
+        assert ov.read_text() == save_overlaps(scene.overlaps)
+
+    def test_synth_symmetry_from_config_equals_flag(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("symmetry=2\n")
+        outputs = []
+        for tag, extra in (("cfg", ["--config", config]), ("flag", ["--symmetry", 2])):
+            emb, ov = tmp_path / f"{tag}.emb", tmp_path / f"{tag}.ov"
+            assert run("synth", "--embeddings", emb, "--overlaps", ov,
+                       "--n-images", 24, *extra) == 0
+            outputs.append((emb.read_bytes(), ov.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == mg.save_embeddings(
+            generate_scene(SceneConfig(n_images=24, symmetry_s=2)).embeddings)
+
+    def test_train_without_settings(self, scene_files, tmp_path, train_calls):
+        assert run("train", "--embeddings", scene_files["embeddings"],
+                   "--overlaps", scene_files["overlaps"], "--model", tmp_path / "m") == 0
+        (call,) = train_calls
+        widths = inspect.signature(mg.init_model).parameters
+        assert call["config"] == TrainConfig()
+        assert call["conv_widths"] == widths["conv_widths"].default
+        assert call["fc_widths"] == widths["fc_widths"].default
+
+    def test_train_settings_from_config_and_flag(self, scene_files, tmp_path, train_calls):
+        config = tmp_path / "run.cfg"
+        config.write_text("lr=0.01\nk1=7\ntau_mo=0.4\nepochs=9\nconv-widths=8,8,6,6\n")
+        assert run("train", "--embeddings", scene_files["embeddings"],
+                   "--overlaps", scene_files["overlaps"], "--model", tmp_path / "m",
+                   "--config", config, "--epochs", 3) == 0
+        (call,) = train_calls
+        assert call["config"] == TrainConfig(
+            learning_rate=0.01, qes_params=mg.QesParams(k1=7), tau_mo=0.4, epochs=3)
+        assert call["conv_widths"] == (8, 8, 6, 6)
+        assert call["fc_widths"] == inspect.signature(mg.init_model).parameters["fc_widths"].default
+
+
+def _typed_options():
+    """(command, dest) for every subcommand option that takes a typed value."""
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action.dest) for name, sub in commands.choices.items()
+            for action in sub._actions if action.type is not None]
+
+
+@pytest.fixture(scope="module")
+def guard_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("guard")
+    files = {name: root / name for name in ("e", "o", "m", "p")}
+    assert run("synth", "--embeddings", files["e"], "--overlaps", files["o"],
+               "--n-images", 24, "--symmetry", 2, "--noise-sigma", 0.05, "--dim", 8) == 0
+    files["m"].write_bytes(mg.save_model(mg.init_model(8, (4, 4, 4, 4), (3,), seed=0)))
+    assert run("baseline", "--embeddings", files["e"], "--topk", 3,
+               "--pairs-out", files["p"]) == 0
+    return files
+
+
+class TestEveryOptionReadsConfig:
+    """An option added to the parser but not read from --config fails here."""
+
+    @pytest.mark.parametrize("command,dest", _typed_options())
+    def test_bad_config_value_is_parse_error(self, command, dest, guard_inputs,
+                                             tmp_path, capsys):
+        e, o, m, p = (guard_inputs[name] for name in ("e", "o", "m", "p"))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "synth": ["--embeddings", out / "e", "--overlaps", out / "o"],
+            "index": ["--embeddings", e, "--knn-out", out / "knn"],
+            "train": ["--embeddings", e, "--overlaps", o, "--model", out / "m",
+                      "--history-out", out / "h"],
+            "infer": ["--embeddings", e, "--model", m, "--pairs-out", out / "p"],
+            "baseline": ["--embeddings", e, "--pairs-out", out / "p"],
+            "eval": ["--pairs", p, "--overlaps", o, "--report-out", out / "r"],
+            "stats": ["--pairs", p, "--overlaps", o, "--report-out", out / "r"],
+        }[command]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{dest}=x\n")
+        assert run(command, *argv, "--config", config) == 3
+        assert f"config value {dest}='x' is not a valid" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 # Minimal argv per subcommand; the tests only parse it.

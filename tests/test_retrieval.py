@@ -183,6 +183,13 @@ class TestPairExport:
         with pytest.raises(InvalidRecord):
             read_pair_file("# matchgraph pairs v1\n2 1 0.5\n")
 
+    def test_error_offset_counts_bytes(self):
+        # CRLF endings, and a blank line holding a no-break space (2 bytes in UTF-8)
+        head = "# matchgraph pairs v1\r\n1 2 0.5\r\n\u00a0\r\n"
+        with pytest.raises(InvalidRecord) as exc:
+            read_pair_file(head + "3 2 0.5\r\n")
+        assert exc.value.offset == len(head.encode("utf-8"))
+
 
 class TestResultValidation:
     def test_self_retrieval_rejected(self):
