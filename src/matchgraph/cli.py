@@ -153,9 +153,11 @@ def cmd_synth(args, cfg) -> int:
 
 def cmd_index(args, cfg) -> int:
     emb = _load_embeddings_file(args.embeddings)
+    k = _given(args, cfg, k=int).get("k", 10)
+    if k < 1:
+        raise ValueError("k must be >= 1")
     index = build_index(emb)
     if args.knn_out:
-        k = _given(args, cfg, k=int).get("k", 10)
         ids = sorted(emb.ids)
         pos, dist = index.table([emb.position(q) for q in ids], k)
         lines = []

@@ -8,16 +8,20 @@ below both the mean precision and the mean recall.
 
 from collections import defaultdict
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 # Labeling thresholds of the balanced operating point.
 TAU_MO = 0.25
 TAU_CT = 0.15
 
 
-def label_pair(record, tau_mo: float, tau_ct: float) -> bool:
-    """Matchable when either score reaches its threshold (inclusive)."""
-    return record.mo >= tau_mo or record.ct >= tau_ct
+def label_pair(record, tau_mo: float, tau_ct: float):
+    """Matchable when either score reaches its threshold (inclusive). Takes
+    one record, or columns of scores as arrays and gives a boolean array."""
+    return (record.mo >= tau_mo) | (record.ct >= tau_ct)
 
 
 @dataclass(frozen=True)
@@ -51,10 +55,33 @@ class GroundTruth:
     @classmethod
     def from_records(cls, records, tau_mo: float = TAU_MO, tau_ct: float = TAU_CT,
                      universe: Iterable[int] = ()):
-        """Threshold overlap records (anything with .i/.j/.mo/.ct) into the
-        matchable relation."""
-        pairs = [(r.i, r.j) for r in records if label_pair(r, tau_mo, tau_ct)]
-        return cls.from_pairs(pairs, universe)
+        """Threshold overlap records (anything with .i/.j/.mo/.ct, ids in
+        [0, 2^64)) into the matchable relation, with the partner index built
+        in bulk."""
+        records = list(records)
+        scores = SimpleNamespace(mo=np.array([r.mo for r in records], dtype=np.float64),
+                                 ct=np.array([r.ct for r in records], dtype=np.float64))
+        keep = label_pair(scores, tau_mo, tau_ct)
+        a = np.array([r.i for r in records], dtype=np.uint64)[keep]
+        b = np.array([r.j for r in records], dtype=np.uint64)[keep]
+        if np.any(a == b):
+            v = int(a[np.argmax(a == b)])
+            raise ValueError(f"self-pair ({v}, {v}) in ground truth")
+        # Each pair under both of its ids, grouped by id. A repeated pair
+        # repeats a partner, which relevant() folds into its set.
+        ends, others = np.concatenate([a, b]), np.concatenate([b, a])
+        order = np.argsort(ends)
+        ids, starts = np.unique(ends[order], return_index=True)
+        ids, others = ids.tolist(), others[order].tolist()
+        bounds = starts.tolist() + [len(others)]
+        truth = cls.__new__(cls)  # checked above; __post_init__ would index again
+        for name, value in (
+            ("matchable", frozenset(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))),
+            ("universe", frozenset(universe).union(ids)),
+            ("_partners", {v: tuple(others[s:e]) for v, s, e in zip(ids, bounds, bounds[1:])}),
+        ):
+            object.__setattr__(truth, name, value)
+        return truth
 
     def relevant(self, query_id: int) -> set[int]:
         """A fresh set of the query's matchable partners."""

@@ -34,6 +34,7 @@ CHECKPOINT_VERSION = 1
 PROB_CLAMP = 1e-12
 CONV_WIDTHS = (256, 256, 128, 128)  # default layer widths
 FC_WIDTHS = (64,)
+PROB_THRESHOLD = 0.5  # a node is retrieved, and scored in training, above this
 
 _KIND_CONV = 0
 _KIND_FC = 1

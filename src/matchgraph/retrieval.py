@@ -13,7 +13,7 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix
 from .errors import InvalidRecord, MalformedHeader
-from .gcn import GcnModel, model_forward
+from .gcn import PROB_THRESHOLD, GcnModel, model_forward
 from .knn import Index
 from .subgraph import QesParams, build_qes
 
@@ -49,7 +49,7 @@ def gcn_retrieve(
     emb: EmbeddingMatrix,
     query_id: int,
     params: QesParams,
-    prob_threshold: float = 0.5,
+    prob_threshold: float = PROB_THRESHOLD,
 ) -> RetrievalResult:
     """Classify the query's subgraph; retrieve 1-hop nodes scoring strictly
     above the threshold. Output size is data-dependent, not a fixed k."""

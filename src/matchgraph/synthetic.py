@@ -14,7 +14,7 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix
 from .errors import InvalidRecord
-from .trainer import OverlapRecord, OverlapStore
+from .trainer import OverlapStore
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,17 @@ def generate_scene(config: SceneConfig) -> Scene:
     # Pairs j > i at circular offset m = min(j - i, n - (j - i)) lie m * step
     # apart, which grows with m, so only offsets up to the window are visited.
     step = 2.0 * math.pi / n
-    store = OverlapStore()
+    i, j, mo = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
     m = 1
     while m <= n // 2 and m * step <= config.overlap_angle:
-        mo = max(0.0, 1.0 - m * step / config.overlap_angle)
-        for gap in sorted({m, n - m}):
-            for i in range(n - gap):
-                store.add(OverlapRecord(i, i + gap, mo, mo))
+        score = max(0.0, 1.0 - m * step / config.overlap_angle)
+        for gap in {m, n - m}:
+            i.append(np.arange(n - gap))
+            j.append(i[-1] + gap)
+            mo.append(np.full(n - gap, score))
         m += 1
+    mo = np.concatenate(mo)
+    store = OverlapStore.from_columns(np.concatenate(i), np.concatenate(j), mo, mo)
 
     classes = {i: (i * s) // n for i in range(n)}
     return Scene(embeddings=emb, overlaps=store, classes=classes)

@@ -8,114 +8,257 @@ seed the whole procedure is bit-reproducible.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import evaluation
 from .embeddings import EmbeddingMatrix
-from .errors import DimensionError, InvalidRecord, NoTrainingData, NonFiniteValue
+from .errors import DimensionError, InvalidRecord, NoTrainingData, NonFiniteValue, ParseError
 from .evaluation import label_pair
-from .gcn import CONV_WIDTHS, FC_WIDTHS, GcnModel, ModelGradients, backward, init_model
+from .gcn import (
+    CONV_WIDTHS, FC_WIDTHS, PROB_THRESHOLD, GcnModel, ModelGradients, backward, init_model,
+)
 from .knn import build_index
 from .subgraph import Qes, QesParams, build_qes
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class OverlapRecord:
-    """Mesh-overlap and common-track scores for one unordered image pair."""
+_ID_END = 2**64  # overlap ids share the embedding id type, u64
 
+
+def _record_fault(i: int, j: int, mo: float, ct: float) -> ParseError | None:
+    """The error that rejects one overlap record, or None if it is valid."""
+    for v in (i, j):
+        if not 0 <= v < _ID_END:
+            return InvalidRecord(f"overlap id {v} outside [0, 2^64)")
+    if i == j:
+        return InvalidRecord("overlap record needs two distinct images")
+    for name, score in (("mo", mo), ("ct", ct)):
+        if not math.isfinite(score):
+            return NonFiniteValue(f"{name} score must be finite")
+        if not 0.0 <= score <= 1.0:
+            return InvalidRecord(f"{name} score {score} outside [0, 1]")
+    return None
+
+
+class _Fields(NamedTuple):
     i: int
     j: int
     mo: float
     ct: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "i", int(self.i))
-        object.__setattr__(self, "j", int(self.j))
-        object.__setattr__(self, "mo", float(self.mo))
-        object.__setattr__(self, "ct", float(self.ct))
-        if self.i == self.j:
-            raise InvalidRecord("overlap record needs two distinct images")
-        for name, score in (("mo", self.mo), ("ct", self.ct)):
-            if not np.isfinite(score):
-                raise NonFiniteValue(f"{name} score must be finite")
-            if not 0.0 <= score <= 1.0:
-                raise InvalidRecord(f"{name} score {score} outside [0, 1]")
+
+class OverlapRecord(_Fields):
+    """Mesh-overlap and common-track scores for one unordered image pair.
+
+    The constructor checks the record; `_make` builds one from values
+    already checked, as `OverlapStore.records` does."""
+
+    __slots__ = ()
+
+    def __new__(cls, i, j, mo, ct):
+        i, j, mo, ct = int(i), int(j), float(mo), float(ct)
+        fault = _record_fault(i, j, mo, ct)
+        if fault is not None:
+            raise fault
+        return super().__new__(cls, i, j, mo, ct)
+
+
+class Partners(NamedTuple):
+    """The overlap rows of one image: partner ids and their scores."""
+
+    ids: np.ndarray
+    mo: np.ndarray
+    ct: np.ndarray
+
+
+def _check(i: np.ndarray, j: np.ndarray, mo: np.ndarray, ct: np.ndarray):
+    """Check rows of overlap columns in bulk and bring them into store order.
+
+    Returns the store's columns, sorted by pair with i < j and each
+    identical repeat kept once, and the first faulty row with its error, or
+    None. A row is faulty when OverlapRecord would reject it, or when it
+    repeats an earlier row's pair with other scores; at equal rows the
+    record's own fault comes first.
+    """
+    n = len(i)
+    bad = np.flatnonzero((i == j) | ~((mo >= 0.0) & (mo <= 1.0)) | ~((ct >= 0.0) & (ct <= 1.0)))
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((hi, lo))  # stable: repeats keep their row order
+    lo, hi, smo, sct = lo[order], hi[order], mo[order], ct[order]
+    repeat = np.zeros(n, dtype=bool)
+    repeat[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    # Scores are compared with the repeat before, not the first of the pair:
+    # up to the first change they are equal, so the first conflict is the same.
+    differs = np.zeros(n, dtype=bool)
+    differs[1:] = (smo[1:] != smo[:-1]) | (sct[1:] != sct[:-1])
+    conflicts = np.flatnonzero(repeat & differs)
+    fault = None
+    if bad.size:
+        r = int(bad[0])
+        fault = (r, _record_fault(int(i[r]), int(j[r]), float(mo[r]), float(ct[r])))
+    if conflicts.size:
+        s = int(conflicts[np.argmin(order[conflicts])])
+        r = int(order[s])
+        if fault is None or r < fault[0]:
+            fault = (r, InvalidRecord(
+                f"conflicting overlap scores for pair {(int(lo[s]), int(hi[s]))}: "
+                f"{(float(smo[s - 1]), float(sct[s - 1]))} vs {(float(smo[s]), float(sct[s]))}"
+            ))
+    keep = np.ones(n, dtype=bool)
+    keep[:-1] = ~repeat[1:]  # the last of identical repeats, as a later add replaced
+    return (lo[keep], hi[keep], smo[keep], sct[keep]), fault
+
+
+def _columns(i, j, mo, ct) -> tuple[np.ndarray, ...]:
+    return (
+        np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64),
+        np.asarray(mo, dtype=np.float64), np.asarray(ct, dtype=np.float64),
+    )
+
+
+def _equal_range(values: np.ndarray, key: int) -> tuple[int, int]:
+    """Bounds of the run of `key` in sorted u64 `values`. The key is made a
+    u64 first: a Python int would make numpy compare in float64, after
+    converting all of `values`."""
+    key = np.uint64(key)
+    return int(np.searchsorted(values, key, "left")), int(np.searchsorted(values, key, "right"))
 
 
 class OverlapStore:
-    """Symmetric store of overlap records keyed by unordered pair; each
-    record is kept as added, oriented so that i < j."""
+    """Overlap records keyed by unordered pair, held as four columns sorted
+    by pair with i < j. Every way in checks its rows once, in bulk: each
+    must be a valid OverlapRecord, and a pair may repeat only with
+    identical scores."""
 
     def __init__(self, records: Iterable[OverlapRecord] = ()):
-        self._pairs: dict[tuple[int, int], OverlapRecord] = {}
-        for record in records:
-            self.add(record)
+        records = list(records)
+        self._adopt(*self._checked(*(
+            [r.i for r in records], [r.j for r in records],
+            [r.mo for r in records], [r.ct for r in records],
+        )))
 
-    def add(self, record: OverlapRecord) -> None:
-        if record.i > record.j:
-            record = OverlapRecord(record.j, record.i, record.mo, record.ct)
-        key = (record.i, record.j)
-        existing = self._pairs.get(key)
-        if existing is not None and existing != record:
-            raise InvalidRecord(
-                f"conflicting overlap scores for pair {key}: "
-                f"{(existing.mo, existing.ct)} vs {(record.mo, record.ct)}"
-            )
-        self._pairs[key] = record
+    @classmethod
+    def from_columns(cls, i, j, mo, ct) -> "OverlapStore":
+        """A store of the rows of four equal-length columns; ids must lie
+        in [0, 2^64)."""
+        store = cls.__new__(cls)
+        store._adopt(*cls._checked(i, j, mo, ct))
+        return store
+
+    @staticmethod
+    def _checked(i, j, mo, ct) -> tuple[np.ndarray, ...]:
+        columns, fault = _check(*_columns(i, j, mo, ct))
+        if fault is not None:
+            raise fault[1]
+        return columns
+
+    def _adopt(self, i, j, mo, ct) -> None:
+        """Take columns in store order, as `_check` returns them."""
+        self._i, self._j, self._mo, self._ct = i, j, mo, ct
+        self._by_j = np.argsort(j, kind="stable")
+        self._j_sorted = j[self._by_j]
 
     def get(self, i: int, j: int) -> OverlapRecord | None:
-        record = self._pairs.get((min(i, j), max(i, j)))
-        if record is None or record.i == i:
-            return record
-        return OverlapRecord(i, j, record.mo, record.ct)
+        lo, hi = min(i, j), max(i, j)
+        if not 0 <= lo < hi < _ID_END:
+            return None
+        start, stop = _equal_range(self._i, lo)
+        k = start + _equal_range(self._j[start:stop], hi)[0]
+        if k == stop or int(self._j[k]) != hi:
+            return None
+        return OverlapRecord._make((int(i), int(j), float(self._mo[k]), float(self._ct[k])))
+
+    def partners(self, image: int) -> Partners:
+        """Every row that holds `image`, from one binary search per side."""
+        start, stop = _equal_range(self._i, image)
+        left, right = _equal_range(self._j_sorted, image)
+        rows = np.concatenate([np.arange(start, stop), self._by_j[left:right]])
+        ids = np.concatenate([self._j[start:stop], self._i[self._by_j[left:right]]])
+        return Partners(ids, self._mo[rows], self._ct[rows])
+
+    def _rows(self) -> Iterable[tuple[int, int, float, float]]:
+        """`(i, j, mo, ct)` tuples of Python numbers, in store order."""
+        return zip(self._i.tolist(), self._j.tolist(), self._mo.tolist(), self._ct.tolist())
 
     def records(self) -> list[OverlapRecord]:
-        return [self._pairs[key] for key in sorted(self._pairs)]
+        return list(map(OverlapRecord._make, self._rows()))
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._i)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OverlapStore):
             return NotImplemented
-        return self._pairs == other._pairs
+        return all(np.array_equal(getattr(self, c), getattr(other, c))
+                   for c in ("_i", "_j", "_mo", "_ct"))
+
+
+def _parse(tokens: list[str]) -> tuple[list, list, list, list]:
+    """Columns of the rows of four tokens; raises ValueError as int() and
+    float() do."""
+    return (
+        list(map(int, tokens[0::4])), list(map(int, tokens[1::4])),
+        list(map(float, tokens[2::4])), list(map(float, tokens[3::4])),
+    )
+
+
+def _parses(row: list[str]) -> bool:
+    try:
+        _parse(row)
+    except ValueError:
+        return False
+    return True
 
 
 def load_overlaps(text: str) -> OverlapStore:
-    """Parse `i j mo ct` lines; symmetric closure is applied by the store."""
-    store = OverlapStore()
-    offset = 0
-    for line in text.splitlines(keepends=True):
-        stripped = line.strip()
-        if stripped:
-            tokens = stripped.split()
-            if len(tokens) != 4:
-                raise InvalidRecord(
-                    f"overlap line needs `i j mo ct`, got {stripped!r}", offset=offset
-                )
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-                mo, ct = float(tokens[2]), float(tokens[3])
-            except ValueError:
-                raise InvalidRecord(f"bad overlap line {stripped!r}", offset=offset)
-            try:
-                store.add(OverlapRecord(i, j, mo, ct))
-            except (InvalidRecord, NonFiniteValue) as exc:
-                raise type(exc)(str(exc), offset=offset) from None
-        offset += len(line.encode("utf-8"))
+    """Parse `i j mo ct` lines into a store, a column at a time.
+
+    The earliest faulty line is reported, with its byte offset, whether it
+    fails to parse or fails the store's check. Each stage below looks only
+    at the rows before the earliest fault found so far, so the fault left
+    at the end is on the earliest line and is that line's first.
+    """
+    lines = text.splitlines(keepends=True)
+    counts = list(map(len, map(str.split, lines)))
+    sizes = [c for c in counts if c]  # tokens of each non-blank line, a row
+    tokens = text.split()  # line ends are whitespace too: the rows' tokens in order
+    n, fault = len(sizes), None
+
+    def line(row: int) -> int:
+        return [k for k, c in enumerate(counts) if c][row]
+
+    if sizes.count(4) != n:
+        n = next(r for r, c in enumerate(sizes) if c != 4)
+        fault = (n, InvalidRecord(
+            f"overlap line needs `i j mo ct`, got {lines[line(n)].strip()!r}"))
+    try:
+        i, j, mo, ct = _parse(tokens[: 4 * n])
+    except ValueError:
+        n = next(r for r in range(n) if not _parses(tokens[4 * r : 4 * r + 4]))
+        fault = (n, InvalidRecord(f"bad overlap line {lines[line(n)].strip()!r}"))
+        i, j, mo, ct = _parse(tokens[: 4 * n])
+    if i and (min(i) < 0 or min(j) < 0 or max(i) >= _ID_END or max(j) >= _ID_END):
+        n = next(r for r in range(n) if not (0 <= i[r] < _ID_END and 0 <= j[r] < _ID_END))
+        fault = (n, _record_fault(i[n], j[n], mo[n], ct[n]))
+        i, j, mo, ct = i[:n], j[:n], mo[:n], ct[:n]
+    columns, checked = _check(*_columns(i, j, mo, ct))
+    fault = checked or fault
+    if fault is not None:
+        row, exc = fault
+        offset = len("".join(lines[: line(row)]).encode("utf-8"))
+        raise type(exc)(str(exc), offset=offset)
+    store = OverlapStore.__new__(OverlapStore)
+    store._adopt(*columns)
     return store
 
 
 def save_overlaps(store: OverlapStore) -> str:
-    lines = [
-        f"{r.i} {r.j} {r.mo!r} {r.ct!r}" for r in store.records()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join([f"{i} {j} {mo!r} {ct!r}\n" for i, j, mo, ct in store._rows()])
 
 
 @dataclass(frozen=True)
@@ -151,13 +294,9 @@ class TrainConfig:
 
 def label_qes(qes: Qes, store: OverlapStore, config: TrainConfig) -> Qes:
     """Label every node against the query; unobserved pairs are negative."""
-    labels = []
-    for v in qes.nodes:
-        record = store.get(qes.query_id, v)
-        labels.append(
-            label_pair(record, config.tau_mo, config.tau_ct) if record else False
-        )
-    return qes.with_labels(labels)
+    partners = store.partners(qes.query_id)
+    matchable = set(partners.ids[label_pair(partners, config.tau_mo, config.tau_ct)].tolist())
+    return qes.with_labels([v in matchable for v in qes.nodes])
 
 
 @dataclass
@@ -251,11 +390,12 @@ def build_training_set(
 
 
 def _hop1_prf(qes: Qes, probs: np.ndarray) -> tuple[float, float, float]:
-    """Precision, recall and F of the 1-hop nodes predicted above 0.5."""
+    """Precision, recall and F of the 1-hop nodes predicted above the
+    retrieval threshold."""
     hop1 = qes.hop_mask(1)
     labels = np.asarray(qes.labels, dtype=bool)
     nodes = np.asarray(qes.nodes)
-    predicted = set(int(v) for v in nodes[hop1 & (probs > 0.5)])
+    predicted = set(int(v) for v in nodes[hop1 & (probs > PROB_THRESHOLD)])
     relevant = set(int(v) for v in nodes[hop1 & labels])
     return evaluation.per_query_prf(predicted, relevant)
 

@@ -461,6 +461,21 @@ class TestExitCodes:
         assert code == 4
         assert not model.exists() and not history.exists()
 
+    def test_overlap_id_outside_u64_is_parse_error(self, scene_files, tmp_path, capsys):
+        pairs = tmp_path / "p.txt"
+        pairs.write_text("# matchgraph pairs v1\n0 1 0.5\n")
+        bad = tmp_path / "bad.ov"
+        bad.write_text("0 1 0.5 0.5\n-1 2 0.5 0.5\n")
+        assert run("eval", "--pairs", pairs, "--overlaps", bad) == 3
+        assert "overlap id -1 outside [0, 2^64) (byte offset 12)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knn_out", [False, True])
+    def test_index_k_below_one_is_compute_error(self, scene_files, tmp_path, capsys, knn_out):
+        out = ["--knn-out", tmp_path / "knn.txt"] if knn_out else []
+        assert run("index", "--embeddings", scene_files["embeddings"], "--k", 0, *out) == 4
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "knn.txt").exists()
+
     def test_log_env_accepted(self, scene_files, monkeypatch, capsys):
         monkeypatch.setenv("MATCHGRAPH_LOG", "debug")
         assert run("index", "--embeddings", scene_files["embeddings"]) == 0

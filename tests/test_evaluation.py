@@ -129,6 +129,24 @@ class TestGroundTruth:
         assert truth.contains(1, 2)
         assert not truth.contains(2, 3)
 
+    def test_from_records_equals_the_pairwise_build(self):
+        rng = np.random.default_rng(12)
+        ids = [0, 1, 2, 3, 4, 5, 6, 7, 2**63, 2**64 - 1]
+        records = []
+        for _ in range(60):
+            a, b = (ids[k] for k in rng.choice(len(ids), size=2, replace=False))
+            records.append(mg.OverlapRecord(a, b, *(float(x) for x in rng.random(2) * 0.5)))
+        records += records[:10]  # repeats build one pair
+        universe = [42, 0]
+        truth = GroundTruth.from_records(records, 0.25, 0.15, universe)
+        want = GroundTruth.from_pairs(
+            [(r.i, r.j) for r in records if mg.label_pair(r, 0.25, 0.15)], universe)
+        assert truth == want
+        for q in sorted(want.universe) + [99]:
+            assert truth.relevant(q) == want.relevant(q)
+        empty = GroundTruth.from_records([], universe=[3])
+        assert empty == GroundTruth.from_pairs([], [3]) and empty.relevant(3) == set()
+
     def test_relevant_set(self):
         truth = GroundTruth.from_pairs([(1, 2), (2, 5), (3, 4)])
         assert truth.relevant(2) == {1, 5}

@@ -7,9 +7,30 @@ import matchgraph as mg
 from matchgraph.embeddings import save_embeddings
 from matchgraph.evaluation import GroundTruth, macro_average, per_query_prf
 from matchgraph.synthetic import SceneConfig, generate_scene, load_classes, save_classes
-from matchgraph.trainer import save_overlaps
+from matchgraph.trainer import OverlapRecord, save_overlaps
 
+from overlap_oracle import add
 from retrieval_oracle import distance
+
+
+def pairwise_overlap_text(config):
+    """The overlap file of a ring scene built one record at a time."""
+    n, step, pairs = config.n_images, 2.0 * math.pi / config.n_images, {}
+    m = 1
+    while m <= n // 2 and m * step <= config.overlap_angle:
+        mo = max(0.0, 1.0 - m * step / config.overlap_angle)
+        for gap in sorted({m, n - m}):
+            for i in range(n - gap):
+                add(pairs, OverlapRecord(i, i + gap, mo, mo))
+        m += 1
+    return "".join(f"{r.i} {r.j} {r.mo!r} {r.ct!r}\n" for _, r in sorted(pairs.items()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 24, 360, 720, 2000])
+def test_overlap_columns_equal_the_pairwise_build(n):
+    for angle in (math.pi / 12, 3.0) if n <= 24 else (math.pi / 12,):
+        config = SceneConfig(n_images=n, symmetry_s=4, overlap_angle=angle)
+        assert save_overlaps(generate_scene(config).overlaps) == pairwise_overlap_text(config)
 
 
 class TestConfigValidation:

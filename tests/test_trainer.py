@@ -24,6 +24,8 @@ from matchgraph.trainer import (
     train,
 )
 
+from overlap_oracle import parse_overlaps
+
 
 def small_scene(n=16, s=2, seed=3, dim=8, noise=0.05):
     return mg.generate_scene(
@@ -48,10 +50,10 @@ class TestOverlapRecord:
         assert store.get(4, 5) is None
 
     def test_conflicting_records_rejected(self):
-        store = OverlapStore([OverlapRecord(1, 2, 0.5, 0.5)])
-        store.add(OverlapRecord(2, 1, 0.5, 0.5))  # same values are fine
+        first = OverlapRecord(1, 2, 0.5, 0.5)
+        OverlapStore([first, OverlapRecord(2, 1, 0.5, 0.5)])  # same values are fine
         with pytest.raises(InvalidRecord):
-            store.add(OverlapRecord(2, 1, 0.6, 0.5))
+            OverlapStore([first, OverlapRecord(2, 1, 0.6, 0.5)])
 
 
 class TestOverlapIO:
@@ -91,6 +93,144 @@ class TestOverlapIO:
             load_overlaps(f"0 1 0.5 0.5\n2 3 {score} 0.5\n")
         assert info.value.offset == 12
         assert "byte offset 12" in str(info.value)
+
+
+class TestOverlapIdRange:
+    @pytest.mark.parametrize("line", ["-1 2 0.5 0.5", f"2 {2**64} 0.5 0.5", f"{-2**70} 3 0.5 0.5"])
+    def test_id_outside_u64_reports_its_line_offset(self, line):
+        with pytest.raises(InvalidRecord) as info:
+            load_overlaps(f"0 1 0.5 0.5\n{line}\n")
+        assert info.value.offset == 12
+        assert "outside [0, 2^64)" in str(info.value)
+
+    def test_largest_u64_id_round_trips(self):
+        top = 2**64 - 1
+        store = load_overlaps(f"{top} 0 0.5 0.25\n")
+        assert store.get(0, top) == (0, top, 0.5, 0.25)
+        assert save_overlaps(store) == f"0 {top} 0.5 0.25\n"
+        with pytest.raises(InvalidRecord):
+            OverlapRecord(-1, 2, 0.5, 0.5)
+
+
+    def test_lookups_are_exact_above_2_to_53(self):
+        # 2^53 and 2^53 + 1 are one float64; lookups must not round them
+        a, b = 2**53, 2**53 + 1
+        store = OverlapStore([OverlapRecord(5, a, 0.5, 0.0), OverlapRecord(b, 7, 0.25, 1.0)])
+        assert store.get(b, 7) == (b, 7, 0.25, 1.0)
+        assert store.get(5, b) is None and store.get(7, a) is None
+        assert store.partners(a).ids.tolist() == [5]
+        assert store.partners(b).ids.tolist() == [7]
+
+
+# Ids at the ends of the u64 range, and score spellings that parse to equal
+# floats, so that identical repeats can be written differently.
+ID_POOL = [0, 1, 2, 3, 5, 8, 13, 21, 2**31, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+EQUAL_FORMS = {"0.0": "-0.0", "-0.0": "0", "1": "1.0", "1.0": "1e0", "0.5": "5e-1", "0.25": "0.250"}
+ENDINGS = ["\n", "\r\n", "\u00a0\n", "\u00a0\r\n", " \t\n"]
+BLANKS = ["", "   ", "\t", "\u00a0"]
+
+
+def valid_rows(rng, count):
+    """Rows of distinct pairs as token lists, each pair in a random orientation."""
+    rows = {}
+    while len(rows) < count:
+        a, b = (ID_POOL[k] for k in rng.choice(len(ID_POOL), size=2, replace=False))
+        scores = [
+            list(EQUAL_FORMS)[int(rng.integers(len(EQUAL_FORMS)))] if rng.random() < 0.4
+            else repr(float(rng.random()))
+            for _ in range(2)
+        ]
+        rows.setdefault((min(a, b), max(a, b)), [str(a), str(b), *scores])
+    return list(rows.values())
+
+
+def with_repeats(rng, rows):
+    """Rows plus identical repeats, some reversed or spelled differently."""
+    out = list(rows)
+    for row in rows:
+        if rng.random() < 0.3:
+            a, b, mo, ct = row
+            if rng.random() < 0.5:
+                a, b = b, a
+            out.append([a, b, EQUAL_FORMS.get(mo, mo), EQUAL_FORMS.get(ct, ct)])
+    if rng.random() < 0.5:
+        rng.shuffle(out)
+    else:
+        out.reverse()
+    return out
+
+
+def compose(rng, lines):
+    """Join lines with mixed endings and separators, among blank lines."""
+    parts = []
+    for line in lines:
+        if rng.random() < 0.2:
+            parts.append(BLANKS[int(rng.integers(len(BLANKS)))] + ENDINGS[int(rng.integers(len(ENDINGS)))])
+        sep = " " if rng.random() < 0.7 else " \t "
+        parts.append(sep.join(line) + ENDINGS[int(rng.integers(len(ENDINGS)))])
+    text = "".join(parts)
+    return text.rstrip("\n") if rng.random() < 0.2 else text
+
+
+def outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except (InvalidRecord, NonFiniteValue) as exc:
+        return type(exc).__name__, str(exc), exc.offset
+
+
+def fault_line(kind, rng, earlier):
+    """One faulty line of the given kind; a conflict repeats an earlier pair."""
+    if kind == "conflict":
+        a, b, mo, ct = earlier[int(rng.integers(len(earlier)))]
+        return [b, a, mo, "0.125" if float(ct) != 0.125 else "0.375"]
+    return {
+        "three tokens": ["1", "2", "0.5"],
+        "five tokens": ["1", "2", "0.5", "0.5", "0.5"],
+        "bad int": ["1.5", "2", "0.5", "0.5"],
+        "bad float": ["1", "2", "0.5", "x"],
+        "nan": ["1", "2", "nan", "0.5"],
+        "inf": ["1", "2", "0.5", "-inf"],
+        "out of range": ["1", "2", "1.5", "0.5"],
+        "self-pair": ["4", "4", "0.5", "0.5"],
+        "negative id": ["-1", "4", "0.5", "0.5"],
+        "id past u64": ["4", str(2**64), "0.5", "0.5"],
+        "self-pair and nan": ["4", "4", "nan", "0.5"],
+        "bad id and self-pair": ["-1", "-1", "0.5", "0.5"],
+        "parse and self-pair": ["4", "4", "x", "0.5"],
+    }[kind]
+
+
+FAULT_KINDS = [
+    "three tokens", "five tokens", "bad int", "bad float", "nan", "inf", "out of range",
+    "self-pair", "negative id", "id past u64", "conflict", "self-pair and nan",
+    "bad id and self-pair", "parse and self-pair",
+]
+
+
+class TestLoadOverlapsMatchesOracle:
+    def test_valid_texts_give_the_oracle_records(self):
+        rng = np.random.default_rng(101)
+        for _ in range(200):
+            rows = with_repeats(rng, valid_rows(rng, int(rng.integers(0, 40))))
+            text = compose(rng, rows)
+            assert outcome(lambda t: load_overlaps(t).records(), text) == \
+                outcome(parse_overlaps, text)
+
+    @pytest.mark.parametrize("first", FAULT_KINDS)
+    def test_earliest_fault_wins_with_the_oracle_error(self, first):
+        rng = np.random.default_rng([102, FAULT_KINDS.index(first)])
+        for second in FAULT_KINDS:
+            for _ in range(3):
+                rows = valid_rows(rng, int(rng.integers(1, 30)))
+                at = int(rng.integers(1, len(rows) + 1))
+                later = int(rng.integers(at, len(rows) + 1))
+                lines = (rows[:at] + [fault_line(first, rng, rows[:at])] + rows[at:later]
+                         + [fault_line(second, rng, rows[:at])] + rows[later:])
+                text = compose(rng, lines)
+                want = outcome(parse_overlaps, text)
+                assert isinstance(want, tuple)
+                assert outcome(lambda t: load_overlaps(t).records(), text) == want
 
 
 class TestLabelPair:
