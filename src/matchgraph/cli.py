@@ -251,9 +251,9 @@ def _load_truth(args, cfg) -> evaluation.GroundTruth:
         return evaluation.GroundTruth.from_pairs([(a, b) for a, b, _ in pairs])
     if args.overlaps:
         with open(args.overlaps, "r", encoding="utf-8") as fp:
-            records = trainer.load_overlaps(fp.read())
-        return evaluation.GroundTruth.from_records(
-            records.records(), **_given(args, cfg, tau_mo=float, tau_ct=float))
+            store = trainer.load_overlaps(fp.read())
+        return evaluation.GroundTruth.from_columns(
+            *store.columns(), **_given(args, cfg, tau_mo=float, tau_ct=float))
     raise InvalidRecord("ground truth requires --truth-pairs or --overlaps")
 
 

@@ -24,6 +24,7 @@ from .errors import (
 
 MAGIC = b"MGEB"
 FORMAT_VERSION = 1
+ID_END = 2**64  # image ids are u64; overlap and pair files share the type
 
 _HEADER = struct.Struct("<4sIQI")  # magic, version, N, d
 

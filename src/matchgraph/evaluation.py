@@ -56,14 +56,23 @@ class GroundTruth:
     def from_records(cls, records, tau_mo: float = TAU_MO, tau_ct: float = TAU_CT,
                      universe: Iterable[int] = ()):
         """Threshold overlap records (anything with .i/.j/.mo/.ct, ids in
-        [0, 2^64)) into the matchable relation, with the partner index built
-        in bulk."""
+        [0, 2^64)) into the matchable relation."""
         records = list(records)
-        scores = SimpleNamespace(mo=np.array([r.mo for r in records], dtype=np.float64),
-                                 ct=np.array([r.ct for r in records], dtype=np.float64))
-        keep = label_pair(scores, tau_mo, tau_ct)
-        a = np.array([r.i for r in records], dtype=np.uint64)[keep]
-        b = np.array([r.j for r in records], dtype=np.uint64)[keep]
+        return cls.from_columns(
+            np.array([r.i for r in records], dtype=np.uint64),
+            np.array([r.j for r in records], dtype=np.uint64),
+            np.array([r.mo for r in records], dtype=np.float64),
+            np.array([r.ct for r in records], dtype=np.float64),
+            tau_mo, tau_ct, universe,
+        )
+
+    @classmethod
+    def from_columns(cls, i, j, mo, ct, tau_mo: float = TAU_MO, tau_ct: float = TAU_CT,
+                     universe: Iterable[int] = ()):
+        """Threshold overlap columns (u64 ids, float64 scores) into the
+        matchable relation, with the partner index built in bulk."""
+        keep = label_pair(SimpleNamespace(mo=mo, ct=ct), tau_mo, tau_ct)
+        a, b = i[keep], j[keep]
         if np.any(a == b):
             v = int(a[np.argmax(a == b)])
             raise ValueError(f"self-pair ({v}, {v}) in ground truth")

@@ -10,7 +10,9 @@ feed dense layers with bias; each is relu except the last, which is the
 identity and gives one logit per node. A sigmoid turns logits into
 matchability probabilities. The loss and its gradients are masked to
 1-hop nodes only. The backward pass is fully analytic (no autodiff) and is
-validated against central finite differences.
+validated against central finite differences. Forward and backward run
+over a batch of subgraphs stacked row-wise, in a given dtype: training uses
+float32, inference and the gradient oracle float64 with a batch of one.
 """
 
 import struct
@@ -35,6 +37,9 @@ PROB_CLAMP = 1e-12
 CONV_WIDTHS = (256, 256, 128, 128)  # default layer widths
 FC_WIDTHS = (64,)
 PROB_THRESHOLD = 0.5  # a node is retrieved, and scored in training, above this
+# Longest inner dimension of one weight-gradient product. OpenBLAS blocks a
+# longer one differently when it runs more threads, which changes the bits.
+_GRAD_ROWS = 256
 
 _KIND_CONV = 0
 _KIND_FC = 1
@@ -207,36 +212,46 @@ def _normalize(a: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * a * inv_sqrt[None, :]
 
 
-def _forward_cached(qes: Qes, model: GcnModel):
-    """Forward pass retaining the intermediates the backward pass needs."""
-    if qes.dim != model.input_dim:
-        raise DimensionError(
-            f"model expects {model.input_dim}-d features, subgraph has {qes.dim}"
-        )
+def _forward_cached(batch: Sequence[Qes], model: GcnModel, dtype=np.float64):
+    """Forward pass over the batch's subgraphs stacked row-wise, computed in
+    `dtype`, retaining the intermediates the backward pass needs. Each
+    weight product runs once for the whole batch; G H runs per subgraph,
+    with that subgraph's own G. Probabilities come back in float64."""
+    for qes in batch:
+        if qes.dim != model.input_dim:
+            raise DimensionError(
+                f"model expects {model.input_dim}-d features, subgraph has {qes.dim}"
+            )
     # Qes checked its adjacency when it was built, and the array is read-only.
-    g = _normalize(qes.adjacency)
-    h = qes.features
+    gs = [_normalize(qes.adjacency).astype(dtype, copy=False) for qes in batch]
+    ends = np.cumsum([len(g) for g in gs]).tolist()
+    blocks = list(zip(gs, [0] + ends[:-1], ends))
+    h = np.concatenate([qes.features for qes in batch]).astype(dtype, copy=False)
     conv_cache = []
     for layer in model.conv_layers:
-        concat = np.concatenate([h, g @ h], axis=1)
-        z = concat @ layer.weights
-        conv_cache.append((concat, z))
+        w = layer.weights.astype(dtype, copy=False)
+        d = h.shape[1]
+        concat = np.empty((len(h), 2 * d), dtype=dtype)
+        concat[:, :d] = h
+        for g, s, e in blocks:
+            np.matmul(g, h[s:e], out=concat[s:e, d:])
+        z = concat @ w
+        conv_cache.append((concat, z, w))
         h = np.maximum(z, 0.0)
     head = len(model.fc_layers) - 1
     fc_cache = []
     for i, layer in enumerate(model.fc_layers):
-        z = h @ layer.weights + layer.bias
-        fc_cache.append((h, z))
+        w = layer.weights.astype(dtype, copy=False)
+        z = h @ w + layer.bias.astype(dtype, copy=False)
+        fc_cache.append((h, z, w))
         h = z if i == head else np.maximum(z, 0.0)
-    logits = h[:, 0]
-    probs = sigmoid(logits)
-    return probs, g, conv_cache, fc_cache
+    probs = sigmoid(h[:, 0])
+    return probs, blocks, conv_cache, fc_cache
 
 
 def model_forward(qes: Qes, model: GcnModel) -> np.ndarray:
     """Per-node matchability probabilities, aligned with qes.nodes."""
-    probs, _, _, _ = _forward_cached(qes, model)
-    return probs
+    return _forward_cached([qes], model)[0]
 
 
 def masked_loss(probs, labels, hop) -> float:
@@ -261,52 +276,72 @@ def masked_loss(probs, labels, hop) -> float:
 
 @dataclass
 class ModelGradients:
-    """Loss gradients in GcnModel.parameters() order, with the loss and the
-    per-node probabilities of the forward pass they were taken at."""
+    """A batch's mean loss gradients in GcnModel.parameters() order, float64,
+    with each subgraph's loss and per-node probabilities from the forward
+    pass they were taken at."""
 
     grads: list[np.ndarray]
-    loss: float
-    probs: np.ndarray
+    losses: list[float]
+    probs: list[np.ndarray]
 
 
-def backward(qes: Qes, model: GcnModel, labels) -> ModelGradients:
-    """Exact gradients of the masked loss for every weight and bias.
+def _weight_gradient(x: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """x.T @ dz, summed in order over blocks of at most _GRAD_ROWS rows."""
+    out = x[:_GRAD_ROWS].T @ dz[:_GRAD_ROWS]
+    for start in range(_GRAD_ROWS, len(x), _GRAD_ROWS):
+        out += x[start : start + _GRAD_ROWS].T @ dz[start : start + _GRAD_ROWS]
+    return out
 
-    The clamp's flat regions propagate a zero gradient, matching what
-    finite differences see there.
+
+def backward(batch: Sequence[Qes], model: GcnModel, labels: Sequence,
+             dtype=np.float64) -> ModelGradients:
+    """Exact gradients of the batch's mean masked loss for every weight and
+    bias, with one label array per subgraph.
+
+    The batch is stacked row-wise and computed in `dtype`: every node's
+    output gradient is scaled by 1 / (m * B), with m its subgraph's 1-hop
+    count and B the batch size, so the weight products return the batch
+    mean directly. Losses and probabilities are taken in float64. The
+    clamp's flat regions propagate a zero gradient, matching what finite
+    differences see there.
     """
-    labels = np.asarray(labels, dtype=bool)
-    hop = np.asarray(qes.hop)
-    probs, g, conv_cache, fc_cache = _forward_cached(qes, model)
-    loss = masked_loss(probs, labels, hop)
+    if len(labels) != len(batch):
+        raise DimensionError("need one label array per subgraph")
+    probs, blocks, conv_cache, fc_cache = _forward_cached(batch, model, dtype)
+    losses, per_probs = [], []
+    dz = np.empty(len(probs))
+    for qes, node_labels, (_, s, e) in zip(batch, labels, blocks):
+        p, y, hop = probs[s:e], np.asarray(node_labels, dtype=bool), np.asarray(qes.hop)
+        losses.append(masked_loss(p, y, hop))
+        per_probs.append(p)
+        mask = hop == 1
+        live = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
+        dz[s:e] = np.where(mask & live, (p - y) / (int(mask.sum()) * len(batch)), 0.0)
 
-    mask = hop == 1
-    m = int(mask.sum())
-    y = labels.astype(np.float64)
-    live = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
-    dz = np.where(mask & live, (probs - y) / m, 0.0)
-
-    dh = dz[:, None]
+    dh = dz.astype(dtype)[:, None]
     grads: list[np.ndarray] = []  # reversed parameter order until the end
-    head = len(model.fc_layers) - 1
+    head = len(fc_cache) - 1
     for i in range(head, -1, -1):
-        h_in, z = fc_cache[i]
+        h_in, z, w = fc_cache[i]
         dzl = dh if i == head else dh * (z > 0)
         grads.append(dzl.sum(axis=0))
-        grads.append(h_in.T @ dzl)
-        dh = dzl @ model.fc_layers[i].weights.T
+        grads.append(_weight_gradient(h_in, dzl))
+        dh = dzl @ w.T
 
-    for layer, (concat, z) in zip(reversed(model.conv_layers), reversed(conv_cache)):
+    for i in range(len(conv_cache) - 1, -1, -1):
+        concat, z, w = conv_cache[i]
         dzl = dh * (z > 0)
-        grads.append(concat.T @ dzl)
-        if layer is model.conv_layers[0]:
+        grads.append(_weight_gradient(concat, dzl))
+        if i == 0:
             break  # below it are the node features, which are not parameters
-        dconcat = dzl @ layer.weights.T
-        d = layer.in_dim
-        dh = dconcat[:, :d] + g.T @ dconcat[:, d:]
+        dconcat = dzl @ w.T
+        d = dconcat.shape[1] // 2
+        dh = dconcat[:, :d].copy()
+        for g, s, e in blocks:
+            dh[s:e] += g.T @ dconcat[s:e, d:]
     grads.reverse()
 
-    return ModelGradients(grads=grads, loss=loss, probs=probs)
+    return ModelGradients([g.astype(np.float64, copy=False) for g in grads], losses, per_probs)
 
 
 def save_model(model: GcnModel) -> bytes:

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
+from .embeddings import ID_END, EmbeddingMatrix
 from .errors import InvalidRecord, MalformedHeader
 from .gcn import PROB_THRESHOLD, GcnModel, model_forward
 from .knn import Index
@@ -130,6 +130,9 @@ def read_pair_file(text: str) -> list[tuple[int, int, float]]:
                 a, b, score = int(tokens[0]), int(tokens[1]), float(tokens[2])
             except ValueError:
                 raise InvalidRecord(f"bad pair line {stripped!r}", offset=offset)
+            for v in (a, b):
+                if not 0 <= v < ID_END:
+                    raise InvalidRecord(f"pair id {v} outside [0, 2^64)", offset=offset)
             if a >= b:
                 raise InvalidRecord(f"pair ids must ascend within a line", offset=offset)
             if not 0.0 <= score <= 1.0 or not np.isfinite(score):

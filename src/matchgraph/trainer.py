@@ -2,20 +2,22 @@
 
 Matchability labels come from thresholding mesh-overlap / common-track
 scores; a pair with no observed overlap record is non-matchable. Training
-iterates epochs over shuffled queries, averages per-subgraph gradients
-within a batch, and applies one adaptive-moment update per batch. Given a
-seed the whole procedure is bit-reproducible.
+iterates epochs over shuffled queries, takes each batch's mean gradient in
+one float32 pass over its subgraphs stacked row-wise, and applies one
+adaptive-moment update per batch to float64 parameters. Given a seed the
+whole procedure is bit-reproducible.
 """
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import evaluation
-from .embeddings import EmbeddingMatrix
+from .embeddings import ID_END, EmbeddingMatrix
 from .errors import DimensionError, InvalidRecord, NoTrainingData, NonFiniteValue, ParseError
 from .evaluation import label_pair
 from .gcn import (
@@ -27,13 +29,10 @@ from .subgraph import Qes, QesParams, build_qes
 log = logging.getLogger(__name__)
 
 
-_ID_END = 2**64  # overlap ids share the embedding id type, u64
-
-
 def _record_fault(i: int, j: int, mo: float, ct: float) -> ParseError | None:
     """The error that rejects one overlap record, or None if it is valid."""
     for v in (i, j):
-        if not 0 <= v < _ID_END:
+        if not 0 <= v < ID_END:
             return InvalidRecord(f"overlap id {v} outside [0, 2^64)")
     if i == j:
         return InvalidRecord("overlap record needs two distinct images")
@@ -159,13 +158,15 @@ class OverlapStore:
 
     def _adopt(self, i, j, mo, ct) -> None:
         """Take columns in store order, as `_check` returns them."""
+        for column in (i, j, mo, ct):
+            column.setflags(write=False)
         self._i, self._j, self._mo, self._ct = i, j, mo, ct
         self._by_j = np.argsort(j, kind="stable")
         self._j_sorted = j[self._by_j]
 
     def get(self, i: int, j: int) -> OverlapRecord | None:
         lo, hi = min(i, j), max(i, j)
-        if not 0 <= lo < hi < _ID_END:
+        if not 0 <= lo < hi < ID_END:
             return None
         start, stop = _equal_range(self._i, lo)
         k = start + _equal_range(self._j[start:stop], hi)[0]
@@ -187,6 +188,10 @@ class OverlapStore:
 
     def records(self) -> list[OverlapRecord]:
         return list(map(OverlapRecord._make, self._rows()))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The read-only `(i, j, mo, ct)` columns in store order."""
+        return self._i, self._j, self._mo, self._ct
 
     def __len__(self) -> int:
         return len(self._i)
@@ -242,8 +247,8 @@ def load_overlaps(text: str) -> OverlapStore:
         n = next(r for r in range(n) if not _parses(tokens[4 * r : 4 * r + 4]))
         fault = (n, InvalidRecord(f"bad overlap line {lines[line(n)].strip()!r}"))
         i, j, mo, ct = _parse(tokens[: 4 * n])
-    if i and (min(i) < 0 or min(j) < 0 or max(i) >= _ID_END or max(j) >= _ID_END):
-        n = next(r for r in range(n) if not (0 <= i[r] < _ID_END and 0 <= j[r] < _ID_END))
+    if i and (min(i) < 0 or min(j) < 0 or max(i) >= ID_END or max(j) >= ID_END):
+        n = next(r for r in range(n) if not (0 <= i[r] < ID_END and 0 <= j[r] < ID_END))
         fault = (n, _record_fault(i[n], j[n], mo[n], ct[n]))
         i, j, mo, ct = i[:n], j[:n], mo[:n], ct[:n]
     columns, checked = _check(*_columns(i, j, mo, ct))
@@ -345,7 +350,9 @@ def optimizer_step(
 
 
 def average_gradients(grads: Sequence[ModelGradients]) -> list[np.ndarray]:
-    """Mean of per-subgraph gradients, reduced in list order."""
+    """Mean of per-subgraph gradients, reduced in list order. Training no
+    longer calls it, since `backward` returns a batch's mean; the benchmark's
+    tracer (`bench/tracing.py`) still looks it up by name."""
     out = []
     for arrays in zip(*(g.grads for g in grads)):
         total = arrays[0].copy()
@@ -422,19 +429,20 @@ def train(
     state = init_adam(model.parameters())
     history: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
         order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(subgraphs))
         losses: list[float] = []
         scores = [None] * len(subgraphs)  # by subgraph: a fixed summation order
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            grads = []
-            for qi in batch:
-                qes = subgraphs[qi]
-                grads.append(backward(qes, model, qes.labels))
-                scores[qi] = _hop1_prf(qes, grads[-1].probs)
+            qes_batch = [subgraphs[qi] for qi in batch]
+            # float32 compute; the parameters and Adam state stay float64
+            step = backward(qes_batch, model, [q.labels for q in qes_batch], np.float32)
+            for qi, qes, probs in zip(batch, qes_batch, step.probs):
+                scores[qi] = _hop1_prf(qes, probs)
             params, state = optimizer_step(
                 model.parameters(),
-                average_gradients(grads),
+                step.grads,
                 state,
                 learning_rate=config.learning_rate,
                 beta2=config.beta2,
@@ -443,7 +451,7 @@ def train(
                 model.set_parameters(params)
             except DimensionError as exc:
                 raise DimensionError(f"training diverged in epoch {epoch}: {exc}") from exc
-            losses.extend(g.loss for g in grads)
+            losses.extend(step.losses)
         precision, recall, fmeasure = evaluation.macro_average(scores)
         stats = EpochStats(
             epoch=epoch,
@@ -453,6 +461,7 @@ def train(
             fmeasure=fmeasure,
         )
         history.append(stats)
-        log.info("epoch %d: loss %.6f precision %.4f recall %.4f fmeasure %.4f",
-                 stats.epoch, stats.loss, precision, recall, fmeasure)
+        log.info("epoch %d: loss %.6f precision %.4f recall %.4f fmeasure %.4f seconds %.3f",
+                 stats.epoch, stats.loss, precision, recall, fmeasure,
+                 time.perf_counter() - started)
     return model, history

@@ -469,6 +469,18 @@ class TestExitCodes:
         assert run("eval", "--pairs", pairs, "--overlaps", bad) == 3
         assert "overlap id -1 outside [0, 2^64) (byte offset 12)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_id", [-5, 2**70])
+    @pytest.mark.parametrize("flag", ["--pairs", "--truth-pairs"])
+    def test_pair_id_outside_u64_is_parse_error(self, tmp_path, capsys, flag, bad_id):
+        good = tmp_path / "good.txt"
+        good.write_text("# matchgraph pairs v1\n0 1 0.5\n")
+        bad = tmp_path / "bad.txt"
+        line = f"{bad_id} 3 0.5" if bad_id < 0 else f"3 {bad_id} 0.5"  # ids ascend
+        bad.write_text(f"# matchgraph pairs v1\n0 1 0.5\n{line}\n")
+        files = {"--pairs": good, "--truth-pairs": good, flag: bad}
+        assert run("eval", *(x for kv in files.items() for x in kv)) == 3
+        assert f"pair id {bad_id} outside [0, 2^64) (byte offset 30)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("knn_out", [False, True])
     def test_index_k_below_one_is_compute_error(self, scene_files, tmp_path, capsys, knn_out):
         out = ["--knn-out", tmp_path / "knn.txt"] if knn_out else []

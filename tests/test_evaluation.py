@@ -147,6 +147,18 @@ class TestGroundTruth:
         empty = GroundTruth.from_records([], universe=[3])
         assert empty == GroundTruth.from_pairs([], [3]) and empty.relevant(3) == set()
 
+    def test_from_store_columns_equals_from_records(self):
+        scene = mg.generate_scene(
+            mg.SceneConfig(n_images=40, symmetry_s=2, overlap_angle=math.pi / 6, seed=3))
+        store = scene.overlaps
+        assert not any(column.flags.writeable for column in store.columns())
+        for taus in ((0.25, 0.15), (0.0, 0.0), (1.0, 1.0)):
+            truth = GroundTruth.from_columns(*store.columns(), *taus)
+            want = GroundTruth.from_records(store.records(), *taus)
+            assert truth == want
+            for q in scene.embeddings.ids:
+                assert truth.relevant(q) == want.relevant(q)
+
     def test_relevant_set(self):
         truth = GroundTruth.from_pairs([(1, 2), (2, 5), (3, 4)])
         assert truth.relevant(2) == {1, 5}

@@ -190,6 +190,13 @@ class TestPairExport:
             read_pair_file(head + "3 2 0.5\r\n")
         assert exc.value.offset == len(head.encode("utf-8"))
 
+    @pytest.mark.parametrize("line", ["-5 3 0.5", f"3 {2**70} 0.5", f"{2**64} {2**64 + 1} 0.5"])
+    def test_id_outside_u64_rejected(self, line):
+        head = f"# matchgraph pairs v1\n0 {2**64 - 1} 0.5\n"
+        with pytest.raises(InvalidRecord, match=r"outside \[0, 2\^64\)") as exc:
+            read_pair_file(head + line + "\n")
+        assert exc.value.offset == len(head.encode("utf-8"))
+
 
 class TestResultValidation:
     def test_self_retrieval_rejected(self):

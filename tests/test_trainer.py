@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -405,15 +407,29 @@ class TestTrain:
         forward = gcn._forward_cached
         calls = []
 
-        def counted(qes, model):
-            calls.append(qes.query_id)
-            return forward(qes, model)
+        def counted(batch, *args):
+            calls.extend(qes.query_id for qes in batch)
+            return forward(batch, *args)
 
         monkeypatch.setattr(gcn, "_forward_cached", counted)
         train(scene.embeddings, scene.overlaps, ids, cfg,
               conv_widths=(6, 6, 4, 4), fc_widths=(3,))
         n = len(build_training_set(scene.embeddings, scene.overlaps, ids, cfg))
         assert len(calls) == 3 * n
+
+    def test_epoch_log_line_ends_with_wall_seconds(self, caplog):
+        scene = small_scene()
+        cfg = TrainConfig(qes_params=QesParams(4, 2, 3), epochs=3, seed=2)
+        with caplog.at_level(logging.INFO, logger="matchgraph.trainer"):
+            _, history = train(scene.embeddings, scene.overlaps, [0, 1, 2], cfg,
+                               conv_widths=(6, 6, 4, 4), fc_widths=(3,))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
+        assert len(lines) == len(history)
+        for row, line in zip(history, lines):
+            head = (f"epoch {row.epoch}: loss {row.loss:.6f} precision {row.precision:.4f} "
+                    f"recall {row.recall:.4f} fmeasure {row.fmeasure:.4f} seconds ")
+            assert line.startswith(head)
+            assert re.fullmatch(r"\d+\.\d{3}", line[len(head):])
 
     def test_history_length_matches_epochs(self):
         scene = small_scene()
