@@ -6,6 +6,7 @@ descriptor row. Distances are measured between L2-normalized rows (see
 unnormalized descriptors (e.g. query-relative node features) still have them.
 """
 
+import io
 import struct
 from typing import BinaryIO, Sequence
 
@@ -25,6 +26,27 @@ from .errors import (
 MAGIC = b"MGEB"
 FORMAT_VERSION = 1
 ID_END = 2**64  # image ids are u64; overlap and pair files share the type
+# Line breaks of str.splitlines that numpy's text reader reads as spaces.
+_SPACE_TO_NUMPY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def read_rows(text: str, row: np.dtype) -> np.ndarray | None:
+    """The whitespace-separated rows of `text` as an array of `row`, parsed
+    in one call of numpy's text reader, or None for blank text, for a line
+    break that the reader would not see, and for any text it refuses.
+
+    The reader refuses spellings that int() and float() accept (`1_0`,
+    `-0`, non-ASCII digits, a lone carriage return inside a line) and
+    cannot say where a fault is, so a None sends the caller to its line
+    parser. Every value it accepts parses to the same number.
+    """
+    if not text.strip() or any(c in text for c in _SPACE_TO_NUMPY):
+        return None
+    try:
+        return np.loadtxt(io.StringIO(text), dtype=row, comments=None, ndmin=1)
+    except ValueError:
+        return None
+
 
 _HEADER = struct.Struct("<4sIQI")  # magic, version, N, d
 

@@ -37,9 +37,10 @@ PROB_CLAMP = 1e-12
 CONV_WIDTHS = (256, 256, 128, 128)  # default layer widths
 FC_WIDTHS = (64,)
 PROB_THRESHOLD = 0.5  # a node is retrieved, and scored in training, above this
-# Longest inner dimension of one weight-gradient product. OpenBLAS blocks a
+# Longest inner dimension of one product over nodes: the weight gradients,
+# and G H and its transpose in subgraphs of more nodes. OpenBLAS blocks a
 # longer one differently when it runs more threads, which changes the bits.
-_GRAD_ROWS = 256
+_MAX_INNER = 256
 
 _KIND_CONV = 0
 _KIND_FC = 1
@@ -212,6 +213,14 @@ def _normalize(a: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * a * inv_sqrt[None, :]
 
 
+def _inner_sum(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """x.T @ y, summed in order over blocks of at most _MAX_INNER rows."""
+    out = np.matmul(x[:_MAX_INNER].T, y[:_MAX_INNER], out=out)
+    for start in range(_MAX_INNER, len(x), _MAX_INNER):
+        out += x[start : start + _MAX_INNER].T @ y[start : start + _MAX_INNER]
+    return out
+
+
 def _forward_cached(batch: Sequence[Qes], model: GcnModel, dtype=np.float64):
     """Forward pass over the batch's subgraphs stacked row-wise, computed in
     `dtype`, retaining the intermediates the backward pass needs. Each
@@ -234,7 +243,7 @@ def _forward_cached(batch: Sequence[Qes], model: GcnModel, dtype=np.float64):
         concat = np.empty((len(h), 2 * d), dtype=dtype)
         concat[:, :d] = h
         for g, s, e in blocks:
-            np.matmul(g, h[s:e], out=concat[s:e, d:])
+            _inner_sum(g.T, h[s:e], out=concat[s:e, d:])
         z = concat @ w
         conv_cache.append((concat, z, w))
         h = np.maximum(z, 0.0)
@@ -285,14 +294,6 @@ class ModelGradients:
     probs: list[np.ndarray]
 
 
-def _weight_gradient(x: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """x.T @ dz, summed in order over blocks of at most _GRAD_ROWS rows."""
-    out = x[:_GRAD_ROWS].T @ dz[:_GRAD_ROWS]
-    for start in range(_GRAD_ROWS, len(x), _GRAD_ROWS):
-        out += x[start : start + _GRAD_ROWS].T @ dz[start : start + _GRAD_ROWS]
-    return out
-
-
 def backward(batch: Sequence[Qes], model: GcnModel, labels: Sequence,
              dtype=np.float64) -> ModelGradients:
     """Exact gradients of the batch's mean masked loss for every weight and
@@ -325,20 +326,20 @@ def backward(batch: Sequence[Qes], model: GcnModel, labels: Sequence,
         h_in, z, w = fc_cache[i]
         dzl = dh if i == head else dh * (z > 0)
         grads.append(dzl.sum(axis=0))
-        grads.append(_weight_gradient(h_in, dzl))
+        grads.append(_inner_sum(h_in, dzl))
         dh = dzl @ w.T
 
     for i in range(len(conv_cache) - 1, -1, -1):
         concat, z, w = conv_cache[i]
         dzl = dh * (z > 0)
-        grads.append(_weight_gradient(concat, dzl))
+        grads.append(_inner_sum(concat, dzl))
         if i == 0:
             break  # below it are the node features, which are not parameters
         dconcat = dzl @ w.T
         d = dconcat.shape[1] // 2
         dh = dconcat[:, :d].copy()
         for g, s, e in blocks:
-            dh[s:e] += g.T @ dconcat[s:e, d:]
+            dh[s:e] += _inner_sum(g, dconcat[s:e, d:])
     grads.reverse()
 
     return ModelGradients([g.astype(np.float64, copy=False) for g in grads], losses, per_probs)

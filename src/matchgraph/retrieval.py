@@ -11,13 +11,14 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .embeddings import ID_END, EmbeddingMatrix
+from .embeddings import ID_END, EmbeddingMatrix, read_rows
 from .errors import InvalidRecord, MalformedHeader
 from .gcn import PROB_THRESHOLD, GcnModel, model_forward
 from .knn import Index
 from .subgraph import QesParams, build_qes
 
 PAIR_FILE_HEADER = "# matchgraph pairs v1"
+_PAIR_ROW = np.dtype([("a", "u8"), ("b", "u8"), ("score", "f8")])
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,23 @@ def export_pairs(results: Iterable[RetrievalResult], sink: TextIO) -> None:
 
 
 def read_pair_file(text: str) -> list[tuple[int, int, float]]:
+    """The `(id_a, id_b, score)` lines under the pair-file header.
+
+    numpy's text reader parses the lines at once; text that it refuses, or
+    whose rows fail the checks, goes to the line parser, which accepts the
+    same texts and reports the first fault.
+    """
+    head, _, body = text.partition("\n")
+    if head.rstrip() == PAIR_FILE_HEADER:
+        rows = read_rows(body, _PAIR_ROW)
+        if rows is not None:
+            a, b, score = rows["a"], rows["b"], rows["score"]
+            if np.all(a < b) and np.all((score >= 0.0) & (score <= 1.0)):
+                return list(zip(a.tolist(), b.tolist(), score.tolist()))
+    return _read_pair_file_by_line(text)
+
+
+def _read_pair_file_by_line(text: str) -> list[tuple[int, int, float]]:
     lines = text.splitlines(keepends=True)
     if not lines or lines[0].strip() != PAIR_FILE_HEADER:
         raise MalformedHeader("missing pair-file header", offset=0)

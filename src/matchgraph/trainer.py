@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import evaluation
-from .embeddings import ID_END, EmbeddingMatrix
+from .embeddings import ID_END, EmbeddingMatrix, read_rows
 from .errors import DimensionError, InvalidRecord, NoTrainingData, NonFiniteValue, ParseError
 from .evaluation import label_pair
 from .gcn import (
@@ -220,7 +220,31 @@ def _parses(row: list[str]) -> bool:
     return True
 
 
+_OVERLAP_ROW = np.dtype([("i", "u8"), ("j", "u8"), ("mo", "f8"), ("ct", "f8")])
+
+
 def load_overlaps(text: str) -> OverlapStore:
+    """Parse `i j mo ct` lines into a store.
+
+    numpy's text reader parses the whole text at once; text that it
+    refuses, or whose rows fail the store's check, goes to the line parser,
+    which accepts the same texts and reports the earliest fault.
+    """
+    rows = read_rows(text, _OVERLAP_ROW)
+    if rows is not None:
+        columns, fault = _check(rows["i"], rows["j"], rows["mo"], rows["ct"])
+        if fault is None:
+            return _store(columns)
+    return _load_overlaps_by_line(text)
+
+
+def _store(columns: tuple[np.ndarray, ...]) -> OverlapStore:
+    store = OverlapStore.__new__(OverlapStore)
+    store._adopt(*columns)
+    return store
+
+
+def _load_overlaps_by_line(text: str) -> OverlapStore:
     """Parse `i j mo ct` lines into a store, a column at a time.
 
     The earliest faulty line is reported, with its byte offset, whether it
@@ -257,9 +281,7 @@ def load_overlaps(text: str) -> OverlapStore:
         row, exc = fault
         offset = len("".join(lines[: line(row)]).encode("utf-8"))
         raise type(exc)(str(exc), offset=offset)
-    store = OverlapStore.__new__(OverlapStore)
-    store._adopt(*columns)
-    return store
+    return _store(columns)
 
 
 def save_overlaps(store: OverlapStore) -> str:
@@ -432,6 +454,7 @@ def train(
         started = time.perf_counter()
         order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(subgraphs))
         losses: list[float] = []
+        grad_norms: list[float] = []
         scores = [None] * len(subgraphs)  # by subgraph: a fixed summation order
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
@@ -440,6 +463,7 @@ def train(
             step = backward(qes_batch, model, [q.labels for q in qes_batch], np.float32)
             for qi, qes, probs in zip(batch, qes_batch, step.probs):
                 scores[qi] = _hop1_prf(qes, probs)
+            grad_norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in step.grads)))
             params, state = optimizer_step(
                 model.parameters(),
                 step.grads,
@@ -461,7 +485,7 @@ def train(
             fmeasure=fmeasure,
         )
         history.append(stats)
-        log.info("epoch %d: loss %.6f precision %.4f recall %.4f fmeasure %.4f seconds %.3f",
-                 stats.epoch, stats.loss, precision, recall, fmeasure,
-                 time.perf_counter() - started)
+        log.info("epoch %d: loss %.6f precision %.4f recall %.4f fmeasure %.4f "
+                 "grad_norm %.6g seconds %.3f", stats.epoch, stats.loss, precision, recall,
+                 fmeasure, float(np.mean(grad_norms)), time.perf_counter() - started)
     return model, history

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +352,40 @@ class TestBatchBackward:
         model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0)
         with pytest.raises(DimensionError):
             backward([qes, qes], model, [[True] * 5])
+
+
+# One subgraph of 400-500 nodes: forward probabilities and the float64 and
+# float32 gradients, hashed. Its G H products have an inner dimension of the
+# node count, which OpenBLAS blocks differently with two threads than one.
+_LARGE_SUBGRAPH_HASH = """
+import hashlib
+import numpy as np
+import matchgraph as mg
+from matchgraph.gcn import backward, init_model, model_forward
+from matchgraph.subgraph import QesParams, build_qes
+emb = mg.EmbeddingMatrix(range(3000), np.random.default_rng(0).normal(size=(3000, 32)))
+qes = build_qes(mg.build_index(emb), emb, 0, QesParams(100, 5, 10))
+assert 400 <= len(qes.nodes) <= 500, len(qes.nodes)
+model = init_model(32, seed=3)
+digest = hashlib.sha256(model_forward(qes, model).tobytes())
+labels = [np.arange(len(qes.nodes)) % 2 == 0]
+for dtype in (np.float64, np.float32):
+    for grad in backward([qes], model, labels, dtype).grads:
+        digest.update(grad.tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def test_large_subgraph_bits_do_not_depend_on_blas_threads(self):
+        src = Path(mg.__file__).resolve().parents[1]
+        digests = []
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=blas_threads)
+            done = subprocess.run([sys.executable, "-c", _LARGE_SUBGRAPH_HASH], env=env,
+                                  check=True, capture_output=True, text=True, timeout=300)
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestCheckpoints:

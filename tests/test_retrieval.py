@@ -6,11 +6,14 @@ import pytest
 import matchgraph as mg
 from matchgraph.embeddings import EmbeddingMatrix
 from matchgraph.errors import InvalidRecord, MalformedHeader, UnknownImage
+from matchgraph import retrieval
 from matchgraph.retrieval import (
+    PAIR_FILE_HEADER,
     RetrievalResult,
     collapse_pairs,
     export_pairs,
     gcn_retrieve,
+    _read_pair_file_by_line,
     read_pair_file,
     threshold_retrieve,
     topk_retrieve,
@@ -196,6 +199,115 @@ class TestPairExport:
         with pytest.raises(InvalidRecord, match=r"outside \[0, 2\^64\)") as exc:
             read_pair_file(head + line + "\n")
         assert exc.value.offset == len(head.encode("utf-8"))
+
+
+# Ids at the ends of the u64 range, spellings that int() and float() accept
+# and numpy's text reader refuses, and line breaks of str.splitlines that
+# the reader refuses (a lone carriage return) or reads as spaces.
+PAIR_IDS = [0, 1, 2, 3, 10, 2**53 + 1, 2**63, 2**64 - 1]
+PAIR_FORMS = {"0": "-0", "1": "\u0661", "10": "1_0", "0.5": "\u0660.\u0665", "0.25": "0.2_5",
+              "0.0": "-0.0", "1.0": "1e0"}
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+PAIR_ENDINGS = ["\r\n", "\u00a0\n", "\r", "\x0c", "\u2028"]
+PAIR_FAULTS = {
+    "two tokens": ["1", "2"],
+    "four tokens": ["1", "2", "0.5", "0.5"],
+    "bad int": ["1.5", "2", "0.5"],
+    "float id": ["1.0", "2", "0.5"],
+    "bad float": ["1", "2", "x"],
+    "nan": ["1", "2", "nan"],
+    "inf": ["1", "2", "inf"],
+    "above 1": ["1", "2", "1.5"],
+    "negative score": ["1", "2", "-0.25"],
+    "descending": ["2", "1", "0.5"],
+    "self-pair": ["3", "3", "0.5"],
+    "negative id": ["-1", "2", "0.5"],
+    "id past u64": ["1", str(2**64), "0.5"],
+}
+HEADERS = [
+    PAIR_FILE_HEADER + "\n", PAIR_FILE_HEADER + "\r\n", PAIR_FILE_HEADER + " \x0c\n",
+    " " + PAIR_FILE_HEADER + "\n", "\x0b" + PAIR_FILE_HEADER + "\n", "\r" + PAIR_FILE_HEADER + "\n",
+    PAIR_FILE_HEADER + "\r", PAIR_FILE_HEADER + " x\n", "# matchgraph pairs v2\n", "",
+]
+
+
+def pair_rows(rng, count):
+    """Valid rows as token lists, some ids and scores spelled otherwise."""
+    rows = []
+    for _ in range(count):
+        a, b = sorted(PAIR_IDS[k] for k in rng.choice(len(PAIR_IDS), size=2, replace=False))
+        score = ["0.5", "0.25", "0.0", "1.0", repr(float(rng.random()))][int(rng.integers(5))]
+        rows.append([PAIR_FORMS.get(t, t) if rng.random() < 0.2 else t
+                     for t in (str(a), str(b), score)])
+    return rows
+
+
+def pair_text(rng, rows, header=PAIR_FILE_HEADER + "\n"):
+    """The header and rows with mixed separators and endings, among blank lines."""
+    parts = [header]
+    for row in rows:
+        if rng.random() < 0.2:
+            parts.append(["", " ", "\u00a0"][int(rng.integers(3))] + "\n")
+        r = rng.random()
+        sep = " " if r < 0.7 else "\t" if r < 0.98 else LINE_BREAKS[int(rng.integers(len(LINE_BREAKS)))]
+        end = PAIR_ENDINGS[int(rng.integers(len(PAIR_ENDINGS)))] if rng.random() < 0.2 else "\n"
+        parts.append(sep.join(row) + end)
+    return "".join(parts)
+
+
+def pair_outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except (InvalidRecord, MalformedHeader) as exc:
+        return type(exc).__name__, str(exc), exc.offset
+
+
+class TestReadPairFileMatchesLineParser:
+    def test_valid_texts_give_the_line_parser_pairs(self):
+        rng = np.random.default_rng(201)
+        for _ in range(300):
+            text = pair_text(rng, pair_rows(rng, int(rng.integers(0, 40))))
+            assert pair_outcome(read_pair_file, text) == \
+                pair_outcome(_read_pair_file_by_line, text)
+
+    def test_headers_give_the_line_parser_outcome(self):
+        rng = np.random.default_rng(202)
+        for header in HEADERS:
+            for _ in range(20):
+                text = pair_text(rng, pair_rows(rng, int(rng.integers(0, 10))), header)
+                assert pair_outcome(read_pair_file, text) == \
+                    pair_outcome(_read_pair_file_by_line, text)
+
+    @pytest.mark.parametrize("first", list(PAIR_FAULTS))
+    def test_earliest_fault_wins_with_the_line_parser_error(self, first):
+        rng = np.random.default_rng([203, list(PAIR_FAULTS).index(first)])
+        for second in PAIR_FAULTS:
+            for _ in range(3):
+                rows = pair_rows(rng, int(rng.integers(1, 30)))
+                at = int(rng.integers(0, len(rows) + 1))
+                later = int(rng.integers(at, len(rows) + 1))
+                rows = (rows[:at] + [PAIR_FAULTS[first]] + rows[at:later]
+                        + [PAIR_FAULTS[second]] + rows[later:])
+                text = pair_text(rng, rows)
+                want = pair_outcome(_read_pair_file_by_line, text)
+                assert isinstance(want, tuple)
+                assert pair_outcome(read_pair_file, text) == want
+
+
+class TestPairFileNumpyRoute:
+    def test_written_pairs_are_read_without_the_line_parser(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("line parser called")
+
+        rng = np.random.default_rng(204)
+        ids = rng.integers(0, 2**64, size=100, dtype=np.uint64).tolist()
+        ids += [0, 2**64 - 1, 2**53, 2**53 + 1]
+        scores = [0.0, 1.0, 5e-324, 1 - 2**-53] + rng.random(len(ids) // 2 - 4).tolist()
+        pairs = [(min(a, b), max(a, b), s) for a, b, s in zip(ids[0::2], ids[1::2], scores)]
+        sink = io.StringIO()
+        write_pair_file(pairs, sink)
+        monkeypatch.setattr(retrieval, "_read_pair_file_by_line", refuse)
+        assert repr(read_pair_file(sink.getvalue())) == repr(sorted(pairs))
 
 
 class TestResultValidation:

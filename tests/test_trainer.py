@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matchgraph as mg
-from matchgraph import evaluation, gcn
+from matchgraph import evaluation, gcn, trainer
 from matchgraph.errors import InvalidRecord, NoTrainingData, NonFiniteValue
 from matchgraph.gcn import masked_loss, save_model
 from matchgraph.subgraph import QesParams
@@ -125,10 +125,15 @@ class TestOverlapIdRange:
 
 
 # Ids at the ends of the u64 range, and score spellings that parse to equal
-# floats, so that identical repeats can be written differently.
-ID_POOL = [0, 1, 2, 3, 5, 8, 13, 21, 2**31, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+# floats, so that identical repeats can be written differently. ID_FORMS
+# are spellings that int() accepts and numpy's text reader refuses.
+ID_POOL = [0, 1, 2, 3, 5, 8, 10, 13, 21, 2**31, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+ID_FORMS = {"0": "-0", "1": "\u0661", "10": "1_0"}
 EQUAL_FORMS = {"0.0": "-0.0", "-0.0": "0", "1": "1.0", "1.0": "1e0", "0.5": "5e-1", "0.25": "0.250"}
-ENDINGS = ["\n", "\r\n", "\u00a0\n", "\u00a0\r\n", " \t\n"]
+# Line breaks of str.splitlines; numpy's reader refuses a lone carriage
+# return inside a line and reads the others as spaces.
+INLINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+ENDINGS = ["\n", "\r\n", "\u00a0\n", "\u00a0\r\n", " \t\n", "\r", "\x0c", "\u2028"]
 BLANKS = ["", "   ", "\t", "\u00a0"]
 
 
@@ -142,7 +147,8 @@ def valid_rows(rng, count):
             else repr(float(rng.random()))
             for _ in range(2)
         ]
-        rows.setdefault((min(a, b), max(a, b)), [str(a), str(b), *scores])
+        ids = [ID_FORMS.get(str(v), str(v)) if rng.random() < 0.2 else str(v) for v in (a, b)]
+        rows.setdefault((min(a, b), max(a, b)), [*ids, *scores])
     return list(rows.values())
 
 
@@ -168,7 +174,8 @@ def compose(rng, lines):
     for line in lines:
         if rng.random() < 0.2:
             parts.append(BLANKS[int(rng.integers(len(BLANKS)))] + ENDINGS[int(rng.integers(len(ENDINGS)))])
-        sep = " " if rng.random() < 0.7 else " \t "
+        r = rng.random()
+        sep = " " if r < 0.7 else " \t " if r < 0.99 else INLINE_BREAKS[int(rng.integers(len(INLINE_BREAKS)))]
         parts.append(sep.join(line) + ENDINGS[int(rng.integers(len(ENDINGS)))])
     text = "".join(parts)
     return text.rstrip("\n") if rng.random() < 0.2 else text
@@ -190,6 +197,7 @@ def fault_line(kind, rng, earlier):
         "three tokens": ["1", "2", "0.5"],
         "five tokens": ["1", "2", "0.5", "0.5", "0.5"],
         "bad int": ["1.5", "2", "0.5", "0.5"],
+        "float id": ["1.0", "2", "0.5", "0.5"],
         "bad float": ["1", "2", "0.5", "x"],
         "nan": ["1", "2", "nan", "0.5"],
         "inf": ["1", "2", "0.5", "-inf"],
@@ -204,7 +212,7 @@ def fault_line(kind, rng, earlier):
 
 
 FAULT_KINDS = [
-    "three tokens", "five tokens", "bad int", "bad float", "nan", "inf", "out of range",
+    "three tokens", "five tokens", "bad int", "float id", "bad float", "nan", "inf", "out of range",
     "self-pair", "negative id", "id past u64", "conflict", "self-pair and nan",
     "bad id and self-pair", "parse and self-pair",
 ]
@@ -233,6 +241,21 @@ class TestLoadOverlapsMatchesOracle:
                 want = outcome(parse_overlaps, text)
                 assert isinstance(want, tuple)
                 assert outcome(lambda t: load_overlaps(t).records(), text) == want
+
+
+class TestOverlapNumpyRoute:
+    def test_saved_overlaps_are_read_without_the_line_parser(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("line parser called")
+
+        rng = np.random.default_rng(103)
+        ids = rng.integers(0, 2**64, size=200, dtype=np.uint64).tolist()
+        ids += [0, 2**64 - 1, 2**53, 2**53 + 1]
+        scores = [0.0, 1.0, 5e-324, 1 - 2**-53] + rng.random(len(ids) - 4).tolist()
+        store = OverlapStore.from_columns(ids[0::2], ids[1::2], scores[0::2], scores[1::2])
+        text = save_overlaps(store)
+        monkeypatch.setattr(trainer, "_load_overlaps_by_line", refuse)
+        assert load_overlaps(text) == store
 
 
 class TestLabelPair:
@@ -427,9 +450,31 @@ class TestTrain:
         assert len(lines) == len(history)
         for row, line in zip(history, lines):
             head = (f"epoch {row.epoch}: loss {row.loss:.6f} precision {row.precision:.4f} "
-                    f"recall {row.recall:.4f} fmeasure {row.fmeasure:.4f} seconds ")
+                    f"recall {row.recall:.4f} fmeasure {row.fmeasure:.4f} grad_norm ")
             assert line.startswith(head)
-            assert re.fullmatch(r"\d+\.\d{3}", line[len(head):])
+            assert re.fullmatch(r"\S+ seconds \d+\.\d{3}", line[len(head):])
+
+    def test_epoch_log_line_gives_mean_batch_gradient_norm(self, monkeypatch, caplog):
+        scene = small_scene()
+        cfg = TrainConfig(qes_params=QesParams(4, 2, 3), epochs=3, batch_size=4, seed=2)
+        step = trainer.optimizer_step
+        norms = []
+
+        def recorded(params, grads, *args, **kwargs):
+            norms.append(math.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+            return step(params, grads, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "optimizer_step", recorded)
+        with caplog.at_level(logging.INFO, logger="matchgraph.trainer"):
+            train(scene.embeddings, scene.overlaps, list(range(10)), cfg,
+                  conv_widths=(6, 6, 4, 4), fc_widths=(3,))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
+        steps = len(norms) // cfg.epochs
+        assert steps > 1 and len(norms) == steps * cfg.epochs
+        for epoch, line in enumerate(lines):
+            logged = float(re.search(r" grad_norm (\S+) ", line).group(1))
+            want = np.mean(norms[epoch * steps : (epoch + 1) * steps])
+            assert logged > 0 and logged == pytest.approx(want, rel=1e-5)
 
     def test_history_length_matches_epochs(self):
         scene = small_scene()
