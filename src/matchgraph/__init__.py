@@ -11,10 +11,11 @@ __version__ = "0.1.0"
 from .embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 from .gcn import GcnModel, aggregation_matrix, init_model, load_model, model_forward, save_model
 from .knn import Index, build_index, query_knn
+from .overlaps import OverlapRecord, OverlapStore, label_pair
 from .retrieval import RetrievalResult, export_pairs, gcn_retrieve, threshold_retrieve, topk_retrieve
 from .subgraph import Qes, QesParams, build_qes
 from .synthetic import SceneConfig, generate_scene
-from .trainer import OverlapRecord, OverlapStore, TrainConfig, label_pair, train
+from .trainer import TrainConfig, train
 
 __all__ = [
     "EmbeddingMatrix",

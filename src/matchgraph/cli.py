@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from . import evaluation, retrieval, synthetic, trainer
+from . import evaluation, overlaps, retrieval, synthetic, trainer
 from .embeddings import load_embeddings, save_embeddings
 from .errors import InvalidRecord, MatchgraphError, ParseError
 from .gcn import load_model, save_model
@@ -145,7 +145,7 @@ def cmd_synth(args, cfg) -> int:
     scene = synthetic.generate_scene(synthetic.SceneConfig(**{"n_images": 360, **settings}))
     with open(args.embeddings, "wb") as fp:
         fp.write(save_embeddings(scene.embeddings))
-    _write_text(args.overlaps, trainer.save_overlaps(scene.overlaps))
+    _write_text(args.overlaps, overlaps.save_overlaps(scene.overlaps))
     if args.classes:
         _write_text(args.classes, synthetic.save_classes(scene.classes))
     return EXIT_OK
@@ -175,7 +175,7 @@ def cmd_index(args, cfg) -> int:
 def cmd_train(args, cfg) -> int:
     emb = _load_embeddings_file(args.embeddings)
     with open(args.overlaps, "r", encoding="utf-8") as fp:
-        records = trainer.load_overlaps(fp.read())
+        records = overlaps.load_overlaps(fp.read())
     queries = _read_queries(args.queries) if args.queries else sorted(emb.ids)
     config = trainer.TrainConfig(
         qes_params=_qes_params(args, cfg),
@@ -251,7 +251,7 @@ def _load_truth(args, cfg) -> evaluation.GroundTruth:
         return evaluation.GroundTruth.from_pairs([(a, b) for a, b, _ in pairs])
     if args.overlaps:
         with open(args.overlaps, "r", encoding="utf-8") as fp:
-            store = trainer.load_overlaps(fp.read())
+            store = overlaps.load_overlaps(fp.read())
         return evaluation.GroundTruth.from_columns(
             *store.columns(), **_given(args, cfg, tau_mo=float, tau_ct=float))
     raise InvalidRecord("ground truth requires --truth-pairs or --overlaps")

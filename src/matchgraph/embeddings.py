@@ -70,8 +70,8 @@ class EmbeddingMatrix:
                 f"{len(ids)} ids for {vectors.shape[0]} rows"
             )
         ids = tuple(int(i) for i in ids)
-        if any(i < 0 for i in ids):
-            raise InvalidRecord("image ids must be non-negative")
+        if not all(0 <= i < ID_END for i in ids):
+            raise InvalidRecord("image ids must lie in [0, 2^64)")
         if len(set(ids)) != len(ids):
             raise DuplicateId("image ids must be unique")
         if not np.all(np.isfinite(vectors)):
@@ -189,8 +189,8 @@ def _load_text(data: bytes) -> EmbeddingMatrix:
                 image_id = int(tokens[0])
             except ValueError:
                 raise InvalidRecord(f"bad image id {tokens[0]!r}", offset=offset)
-            if image_id < 0:
-                raise InvalidRecord(f"negative image id {image_id}", offset=offset)
+            if not 0 <= image_id < ID_END:
+                raise InvalidRecord(f"image id {image_id} outside [0, 2^64)", offset=offset)
             if image_id in seen:
                 raise DuplicateId(f"image id {image_id} repeated", offset=offset)
             seen.add(image_id)

@@ -6,51 +6,55 @@ is macro (per-query means), so the mean F-measure can legitimately fall
 below both the mean precision and the mean recall.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# Labeling thresholds of the balanced operating point.
-TAU_MO = 0.25
-TAU_CT = 0.15
+from .embeddings import ID_END
+from .errors import InvalidRecord
+from .overlaps import TAU_CT, TAU_MO, label_pair
 
 
-def label_pair(record, tau_mo: float, tau_ct: float):
-    """Matchable when either score reaches its threshold (inclusive). Takes
-    one record, or columns of scores as arrays and gives a boolean array."""
-    return (record.mo >= tau_mo) | (record.ct >= tau_ct)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroundTruth:
-    """Symmetric matchable-pair relation over a known id universe."""
+    """Symmetric matchable-pair relation over a known id universe.
+
+    Built in bulk from the pairs `(a[k], b[k])` of two u64 columns, which
+    from_pairs, from_records and from_columns make; the universe gains
+    every id of a pair. Each id's partners are indexed for relevant().
+    """
 
     matchable: frozenset[tuple[int, int]]
     universe: frozenset[int]
 
-    def __post_init__(self):
-        partners: defaultdict[int, list[int]] = defaultdict(list)
-        for a, b in self.matchable:
-            if a == b:
-                raise ValueError(f"self-pair ({a}, {a}) in ground truth")
-            if a > b:
-                raise ValueError("ground-truth pairs must be stored as (min, max)")
-            partners[a].append(b)
-            partners[b].append(a)
+    def __init__(self, a: np.ndarray, b: np.ndarray, universe: Iterable[int] = ()):
+        if np.any(a == b):
+            v = int(a[np.argmax(a == b)])
+            raise ValueError(f"self-pair ({v}, {v}) in ground truth")
+        # Each pair under both of its ids, grouped by id. A repeated pair
+        # repeats a partner, which relevant() folds into its set.
+        ends, others = np.concatenate([a, b]), np.concatenate([b, a])
+        order = np.argsort(ends)
+        ids, starts = np.unique(ends[order], return_index=True)
+        ids, others = ids.tolist(), others[order].tolist()
+        bounds = starts.tolist() + [len(others)]
+        object.__setattr__(self, "matchable", frozenset(
+            zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())))
+        object.__setattr__(self, "universe", frozenset(universe).union(ids))
         # Tuples take a fraction of a set's memory; relevant() builds the set.
-        object.__setattr__(self, "_partners", {v: tuple(p) for v, p in partners.items()})
+        object.__setattr__(self, "_partners",
+                           {v: tuple(others[s:e]) for v, s, e in zip(ids, bounds, bounds[1:])})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], universe: Iterable[int] = ()):
-        canonical = frozenset((min(a, b), max(a, b)) for a, b in pairs)
-        ids = set(universe)
-        for a, b in canonical:
-            ids.add(a)
-            ids.add(b)
-        return cls(matchable=canonical, universe=frozenset(ids))
+        pairs = [(int(a), int(b)) for a, b in pairs]
+        for v in (v for pair in pairs for v in pair):
+            if not 0 <= v < ID_END:
+                raise InvalidRecord(f"pair id {v} outside [0, 2^64)")
+        columns = np.array(pairs, dtype=np.uint64).reshape(-1, 2)
+        return cls(columns[:, 0], columns[:, 1], universe)
 
     @classmethod
     def from_records(cls, records, tau_mo: float = TAU_MO, tau_ct: float = TAU_CT,
@@ -70,27 +74,9 @@ class GroundTruth:
     def from_columns(cls, i, j, mo, ct, tau_mo: float = TAU_MO, tau_ct: float = TAU_CT,
                      universe: Iterable[int] = ()):
         """Threshold overlap columns (u64 ids, float64 scores) into the
-        matchable relation, with the partner index built in bulk."""
+        matchable relation."""
         keep = label_pair(SimpleNamespace(mo=mo, ct=ct), tau_mo, tau_ct)
-        a, b = i[keep], j[keep]
-        if np.any(a == b):
-            v = int(a[np.argmax(a == b)])
-            raise ValueError(f"self-pair ({v}, {v}) in ground truth")
-        # Each pair under both of its ids, grouped by id. A repeated pair
-        # repeats a partner, which relevant() folds into its set.
-        ends, others = np.concatenate([a, b]), np.concatenate([b, a])
-        order = np.argsort(ends)
-        ids, starts = np.unique(ends[order], return_index=True)
-        ids, others = ids.tolist(), others[order].tolist()
-        bounds = starts.tolist() + [len(others)]
-        truth = cls.__new__(cls)  # checked above; __post_init__ would index again
-        for name, value in (
-            ("matchable", frozenset(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))),
-            ("universe", frozenset(universe).union(ids)),
-            ("_partners", {v: tuple(others[s:e]) for v, s, e in zip(ids, bounds, bounds[1:])}),
-        ):
-            object.__setattr__(truth, name, value)
-        return truth
+        return cls(i[keep], j[keep], universe)
 
     def relevant(self, query_id: int) -> set[int]:
         """A fresh set of the query's matchable partners."""
@@ -161,7 +147,6 @@ def view_graph_stats(
         q = result.query_id
         for v, _ in result.retrieved:
             pairs.add((min(q, v), max(q, v)))
-    tp = sum(1 for a, b in pairs if truth.contains(a, b))
     false_pairs = [(a, b) for a, b in pairs if not truth.contains(a, b)]
     cross = None
     if symmetry_classes is not None:
@@ -170,7 +155,7 @@ def view_graph_stats(
             if symmetry_classes[a] != symmetry_classes[b]
         )
     return ViewGraphStats(
-        true_positive_pairs=tp,
+        true_positive_pairs=len(pairs) - len(false_pairs),
         false_positive_pairs=len(false_pairs),
         cross_class_false_positives=cross,
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix
 from .errors import InvalidRecord
-from .trainer import OverlapStore
+from .overlaps import OverlapStore
 
 
 @dataclass(frozen=True)

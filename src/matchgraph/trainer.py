@@ -1,7 +1,7 @@
 """Supervision labeling and seeded training of the subgraph classifier.
 
-Matchability labels come from thresholding mesh-overlap / common-track
-scores; a pair with no observed overlap record is non-matchable. Training
+Each subgraph node is labeled against its query by `overlaps.label_pair`;
+a pair with no observed overlap record is non-matchable. Training
 iterates epochs over shuffled queries, takes each batch's mean gradient in
 one float32 pass over its subgraphs stacked row-wise, and applies one
 adaptive-moment update per batch to float64 parameters. Given a seed the
@@ -12,280 +12,23 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import evaluation
-from .embeddings import ID_END, EmbeddingMatrix, read_rows
-from .errors import DimensionError, InvalidRecord, NoTrainingData, NonFiniteValue, ParseError
-from .evaluation import label_pair
+from .embeddings import EmbeddingMatrix
+from .errors import DimensionError, NoTrainingData
 from .gcn import (
     CONV_WIDTHS, FC_WIDTHS, PROB_THRESHOLD, GcnModel, ModelGradients, backward, init_model,
 )
 from .knn import build_index
+from .overlaps import TAU_CT, TAU_MO, OverlapStore, label_pair
+# Re-exported: the benchmark calls and traces these two under trainer's name.
+from .overlaps import load_overlaps, save_overlaps  # noqa: F401
 from .subgraph import Qes, QesParams, build_qes
 
 log = logging.getLogger(__name__)
-
-
-def _record_fault(i: int, j: int, mo: float, ct: float) -> ParseError | None:
-    """The error that rejects one overlap record, or None if it is valid."""
-    for v in (i, j):
-        if not 0 <= v < ID_END:
-            return InvalidRecord(f"overlap id {v} outside [0, 2^64)")
-    if i == j:
-        return InvalidRecord("overlap record needs two distinct images")
-    for name, score in (("mo", mo), ("ct", ct)):
-        if not math.isfinite(score):
-            return NonFiniteValue(f"{name} score must be finite")
-        if not 0.0 <= score <= 1.0:
-            return InvalidRecord(f"{name} score {score} outside [0, 1]")
-    return None
-
-
-class _Fields(NamedTuple):
-    i: int
-    j: int
-    mo: float
-    ct: float
-
-
-class OverlapRecord(_Fields):
-    """Mesh-overlap and common-track scores for one unordered image pair.
-
-    The constructor checks the record; `_make` builds one from values
-    already checked, as `OverlapStore.records` does."""
-
-    __slots__ = ()
-
-    def __new__(cls, i, j, mo, ct):
-        i, j, mo, ct = int(i), int(j), float(mo), float(ct)
-        fault = _record_fault(i, j, mo, ct)
-        if fault is not None:
-            raise fault
-        return super().__new__(cls, i, j, mo, ct)
-
-
-class Partners(NamedTuple):
-    """The overlap rows of one image: partner ids and their scores."""
-
-    ids: np.ndarray
-    mo: np.ndarray
-    ct: np.ndarray
-
-
-def _check(i: np.ndarray, j: np.ndarray, mo: np.ndarray, ct: np.ndarray):
-    """Check rows of overlap columns in bulk and bring them into store order.
-
-    Returns the store's columns, sorted by pair with i < j and each
-    identical repeat kept once, and the first faulty row with its error, or
-    None. A row is faulty when OverlapRecord would reject it, or when it
-    repeats an earlier row's pair with other scores; at equal rows the
-    record's own fault comes first.
-    """
-    n = len(i)
-    bad = np.flatnonzero((i == j) | ~((mo >= 0.0) & (mo <= 1.0)) | ~((ct >= 0.0) & (ct <= 1.0)))
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    order = np.lexsort((hi, lo))  # stable: repeats keep their row order
-    lo, hi, smo, sct = lo[order], hi[order], mo[order], ct[order]
-    repeat = np.zeros(n, dtype=bool)
-    repeat[1:] = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-    # Scores are compared with the repeat before, not the first of the pair:
-    # up to the first change they are equal, so the first conflict is the same.
-    differs = np.zeros(n, dtype=bool)
-    differs[1:] = (smo[1:] != smo[:-1]) | (sct[1:] != sct[:-1])
-    conflicts = np.flatnonzero(repeat & differs)
-    fault = None
-    if bad.size:
-        r = int(bad[0])
-        fault = (r, _record_fault(int(i[r]), int(j[r]), float(mo[r]), float(ct[r])))
-    if conflicts.size:
-        s = int(conflicts[np.argmin(order[conflicts])])
-        r = int(order[s])
-        if fault is None or r < fault[0]:
-            fault = (r, InvalidRecord(
-                f"conflicting overlap scores for pair {(int(lo[s]), int(hi[s]))}: "
-                f"{(float(smo[s - 1]), float(sct[s - 1]))} vs {(float(smo[s]), float(sct[s]))}"
-            ))
-    keep = np.ones(n, dtype=bool)
-    keep[:-1] = ~repeat[1:]  # the last of identical repeats, as a later add replaced
-    return (lo[keep], hi[keep], smo[keep], sct[keep]), fault
-
-
-def _columns(i, j, mo, ct) -> tuple[np.ndarray, ...]:
-    return (
-        np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64),
-        np.asarray(mo, dtype=np.float64), np.asarray(ct, dtype=np.float64),
-    )
-
-
-def _equal_range(values: np.ndarray, key: int) -> tuple[int, int]:
-    """Bounds of the run of `key` in sorted u64 `values`. The key is made a
-    u64 first: a Python int would make numpy compare in float64, after
-    converting all of `values`."""
-    key = np.uint64(key)
-    return int(np.searchsorted(values, key, "left")), int(np.searchsorted(values, key, "right"))
-
-
-class OverlapStore:
-    """Overlap records keyed by unordered pair, held as four columns sorted
-    by pair with i < j. Every way in checks its rows once, in bulk: each
-    must be a valid OverlapRecord, and a pair may repeat only with
-    identical scores."""
-
-    def __init__(self, records: Iterable[OverlapRecord] = ()):
-        records = list(records)
-        self._adopt(*self._checked(*(
-            [r.i for r in records], [r.j for r in records],
-            [r.mo for r in records], [r.ct for r in records],
-        )))
-
-    @classmethod
-    def from_columns(cls, i, j, mo, ct) -> "OverlapStore":
-        """A store of the rows of four equal-length columns; ids must lie
-        in [0, 2^64)."""
-        store = cls.__new__(cls)
-        store._adopt(*cls._checked(i, j, mo, ct))
-        return store
-
-    @staticmethod
-    def _checked(i, j, mo, ct) -> tuple[np.ndarray, ...]:
-        columns, fault = _check(*_columns(i, j, mo, ct))
-        if fault is not None:
-            raise fault[1]
-        return columns
-
-    def _adopt(self, i, j, mo, ct) -> None:
-        """Take columns in store order, as `_check` returns them."""
-        for column in (i, j, mo, ct):
-            column.setflags(write=False)
-        self._i, self._j, self._mo, self._ct = i, j, mo, ct
-        self._by_j = np.argsort(j, kind="stable")
-        self._j_sorted = j[self._by_j]
-
-    def get(self, i: int, j: int) -> OverlapRecord | None:
-        lo, hi = min(i, j), max(i, j)
-        if not 0 <= lo < hi < ID_END:
-            return None
-        start, stop = _equal_range(self._i, lo)
-        k = start + _equal_range(self._j[start:stop], hi)[0]
-        if k == stop or int(self._j[k]) != hi:
-            return None
-        return OverlapRecord._make((int(i), int(j), float(self._mo[k]), float(self._ct[k])))
-
-    def partners(self, image: int) -> Partners:
-        """Every row that holds `image`, from one binary search per side."""
-        start, stop = _equal_range(self._i, image)
-        left, right = _equal_range(self._j_sorted, image)
-        rows = np.concatenate([np.arange(start, stop), self._by_j[left:right]])
-        ids = np.concatenate([self._j[start:stop], self._i[self._by_j[left:right]]])
-        return Partners(ids, self._mo[rows], self._ct[rows])
-
-    def _rows(self) -> Iterable[tuple[int, int, float, float]]:
-        """`(i, j, mo, ct)` tuples of Python numbers, in store order."""
-        return zip(self._i.tolist(), self._j.tolist(), self._mo.tolist(), self._ct.tolist())
-
-    def records(self) -> list[OverlapRecord]:
-        return list(map(OverlapRecord._make, self._rows()))
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """The read-only `(i, j, mo, ct)` columns in store order."""
-        return self._i, self._j, self._mo, self._ct
-
-    def __len__(self) -> int:
-        return len(self._i)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OverlapStore):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, c), getattr(other, c))
-                   for c in ("_i", "_j", "_mo", "_ct"))
-
-
-def _parse(tokens: list[str]) -> tuple[list, list, list, list]:
-    """Columns of the rows of four tokens; raises ValueError as int() and
-    float() do."""
-    return (
-        list(map(int, tokens[0::4])), list(map(int, tokens[1::4])),
-        list(map(float, tokens[2::4])), list(map(float, tokens[3::4])),
-    )
-
-
-def _parses(row: list[str]) -> bool:
-    try:
-        _parse(row)
-    except ValueError:
-        return False
-    return True
-
-
-_OVERLAP_ROW = np.dtype([("i", "u8"), ("j", "u8"), ("mo", "f8"), ("ct", "f8")])
-
-
-def load_overlaps(text: str) -> OverlapStore:
-    """Parse `i j mo ct` lines into a store.
-
-    numpy's text reader parses the whole text at once; text that it
-    refuses, or whose rows fail the store's check, goes to the line parser,
-    which accepts the same texts and reports the earliest fault.
-    """
-    rows = read_rows(text, _OVERLAP_ROW)
-    if rows is not None:
-        columns, fault = _check(rows["i"], rows["j"], rows["mo"], rows["ct"])
-        if fault is None:
-            return _store(columns)
-    return _load_overlaps_by_line(text)
-
-
-def _store(columns: tuple[np.ndarray, ...]) -> OverlapStore:
-    store = OverlapStore.__new__(OverlapStore)
-    store._adopt(*columns)
-    return store
-
-
-def _load_overlaps_by_line(text: str) -> OverlapStore:
-    """Parse `i j mo ct` lines into a store, a column at a time.
-
-    The earliest faulty line is reported, with its byte offset, whether it
-    fails to parse or fails the store's check. Each stage below looks only
-    at the rows before the earliest fault found so far, so the fault left
-    at the end is on the earliest line and is that line's first.
-    """
-    lines = text.splitlines(keepends=True)
-    counts = list(map(len, map(str.split, lines)))
-    sizes = [c for c in counts if c]  # tokens of each non-blank line, a row
-    tokens = text.split()  # line ends are whitespace too: the rows' tokens in order
-    n, fault = len(sizes), None
-
-    def line(row: int) -> int:
-        return [k for k, c in enumerate(counts) if c][row]
-
-    if sizes.count(4) != n:
-        n = next(r for r, c in enumerate(sizes) if c != 4)
-        fault = (n, InvalidRecord(
-            f"overlap line needs `i j mo ct`, got {lines[line(n)].strip()!r}"))
-    try:
-        i, j, mo, ct = _parse(tokens[: 4 * n])
-    except ValueError:
-        n = next(r for r in range(n) if not _parses(tokens[4 * r : 4 * r + 4]))
-        fault = (n, InvalidRecord(f"bad overlap line {lines[line(n)].strip()!r}"))
-        i, j, mo, ct = _parse(tokens[: 4 * n])
-    if i and (min(i) < 0 or min(j) < 0 or max(i) >= ID_END or max(j) >= ID_END):
-        n = next(r for r in range(n) if not (0 <= i[r] < ID_END and 0 <= j[r] < ID_END))
-        fault = (n, _record_fault(i[n], j[n], mo[n], ct[n]))
-        i, j, mo, ct = i[:n], j[:n], mo[:n], ct[:n]
-    columns, checked = _check(*_columns(i, j, mo, ct))
-    fault = checked or fault
-    if fault is not None:
-        row, exc = fault
-        offset = len("".join(lines[: line(row)]).encode("utf-8"))
-        raise type(exc)(str(exc), offset=offset)
-    return _store(columns)
-
-
-def save_overlaps(store: OverlapStore) -> str:
-    return "".join([f"{i} {j} {mo!r} {ct!r}\n" for i, j, mo, ct in store._rows()])
 
 
 @dataclass(frozen=True)
@@ -297,8 +40,8 @@ class TrainConfig:
     artifact configuration with no canonical values.
     """
 
-    tau_mo: float = evaluation.TAU_MO
-    tau_ct: float = evaluation.TAU_CT
+    tau_mo: float = TAU_MO
+    tau_ct: float = TAU_CT
     qes_params: QesParams = field(default_factory=QesParams)
     learning_rate: float = 1e-3
     epochs: int = 50

@@ -3,12 +3,12 @@
 Each line's record is checked by the `OverlapRecord` constructor and added
 to a dict keyed by unordered pair: a repeat with identical scores replaces
 the stored record, a repeat with other scores is a conflict. The first
-faulty line raises, with its byte offset. `trainer.load_overlaps` must give
+faulty line raises, with its byte offset. `overlaps.load_overlaps` must give
 the same records and the same errors.
 """
 
 from matchgraph.errors import InvalidRecord, NonFiniteValue
-from matchgraph.trainer import OverlapRecord
+from matchgraph.overlaps import OverlapRecord
 
 
 def add(pairs: dict, record: OverlapRecord) -> None:

@@ -25,18 +25,13 @@ from matchgraph.gcn import (
     model_forward,
     save_model,
 )
+from matchgraph.overlaps import OverlapRecord, OverlapStore, load_overlaps, save_overlaps
 from matchgraph.retrieval import (
     read_pair_file,
     write_pair_file,
 )
 from matchgraph.subgraph import Qes, QesParams
-from matchgraph.trainer import (
-    OverlapRecord,
-    OverlapStore,
-    TrainConfig,
-    load_overlaps,
-    save_overlaps,
-)
+from matchgraph.trainer import TrainConfig
 
 from gcn_oracle import finite_difference_gradients, max_relative_error
 from qes_oracle import edges_of_qes, oracle_build

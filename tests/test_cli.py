@@ -13,9 +13,10 @@ import matchgraph as mg
 from matchgraph import cli
 from matchgraph.cli import build_parser, main
 from matchgraph.evaluation import GroundTruth, macro_average, per_query_prf
+from matchgraph.overlaps import load_overlaps, save_overlaps
 from matchgraph.retrieval import read_pair_file, pairs_to_query_sets
 from matchgraph.synthetic import SceneConfig, generate_scene
-from matchgraph.trainer import TrainConfig, load_overlaps, save_overlaps
+from matchgraph.trainer import TrainConfig
 
 from retrieval_oracle import brute_force_knn
 
@@ -437,6 +438,12 @@ class TestExitCodes:
         bad = tmp_path / "bad.emb"
         bad.write_bytes(b"MGEB" + b"\x00" * 3)
         assert run("index", "--embeddings", bad) == 3
+
+    def test_embedding_id_outside_u64_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.emb"
+        bad.write_text(f"0 1.0 0.5\n{2**64} 0.5 1.0\n")
+        assert run("index", "--embeddings", bad) == 3
+        assert f"image id {2**64} outside [0, 2^64) (byte offset 10)" in capsys.readouterr().err
 
     def test_compute_error(self, scene_files, tmp_path):
         # model trained for 16-d descriptors cannot classify an 8-d scene

@@ -124,6 +124,12 @@ class TestEmbeddingMatrix:
         with pytest.raises(NonFiniteValue):
             EmbeddingMatrix([1, 2], [[1.0], [float("inf")]])
 
+    @pytest.mark.parametrize("bad_id", [-1, 2**64])
+    def test_id_outside_u64_rejected(self, bad_id):
+        with pytest.raises(InvalidRecord):
+            EmbeddingMatrix([0, bad_id], [[1.0], [2.0]])
+        assert EmbeddingMatrix([2**64 - 1], [[1.0]]).ids == (2**64 - 1,)
+
     def test_vectors_read_only(self):
         emb = EmbeddingMatrix([1], [[1.0, 2.0]])
         with pytest.raises(ValueError):
@@ -214,6 +220,13 @@ class TestTextFormat:
     def test_negative_id(self):
         with pytest.raises(InvalidRecord):
             load_embeddings(b"-2 1.0\n")
+
+    @pytest.mark.parametrize("bad_id", [-2, 2**64])
+    def test_id_outside_u64_names_offset(self, bad_id):
+        with pytest.raises(InvalidRecord) as err:
+            load_embeddings(f"1 1.0\n{bad_id} 2.0\n".encode())
+        assert err.value.offset == 6
+        assert f"image id {bad_id} outside [0, 2^64)" in str(err.value)
 
     def test_empty(self):
         with pytest.raises(InvalidRecord):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matchgraph as mg
+from matchgraph.errors import InvalidRecord
 from matchgraph.evaluation import (
     GroundTruth,
     macro_average,
@@ -158,6 +159,13 @@ class TestGroundTruth:
             assert truth == want
             for q in scene.embeddings.ids:
                 assert truth.relevant(q) == want.relevant(q)
+
+    @pytest.mark.parametrize("bad_id", [-1, 2**64])
+    def test_from_pairs_rejects_ids_outside_u64(self, bad_id):
+        with pytest.raises(InvalidRecord, match=f"pair id {bad_id} outside"):
+            GroundTruth.from_pairs([(0, 1), (2, bad_id)])
+        top = GroundTruth.from_pairs([(2**64 - 1, 0)])
+        assert top.contains(0, 2**64 - 1) and top.relevant(0) == {2**64 - 1}
 
     def test_relevant_set(self):
         truth = GroundTruth.from_pairs([(1, 2), (2, 5), (3, 4)])

@@ -6,8 +6,8 @@ import pytest
 import matchgraph as mg
 from matchgraph.embeddings import save_embeddings
 from matchgraph.evaluation import GroundTruth, macro_average, per_query_prf
+from matchgraph.overlaps import OverlapRecord, save_overlaps
 from matchgraph.synthetic import SceneConfig, generate_scene, load_classes, save_classes
-from matchgraph.trainer import OverlapRecord, save_overlaps
 
 from overlap_oracle import add
 from retrieval_oracle import distance
