@@ -216,6 +216,7 @@ def cmd_infer(args, cfg) -> int:
     if log.isEnabledFor(logging.INFO):
         log.info("retrieved %d pairs for %d queries",
                  len(retrieval.collapse_pairs(results)), len(queries))
+        log.info("knn table: %s", index.counts())
     _write_results(args, results)
     return EXIT_OK
 
@@ -258,12 +259,17 @@ def _load_truth(args, cfg) -> evaluation.GroundTruth:
 
 
 def cmd_eval(args, cfg) -> int:
+    if args.queries and args.embeddings:
+        sys.stderr.write("matchgraph: error: give at most one of --queries / --embeddings\n")
+        return EXIT_USAGE
     with open(args.pairs, "r", encoding="utf-8") as fp:
         predicted_pairs = retrieval.read_pair_file(fp.read())
     truth = _load_truth(args, cfg)
     predicted = retrieval.pairs_to_query_sets(predicted_pairs)
     if args.queries:
         queries = _read_queries(args.queries)
+    elif args.embeddings:
+        queries = sorted(_load_embeddings_file(args.embeddings).ids)
     else:
         queries = sorted(set(predicted) | set(truth.universe))
     per_query = {
@@ -380,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-mo", dest="tau_mo", type=float, default=None)
     p.add_argument("--tau-ct", dest="tau_ct", type=float, default=None)
     p.add_argument("--queries", default=None)
+    p.add_argument("--embeddings", default=None,
+                   help="score every image of this embedding file as a query")
     p.add_argument("--report-out", dest="report_out", default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -95,12 +95,17 @@ def per_query_prf(predicted: set, relevant: set) -> tuple[float, float, float]:
     """
     predicted = set(predicted)
     relevant = set(relevant)
-    hits = len(predicted & relevant)
+    return prf_counts(len(predicted & relevant), len(predicted), len(relevant))
+
+
+def prf_counts(hits: int, predicted: int, relevant: int) -> tuple[float, float, float]:
+    """`per_query_prf` from the sizes of the hit, predicted and relevant
+    sets, with the same empty-set conventions."""
     if predicted:
-        precision = hits / len(predicted)
+        precision = hits / predicted
     else:
         precision = 1.0 if not relevant else 0.0
-    recall = hits / len(relevant) if relevant else 1.0
+    recall = hits / relevant if relevant else 1.0
     fmeasure = (
         2.0 * precision * recall / (precision + recall)
         if precision + recall > 0

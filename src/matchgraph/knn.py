@@ -1,16 +1,19 @@
 """Exact k-nearest-neighbor queries under the normalized-descriptor metric.
 
 Each `Index` keeps one exact neighbor table: the nearest rows of every row
-it was asked about, ranked by distance with ties broken by id. Rows are
-ranked on first use, a block of rows at a time: one matrix product gives
-approximate squared distances from the block to every row, which only
-picks candidates; the candidates are then ranked by the same difference
-formula that `Index.distances` uses, keeping a margin proven wide enough
-that the result equals a full sort by (distance, id). Later requests for a
-row, at any k up to the table width, are array slices. Memory is O(N·w)
-for the widest k asked so far, w <= N-1, plus O(block·N) scratch while a
-block is ranked. Approximate search is deliberately out of scope because
-subgraph topology is the classifier's input signal.
+it was asked about, ranked by distance with ties broken by id. A row is
+ranked when it is first asked for, or again when asked wider than it was
+ranked, and only as wide as asked (at least `_MIN_WIDTH`). Several rows
+are ranked a block at a time: one matrix product gives approximate squared
+distances from the block to every row, which only picks candidates; the
+candidates are then ranked by the same difference formula that
+`Index.distances` uses, keeping a margin proven wide enough that the
+result equals a full sort by (distance, id). A single row takes the same
+steps with a matrix-vector product. Requests a row's ranking covers are
+array slices. Memory is O(N·w) for the widest k asked so far, w <= N-1,
+plus O(block·N) scratch while a block is ranked. Approximate search is
+deliberately out of scope because subgraph topology is the classifier's
+input signal.
 """
 
 import threading
@@ -21,7 +24,21 @@ import numpy as np
 from .embeddings import EmbeddingMatrix
 from .errors import DegenerateVector
 
-# A fill block has about this many (row, column) entries: it ranks
+# Rows are ranked at least this wide (capped at N-1). It covers the
+# subgraph's k2 = 5 and u = 10, so a node row asked at both is ranked once.
+_MIN_WIDTH = 16
+
+# While more than one ranking in this many re-ranked a row, rows are ranked
+# at the table's capacity instead: the caller keeps asking wide for rows it
+# asked narrow before. Building the subgraph of every query of a 360-image
+# ring (each row is asked at k1 after it was ranked for its neighbors)
+# re-ranks one row in two under the floor alone; with this rule it
+# re-ranks 267 of 627 and took about a tenth less time. The 48 queries of
+# a 2000-image ring re-rank 1.6% and the 96 of a 720-image ring 12%, below
+# the share, so they keep the floor.
+_RERANK_SHARE = 8
+
+# A block has about this many (row, column) entries: it ranks
 # max(1, _BLOCK_ENTRIES // N) rows, and its exact pass takes the candidates
 # in chunks of as many entries, so no scratch array exceeds 512 KiB. Blocks
 # four times larger filled rows 4% faster at N=2000, but whole 360-image
@@ -47,13 +64,14 @@ class NeighborList:
         return len(self.neighbors)
 
 
-def _difference_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _difference_distances(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Row-wise Euclidean distances between `a` and `b` (broadcast), by
-    subtracting first. The table and `Index.distances` both call this, so
-    their distances are bit-equal."""
-    diff = a - b
+    subtracting first, in `out` if given (it may be `a`). The table and
+    `Index.distances` both call this, so their distances are bit-equal."""
+    diff = np.subtract(a, b, out=out)
     diff *= diff
-    return np.sqrt(np.sum(diff, axis=1))
+    dist = np.add.reduce(diff, axis=1)
+    return np.sqrt(dist, out=dist)
 
 
 def _candidate_margin(dim: int) -> float:
@@ -82,29 +100,51 @@ def _candidate_margin(dim: int) -> float:
 
 
 class _Table:
-    """Row positions and distances of each row's `width` nearest rows;
-    `filled[r]` marks the rows ranked so far."""
+    """Row positions and distances of each row's nearest rows. Row r holds
+    its `width[r]` nearest rows in its first columns (0: not ranked yet) of
+    the table's `capacity`. A wider table keeps the rows of `old`."""
 
-    def __init__(self, n: int, width: int):
-        self.width = width
-        self.pos = np.empty((n, width), dtype=np.intp)
-        self.dist = np.empty((n, width), dtype=np.float64)
-        self.filled = np.zeros(n, dtype=bool)
+    def __init__(self, n: int, capacity: int, old: "_Table | None" = None):
+        self.capacity = capacity
+        self.pos = np.empty((n, capacity), dtype=np.intp)
+        self.dist = np.empty((n, capacity), dtype=np.float64)
+        self.width = np.zeros(n, dtype=np.intp)
+        if old is not None:
+            self.pos[:, :old.capacity] = old.pos
+            self.dist[:, :old.capacity] = old.dist
+            self.width[:] = old.width
+
+
+@dataclass(frozen=True)
+class TableCounts:
+    """Work done by an index's neighbor table: rows ranked, the rankings of
+    rows that had been ranked before (narrower), and rows read."""
+
+    rankings: int
+    reranks: int
+    rows_read: int
+
+    def __str__(self) -> str:
+        return f"rankings {self.rankings} reranks {self.reranks} rows_read {self.rows_read}"
 
 
 class Index:
     """Searchable view over an EmbeddingMatrix.
 
     Holds unit-normalized rows and their squared norms, the image id of
-    each row in `ids`, and the neighbor table. `table` fills the rows it
-    is asked about that are not filled yet, in blocks of max(1, 2^16 // N)
-    rows: a GEMM pass over the block gives approximate squared distances,
+    each row in `ids`, and the neighbor table. `table` ranks each row it is
+    asked about whose ranking is missing or narrower than k, at k but at
+    least `_MIN_WIDTH` (see `_RERANK_SHARE` for when it ranks wider): one
+    row by a matrix-vector pass, several in blocks of max(1, 2^16 // N)
+    rows by a GEMM pass. The pass gives approximate squared distances;
     every column within `_candidate_margin` of a row's w-th smallest
     approximate value is a candidate, and the candidates are ranked by
-    (distance, id) with the difference formula of `distances`. The table
-    only caches exact answers, so it never changes results. Asking for a
-    wider k than the table holds swaps in a wider, empty table under a
-    lock; threads may share an index.
+    (distance, id) with the difference formula of `distances`.
+    The table only caches exact answers, so it never changes results. A
+    ranking wider than the table's capacity swaps in a wider copy of the
+    table. Rows are written under a lock, positions and distances before
+    the width that claims them, and a row's width never falls, so threads
+    may share an index.
     """
 
     def __init__(self, emb: EmbeddingMatrix, unit: np.ndarray, sqnorm: np.ndarray):
@@ -115,9 +155,17 @@ class Index:
         self._margin = _candidate_margin(unit.shape[1])
         self._lock = threading.Lock()
         self._table = _Table(len(emb), 0)
+        self._rankings = self._reranks = self._rows_read = 0
 
     def __len__(self) -> int:
         return len(self.emb)
+
+    def counts(self) -> TableCounts:
+        """Rows ranked, re-ranked and read by `table` so far. Rankings are
+        counted under the lock; rows read are not, to keep reads of ranked
+        rows cheap, so threads racing on one index may undercount them."""
+        with self._lock:
+            return TableCounts(self._rankings, self._reranks, self._rows_read)
 
     def distances(self, row: int) -> np.ndarray:
         """Distance from row `row` to every row, with its own entry at inf."""
@@ -128,66 +176,124 @@ class Index:
     def table(self, rows, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Positions and distances of the min(k, N-1) nearest rows of each
         of `rows`, as two (len(rows), min(k, N-1)) arrays."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        take = min(k, len(self) - 1)
-        table = self._table
-        if table.width < take:
-            with self._lock:
-                table = self._table
-                if table.width < take:
-                    table = self._table = _Table(len(self), take)
+        take = self._take(k)
         rows = np.asarray(rows, dtype=np.intp)
-        if take > 0:
-            missing = rows[~table.filled[rows]]
-            if missing.size:
-                if missing.size > 1:
-                    missing = np.unique(missing)
-                step = max(1, _BLOCK_ENTRIES // len(self))
-                for start in range(0, missing.size, step):
-                    self._fill_block(table, missing[start:start + step])
+        table = self._table
+        short = rows[table.width[rows] < take]
+        if short.size:
+            self._rank(short, take)
+            # Widths never fall and a wider table copies them, so every row
+            # is ranked at least `take` wide in the current table.
+            table = self._table
+        self._rows_read += rows.size
         return table.pos[rows, :take], table.dist[rows, :take]
 
-    def _fill_block(self, table: _Table, rows: np.ndarray) -> None:
+    def _take(self, k: int) -> int:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return min(k, len(self) - 1)
+
+    def _rank(self, rows: np.ndarray, take: int) -> None:
+        w = self._width(take)
+        if rows.size == 1:
+            self._rank_row(int(rows[0]), w)
+            return
+        rows = np.unique(rows)
+        step = max(1, _BLOCK_ENTRIES // len(self))
+        for start in range(0, rows.size, step):
+            self._rank_block(rows[start:start + step], w)
+
+    def _width(self, take: int) -> int:
+        """The width to rank a row asked at `take` (the counts are read
+        without the lock: they only steer the width, never the result)."""
+        floor = _MIN_WIDTH
+        if self._reranks * _RERANK_SHARE > self._rankings:
+            floor = max(floor, self._table.capacity)
+        return min(max(take, floor), len(self) - 1)
+
+    def _rank_row(self, row: int, w: int) -> None:
+        # `_rank_block` for one row, with one matrix-vector product.
+        unit = self.unit[row]
+        approx = self.unit @ (unit * -2.0)
+        approx += self.sqnorm
+        approx += self.sqnorm[row]
+        approx[row] = np.inf
+        cut = np.partition(approx, w - 1)[w - 1] + self._margin
+        cand = (approx <= cut).nonzero()[0]
+        near = self.unit[cand]
+        dist = _difference_distances(near, unit, out=near)
+        first = np.lexsort((self.ids[cand], dist))[:w]
+        pos, dist = cand[first], dist[first]
+        with self._lock:
+            table = self._writable(w)
+            width = int(table.width[row])
+            table.pos[row, :w] = pos
+            table.dist[row, :w] = dist
+            table.width[row] = max(width, w)
+            self._rankings += 1
+            self._reranks += width > 0
+
+    def _rank_block(self, rows: np.ndarray, w: int) -> None:
         # The GEMM form cancels badly for near rows and may misorder them,
         # so it only picks candidates; `_candidate_margin` proves that they
-        # hold every row of the exact first `width`. Ranking the candidates
-        # by (distance, id) then gives the order of a full sort. A row's own
-        # entry is set to inf and never reaches the cut. Scaling by -2 is
-        # exact, so it is applied to the small left operand.
-        w = table.width
+        # hold every row of the exact first `w`. Ranking the candidates by
+        # (row, distance, id) then gives each row the order of a full sort.
+        # A row's own entry is set to inf and never reaches the cut. Scaling
+        # by -2 is exact, so it is applied to the small left operand.
         approx = (self.unit[rows] * -2.0) @ self.unit.T
         approx += self.sqnorm
         approx += self.sqnorm[rows, None]
         approx[np.arange(rows.size), rows] = np.inf
         cut = np.partition(approx, w - 1, axis=1)[:, w - 1] + self._margin
         which, cand = np.divmod(np.flatnonzero(approx <= cut[:, None]), len(self))
-        # One line per row, padded at inf past its last candidate; every
-        # row has at least w candidates, so padding is never taken.
-        counts = np.bincount(which, minlength=rows.size)
-        slot = np.arange(cand.size) - (np.cumsum(counts) - counts)[which]
-        pos = np.zeros((rows.size, counts.max()), dtype=np.intp)
-        pos[which, slot] = cand
-        dist = np.full(pos.shape, np.inf)
-        step = max(1, _BLOCK_ENTRIES // self.unit.shape[1])
+        dist = np.empty(cand.size)
+        step = min(cand.size, max(1, _BLOCK_ENTRIES // self.unit.shape[1]))
+        near = np.empty((step, self.unit.shape[1]))
+        other = np.empty_like(near)
         for s in range(0, cand.size, step):
             part = slice(s, s + step)
-            dist[which[part], slot[part]] = _difference_distances(
-                self.unit[cand[part]], self.unit[rows[which[part]]])
-        line = np.arange(rows.size)[:, None]
-        first = np.lexsort((self.ids[pos], dist), axis=1)[:, :w]
+            m = cand[part].size
+            # the positions are in range; "clip" skips the buffered copy
+            # that the default mode makes when given `out`
+            np.take(self.unit, cand[part], axis=0, out=near[:m], mode="clip")
+            np.take(self.unit, rows[which[part]], axis=0, out=other[:m], mode="clip")
+            dist[part] = _difference_distances(near[:m], other[:m], out=near[:m])
+        # `which` ascends, so each row's candidates are a run of the order;
+        # every row has at least w candidates.
+        order = np.lexsort((self.ids[cand], dist, which))
+        starts = np.searchsorted(which, np.arange(rows.size))
+        first = order[starts[:, None] + np.arange(w)]
         with self._lock:
-            table.pos[rows] = pos[line, first]
-            table.dist[rows] = dist[line, first]
-            table.filled[rows] = True
+            table = self._writable(w)
+            width = table.width[rows]
+            table.pos[rows, :w] = cand[first]
+            table.dist[rows, :w] = dist[first]
+            table.width[rows] = np.maximum(width, w)
+            self._rankings += rows.size
+            self._reranks += int(np.count_nonzero(width))
+
+    def _writable(self, w: int) -> _Table:
+        """The table, widened to hold `w` columns; called under the lock.
+        A row that another thread ranked wider meanwhile keeps its width:
+        its first `w` columns get the same values again."""
+        if self._table.capacity < w:
+            self._table = _Table(len(self), w, self._table)
+        return self._table
 
     def neighbors(self, query_id: int, k: int) -> NeighborList:
         """The min(k, N-1) nearest ids to the query, excluding the query
-        itself."""
-        pos, dist = self.table([self.emb.position(query_id)], k)
+        itself. `table` for one row, by slices of the row."""
+        row = self.emb.position(query_id)
+        take = self._take(k)
+        table = self._table
+        if table.width[row] < take:
+            self._rank_row(row, self._width(take))
+            table = self._table
+        self._rows_read += 1
         return NeighborList(
             query_id=query_id,
-            neighbors=tuple(zip(self.ids[pos[0]].tolist(), dist[0].tolist())),
+            neighbors=tuple(zip(self.ids[table.pos[row, :take]].tolist(),
+                                table.dist[row, :take].tolist())),
         )
 
 

@@ -158,18 +158,18 @@ def build_training_set(
         subgraphs.append(qes)
     if not subgraphs:
         raise NoTrainingData("no query produced a trainable subgraph")
+    log.info("knn table: %s", index.counts())
     return subgraphs
 
 
 def _hop1_prf(qes: Qes, probs: np.ndarray) -> tuple[float, float, float]:
     """Precision, recall and F of the 1-hop nodes predicted above the
-    retrieval threshold."""
+    retrieval threshold. Nodes are unique, so masks count the sets."""
     hop1 = qes.hop_mask(1)
-    labels = np.asarray(qes.labels, dtype=bool)
-    nodes = np.asarray(qes.nodes)
-    predicted = set(int(v) for v in nodes[hop1 & (probs > PROB_THRESHOLD)])
-    relevant = set(int(v) for v in nodes[hop1 & labels])
-    return evaluation.per_query_prf(predicted, relevant)
+    predicted = hop1 & (probs > PROB_THRESHOLD)
+    relevant = hop1 & np.asarray(qes.labels, dtype=bool)
+    counts = (int(np.count_nonzero(m)) for m in (predicted & relevant, predicted, relevant))
+    return evaluation.prf_counts(*counts)
 
 
 def train(

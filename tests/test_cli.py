@@ -1,7 +1,9 @@
 import argparse
 import inspect
+import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +15,8 @@ import matchgraph as mg
 from matchgraph import cli
 from matchgraph.cli import build_parser, main
 from matchgraph.evaluation import GroundTruth, macro_average, per_query_prf
-from matchgraph.overlaps import load_overlaps, save_overlaps
-from matchgraph.retrieval import read_pair_file, pairs_to_query_sets
+from matchgraph.overlaps import OverlapStore, load_overlaps, save_overlaps
+from matchgraph.retrieval import pairs_to_query_sets, read_pair_file, write_pair_file
 from matchgraph.synthetic import SceneConfig, generate_scene
 from matchgraph.trainer import TrainConfig
 
@@ -89,7 +91,7 @@ class TestIndex:
 
 
 class TestPipeline:
-    def test_synth_train_infer_eval(self, scene_files, tmp_path):
+    def test_synth_train_infer_eval(self, scene_files, tmp_path, caplog):
         model = tmp_path / "model.ckpt"
         history = tmp_path / "history.csv"
         code = run(
@@ -105,13 +107,18 @@ class TestPipeline:
 
         pairs = tmp_path / "pairs.txt"
         results = tmp_path / "results.csv"
-        code = run(
-            "infer", "--embeddings", scene_files["embeddings"], "--model", model,
-            "--pairs-out", pairs, "--results-out", results,
-            "--k1", 6, "--k2", 2, "--u", 3,
-        )
+        with caplog.at_level(logging.INFO, logger="matchgraph.cli"):
+            code = run(
+                "infer", "--embeddings", scene_files["embeddings"], "--model", model,
+                "--pairs-out", pairs, "--results-out", results,
+                "--k1", 6, "--k2", 2, "--u", 3,
+            )
         assert code == 0
         assert pairs.read_text().startswith("# matchgraph pairs v1\n")
+        # every image is a query: 24 one-row requests and two block requests each
+        table = [r.getMessage() for r in caplog.records if r.getMessage().startswith("knn table:")]
+        assert len(table) == 1
+        assert re.fullmatch(r"knn table: rankings \d+ reranks \d+ rows_read \d+", table[0])
 
         report = tmp_path / "report.csv"
         code = run(
@@ -208,6 +215,42 @@ class TestEval:
                    "--report-out", report)
         assert code == 0
         assert report.read_text().strip().splitlines()[-1] == "MACRO,1.0,1.0,1.0"
+
+
+    def test_embeddings_make_every_image_a_query(self, scene_files, tmp_path):
+        # images 0-3 have no overlap record and appear in no predicted pair:
+        # without --embeddings the CLI leaves them out of its macro average
+        store = load_overlaps(scene_files["overlaps"].read_text())
+        kept = [r for r in store.records() if r.i > 3 and r.j > 3]
+        overlaps = tmp_path / "partial.ov"
+        overlaps.write_text(save_overlaps(OverlapStore(kept)))
+        pairs = tmp_path / "pairs.txt"
+        with open(pairs, "w", encoding="utf-8") as fp:
+            write_pair_file([(a, a + d, 0.5) for a in range(4, 20) for d in (1, 2)], fp)
+        truth = GroundTruth.from_columns(*load_overlaps(overlaps.read_text()).columns())
+        predicted = pairs_to_query_sets(read_pair_file(pairs.read_text()))
+        want = macro_average([per_query_prf(predicted.get(q, set()), truth.relevant(q))
+                              for q in range(24)])
+        report = tmp_path / "report.csv"
+        assert run("eval", "--pairs", pairs, "--overlaps", overlaps,
+                   "--embeddings", scene_files["embeddings"], "--report-out", report) == 0
+        lines = report.read_text().splitlines()
+        assert [int(line.split(",")[0]) for line in lines[1:-1]] == list(range(24))
+        assert lines[-1] == "MACRO," + ",".join(repr(v) for v in want)
+        assert run("eval", "--pairs", pairs, "--overlaps", overlaps, "--report-out", report) == 0
+        assert [int(line.split(",")[0]) for line in report.read_text().splitlines()[1:-1]] \
+            == list(range(4, 24))
+
+    def test_queries_and_embeddings_together_are_a_usage_error(self, scene_files, tmp_path,
+                                                               capsys):
+        queries = tmp_path / "q.txt"
+        queries.write_text("1\n")
+        report = tmp_path / "report.csv"
+        assert run("eval", "--pairs", queries, "--overlaps", scene_files["overlaps"],
+                   "--queries", queries, "--embeddings", scene_files["embeddings"],
+                   "--report-out", report) == 2
+        assert "at most one of --queries / --embeddings" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestBaseline:

@@ -211,13 +211,17 @@ class TestNeighborTable:
         for r in range(0, n, 37):
             assert by_row[r] == list(brute_force_knn(emb, emb.ids[r], 9).neighbors)
 
-    def test_concurrent_widening_matches_oracle(self):
-        # more threads than cores, switching often, widen and fill one table
-        # through single-row and overlapping multi-row requests
-        emb = random_scene(80)
+    @pytest.mark.parametrize("make", [random_scene, duplicate_scene])
+    def test_concurrent_widening_matches_oracle(self, make):
+        # more threads than cores, switching often, rank rows narrow and
+        # wide and widen one table through single-row and overlapping
+        # multi-row requests of mixed widths, around the floor of 16 too
+        emb = make(80)
         index = build_index(emb)
-        jobs = [([q], k) for q in range(80) for k in (3, 40, 9, 79)]
-        jobs += [(list(range(q, q + 30)), k) for q in range(0, 50, 7) for k in (3, 40, 9, 79)]
+        widths = (3, 40, 9, 79, 16, 17)
+        jobs = [([q], k) for q in range(80) for k in widths]
+        jobs += [(list(range(q, q + 30)), k) for q in range(0, 50, 7) for k in widths]
+        jobs += [(list(range(q, 80, 3)), k) for q in range(3) for k in widths]
         order = np.random.default_rng(3).permutation(len(jobs))
         jobs = [jobs[i] for i in order]
 
@@ -235,9 +239,126 @@ class TestNeighborTable:
         finally:
             sys.setswitchinterval(interval)
         want = {(q, k): list(brute_force_knn(emb, q, k).neighbors)
-                for q in range(80) for k in (3, 40, 9, 79)}
+                for q in range(80) for k in widths}
         for (rows, k), lines in zip(jobs, got):
             assert lines == [want[q, k] for q in rows]
+        # every row ended up ranked, and no width claims unwritten columns
+        pos, dist = index.table(range(80), 79)
+        assert table_rows(index, pos, dist) == [want[q, 79] for q in range(80)]
+
+
+def oracle_rows(emb, rows, k):
+    return [list(brute_force_knn(emb, emb.ids[r], k).neighbors) for r in rows]
+
+
+def tie_at_cut_scene():
+    # the query (row 0) has 15 nearer rows, then three rows at one point,
+    # listed against id order, that take places 16-18: the floor's cut
+    # falls inside the tie, so the id alone decides which one is 16th
+    near = [[math.cos(a), math.sin(a)] for a in np.linspace(0.01, 0.15, 15)]
+    tied = [[math.cos(0.2), math.sin(0.2)]] * 3
+    far = [[math.cos(a), math.sin(a)] for a in np.linspace(0.3, 3.0, 12)]
+    ids = [7] + list(range(200, 215)) + [90, 40, 60] + list(range(300, 312))
+    return EmbeddingMatrix(ids, [[1.0, 0.0]] + near + tied + far)
+
+
+class TestPerRowWidths:
+    """Rows are ranked only as wide as asked, at least `_MIN_WIDTH`, and
+    ranked again when asked wider; every answer equals the oracle."""
+
+    @pytest.mark.parametrize("make", [random_scene, duplicate_scene, near_tie_scene])
+    @pytest.mark.parametrize("ks", [(5, 40), (40, 5), (3, 30, 16, 17, 10, 59, 2)],
+                             ids=["narrow-then-wide", "wide-then-narrow", "interleaved"])
+    def test_request_orders_match_oracle(self, make, ks):
+        emb = make()
+        n = len(emb)
+        index = build_index(emb)
+        rng = np.random.default_rng(len(ks))
+        for k in ks:
+            rows = rng.choice(n, size=n // 2, replace=False)
+            pos, dist = index.table(rows, k)
+            assert table_rows(index, pos, dist) == oracle_rows(emb, rows, k)
+
+    @pytest.mark.parametrize("first", [None, 5, 16])
+    @pytest.mark.parametrize("k", [15, 16, 17, 18, 20])
+    def test_one_row_rank_with_a_tie_at_the_cut(self, first, k):
+        emb = tie_at_cut_scene()
+        index = build_index(emb)
+        if first is not None:
+            index.table([0], first)
+        got = index.neighbors(7, k)
+        assert got == brute_force_knn(emb, 7, k)
+        assert got.ids()[15:18] == (40, 60, 90)[:max(0, k - 15)]
+
+    def test_block_of_unranked_narrow_and_wide_rows(self):
+        emb = random_scene(200)
+        index = build_index(emb)
+        narrow, wide = list(range(0, 60)), list(range(60, 90))
+        index.table(narrow, 5)
+        index.table(wide, 50)
+        before = index.counts()
+        assert (before.rankings, before.reranks) == (90, 0)
+        # repeats, the three kinds interleaved, one request
+        rows = np.array(narrow[::2] + wide + list(range(90, 200)) + narrow[::3] + wide[:5])
+        pos, dist = index.table(rows, 30)
+        assert table_rows(index, pos, dist) == oracle_rows(emb, rows, 30)
+        after = index.counts()
+        assert after.rankings - before.rankings == len(set(narrow[::2] + narrow[::3])) + 110
+        assert after.reranks == len(set(narrow[::2] + narrow[::3]))
+        # the wide rows kept their ranking, the narrow ones gained theirs
+        index.table(wide + narrow[::2], 30)
+        assert index.counts().rankings == after.rankings
+
+    def test_wider_table_keeps_ranked_rows(self):
+        emb = random_scene(120)
+        index = build_index(emb)
+        index.table(range(120), 10)
+        index.table([3], 100)  # the table grows to 100 columns
+        pos, dist = index.table(range(120), 16)
+        assert table_rows(index, pos, dist) == oracle_rows(emb, range(120), 16)
+        assert (index.counts().rankings, index.counts().reranks) == (121, 1)
+
+
+class TestTableCounts:
+    def test_counts_on_a_small_ring(self):
+        index = build_index(ring_matrix(40))
+        assert index.counts() == knn.TableCounts(0, 0, 0)
+        rows = list(range(0, 40, 2))
+        index.table(rows, 5)
+        index.table(rows, 10)  # the floor of 16 covers k = 10: no re-rank
+        assert index.counts() == knn.TableCounts(20, 0, 40)
+        index.table([1, 3], 30)  # new rows widen the table to 30 columns
+        index.table(rows, 10)  # rows ranked before stay ranked
+        assert index.counts() == knn.TableCounts(22, 0, 62)
+        index.table([0], 30)  # asked wider than ranked: one re-rank
+        index.neighbors(0, 20)
+        assert index.counts() == knn.TableCounts(23, 1, 64)
+        assert str(index.counts()) == "rankings 23 reranks 1 rows_read 64"
+
+    def test_floor_is_capped_at_the_population(self):
+        index = build_index(ring_matrix(6))
+        index.table(range(6), 2)
+        assert index.counts() == knn.TableCounts(6, 0, 6)
+        assert index.table(range(6), 99)[0].shape == (6, 5)
+        assert index.counts() == knn.TableCounts(6, 0, 12)
+
+    def test_frequent_reranks_rank_new_rows_at_capacity(self):
+        # each query row was ranked narrow as a neighbor of the one before,
+        # so every wide request re-ranks; once re-ranks pass one ranking in
+        # `_RERANK_SHARE`, new rows are ranked at the table's capacity
+        emb = random_scene(200)
+        index = build_index(emb)
+        index.table([0], 50)
+        index.table(range(1, 12), 5)
+        for q in range(1, 12):
+            index.table([q], 50)
+        counts = index.counts()
+        assert counts.reranks * knn._RERANK_SHARE > counts.rankings
+        index.table([150, 151], 5)
+        index.table([150, 151], 50)
+        assert index.counts().rankings == counts.rankings + 2
+        pos, dist = index.table([150, 151], 50)
+        assert table_rows(index, pos, dist) == oracle_rows(emb, [150, 151], 50)
 
 
 def test_public_api_resolves_and_names_no_oracle():

@@ -218,12 +218,49 @@ class TestTrain:
             want = np.mean(norms[epoch * steps : (epoch + 1) * steps])
             assert logged > 0 and logged == pytest.approx(want, rel=1e-5)
 
+    def test_build_training_set_logs_the_knn_table_counts(self, caplog):
+        scene = small_scene()
+        cfg = TrainConfig(qes_params=QesParams(4, 2, 3))
+        with caplog.at_level(logging.INFO, logger="matchgraph.trainer"):
+            build_training_set(scene.embeddings, scene.overlaps, [0, 1, 2], cfg)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("knn table:")]
+        assert len(lines) == 1
+        assert re.fullmatch(r"knn table: rankings \d+ reranks \d+ rows_read \d+", lines[0])
+
     def test_history_length_matches_epochs(self):
         scene = small_scene()
         cfg = TrainConfig(qes_params=QesParams(4, 2, 3), epochs=3, seed=2)
         _, history = train(scene.embeddings, scene.overlaps, [0, 1, 2], cfg,
                            conv_widths=(6, 6, 4, 4), fc_widths=(3,))
         assert [h.epoch for h in history] == [1, 2, 3]
+
+
+class TestHop1Prf:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_query_prf_on_random_masks(self, seed):
+        # sparse and dense draws, so that empty predicted and empty
+        # relevant sets (and both) come up among the seeds
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        nodes = rng.permutation(1000)[:n] + 1
+        hop = np.where(rng.random(n) < 0.7, 1, 2)
+        labels = rng.random(n) < rng.choice([0.0, 0.1, 0.5, 1.0])
+        probs = rng.random(n) * rng.choice([0.4, 1.0, 2.0])
+        qes = mg.Qes(0, nodes, hop, np.zeros((n, n)), np.zeros((n, 2))).with_labels(labels)
+        hop1 = hop == 1
+        predicted = set(nodes[hop1 & (probs > 0.5)].tolist())
+        relevant = set(nodes[hop1 & labels].tolist())
+        got = trainer._hop1_prf(qes, probs)
+        assert got == evaluation.per_query_prf(predicted, relevant)
+        assert all(type(v) is float for v in got)
+
+    def test_empty_sets_follow_the_conventions(self):
+        qes = mg.Qes(0, [1, 2], [1, 2], np.zeros((2, 2)), np.zeros((2, 2))).with_labels(
+            [False, True])
+        assert trainer._hop1_prf(qes, np.array([0.1, 0.9])) == (1.0, 1.0, 1.0)
+        assert trainer._hop1_prf(qes, np.array([0.9, 0.9])) == (0.0, 1.0, 0.0)
+        labeled = qes.with_labels([True, False])
+        assert trainer._hop1_prf(labeled, np.array([0.1, 0.9])) == (0.0, 0.0, 0.0)
 
 
 class TestHopTwoInfluence:
