@@ -76,9 +76,9 @@ def _given(args, cfg, **casts) -> dict:
             raw = cfg[key]
             try:
                 value = cast(raw)
-            except (ValueError, argparse.ArgumentTypeError):
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 kind = cast.__name__.lstrip("_")
-                raise InvalidRecord(f"config value {key}={raw!r} is not a valid {kind}")
+                raise InvalidRecord(f"config value {key}={raw!r} is not a valid {kind}: {exc}")
         if value is not None:
             given[name] = value
     return given
@@ -89,6 +89,24 @@ def _widths(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _number(text: str, ok, expected: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not ok(value):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return value
+
+
+def _distance(text: str) -> float:
+    return _number(text, lambda v: v >= 0.0, "a number >= 0 or inf")
+
+
+def _probability(text: str) -> float:
+    return _number(text, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
 
 def _read_queries(path: str) -> list[int]:
@@ -205,7 +223,7 @@ def cmd_infer(args, cfg) -> int:
         model = load_model(fp.read())
     index = build_index(emb)
     params = _qes_params(args, cfg)
-    threshold = _given(args, cfg, prob_threshold=float)
+    threshold = _given(args, cfg, prob_threshold=_probability)
     queries = _read_queries(args.queries) if args.queries else sorted(emb.ids)
     threads = _given(args, cfg, threads=int)
 
@@ -222,7 +240,7 @@ def cmd_infer(args, cfg) -> int:
 
 
 def cmd_baseline(args, cfg) -> int:
-    mode = _given(args, cfg, topk=int, tau_dist=float)
+    mode = _given(args, cfg, topk=int, tau_dist=_distance)
     threads = _given(args, cfg, threads=int)
     if len(mode) != 1:
         sys.stderr.write("matchgraph: error: give exactly one of --topk / --tau-dist\n")
@@ -241,6 +259,7 @@ def cmd_baseline(args, cfg) -> int:
         return retrieval.threshold_retrieve(index, q, tau)
 
     results = _map_queries(one, queries, **threads)
+    log.info("knn table: %s", index.counts())
     _write_results(args, results)
     return EXIT_OK
 
@@ -363,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1", type=int, default=None)
     p.add_argument("--k2", type=int, default=None)
     p.add_argument("--u", type=int, default=None)
-    p.add_argument("--prob-threshold", dest="prob_threshold", type=float, default=None)
+    p.add_argument("--prob-threshold", dest="prob_threshold", type=_probability, default=None,
+                   help="a number in [0, 1)")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("baseline", help="top-k or distance-threshold retrieval")
@@ -374,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--results-out", dest="results_out", default=None)
     p.add_argument("--queries", default=None)
     p.add_argument("--topk", type=int, default=None)
-    p.add_argument("--tau-dist", dest="tau_dist", type=float, default=None)
+    p.add_argument("--tau-dist", dest="tau_dist", type=_distance, default=None,
+                   help="a number >= 0, or inf")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("eval", help="score a pair file against ground truth")

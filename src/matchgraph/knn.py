@@ -6,14 +6,15 @@ ranked when it is first asked for, or again when asked wider than it was
 ranked, and only as wide as asked (at least `_MIN_WIDTH`). Several rows
 are ranked a block at a time: one matrix product gives approximate squared
 distances from the block to every row, which only picks candidates; the
-candidates are then ranked by the same difference formula that
-`Index.distances` uses, keeping a margin proven wide enough that the
-result equals a full sort by (distance, id). A single row takes the same
-steps with a matrix-vector product. Requests a row's ranking covers are
-array slices. Memory is O(N·w) for the widest k asked so far, w <= N-1,
-plus O(block·N) scratch while a block is ranked. Approximate search is
-deliberately out of scope because subgraph topology is the classifier's
-input signal.
+candidates are then ranked by the difference formula, keeping a margin
+proven wide enough that the result equals a full sort by (distance, id).
+A single row takes the same steps with a matrix-vector product. Requests
+a row's ranking covers are array slices. A radius query (`Index.within`)
+is a prefix of the row's ranking when that ranking reaches past the
+radius, else one matrix-vector candidate pass that writes nothing. Memory
+is O(N·w) for the widest k asked so far, w <= N-1, plus O(block·N)
+scratch while a block is ranked. Approximate search is deliberately out
+of scope because subgraph topology is the classifier's input signal.
 """
 
 import threading
@@ -66,8 +67,8 @@ class NeighborList:
 
 def _difference_distances(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """Row-wise Euclidean distances between `a` and `b` (broadcast), by
-    subtracting first, in `out` if given (it may be `a`). The table and
-    `Index.distances` both call this, so their distances are bit-equal."""
+    subtracting first, in `out` if given (it may be `a`). Every distance
+    the index returns comes from here, so its answers are bit-equal."""
     diff = np.subtract(a, b, out=out)
     diff *= diff
     dist = np.add.reduce(diff, axis=1)
@@ -95,6 +96,15 @@ def _candidate_margin(dim: int) -> float:
     id decides. Such a column has A <= T + 2·eps + 17·u. The cut T + margin
     itself rounds down by at most 4.2·u, so a margin of 24·(D + 2)·u
     (>= 16.6·(D + 2)·u + 21.2·u for D >= 1) keeps every one of them.
+
+    The same margin serves a radius tau. A column whose computed distance
+    fl(√S) <= tau has √S·(1 - u) <= tau, so S <= tau²·(1 + 2.01·u) and
+    A <= tau²·(1 + 2.01·u) + eps. The cut fl(fl(tau·tau) + margin) is at
+    least tau²·(1 - 2·u) + margin·(1 - u), which exceeds that bound when
+    margin·(1 - u) - eps >= 15.6·(D + 2)·u >= 46.8·u covers 4.01·u·tau²,
+    that is for tau² <= 4.1 (and so for every tau <= 2). Every A is below
+    4.1, and for tau² > 4.1 the cut is above 4.1: every column is a
+    candidate.
     """
     return 24.0 * (dim + 2) * (np.finfo(np.float64).eps / 2)
 
@@ -118,14 +128,18 @@ class _Table:
 @dataclass(frozen=True)
 class TableCounts:
     """Work done by an index's neighbor table: rows ranked, the rankings of
-    rows that had been ranked before (narrower), and rows read."""
+    rows that had been ranked before (narrower), rows read, and radius
+    queries answered from a ranked row and by a candidate pass."""
 
     rankings: int
     reranks: int
     rows_read: int
+    radius_table: int
+    radius_pass: int
 
     def __str__(self) -> str:
-        return f"rankings {self.rankings} reranks {self.reranks} rows_read {self.rows_read}"
+        return (f"rankings {self.rankings} reranks {self.reranks} rows_read {self.rows_read}"
+                f" radius_table {self.radius_table} radius_pass {self.radius_pass}")
 
 
 class Index:
@@ -139,12 +153,12 @@ class Index:
     rows by a GEMM pass. The pass gives approximate squared distances;
     every column within `_candidate_margin` of a row's w-th smallest
     approximate value is a candidate, and the candidates are ranked by
-    (distance, id) with the difference formula of `distances`.
+    (distance, id) with the difference formula.
     The table only caches exact answers, so it never changes results. A
     ranking wider than the table's capacity swaps in a wider copy of the
     table. Rows are written under a lock, positions and distances before
     the width that claims them, and a row's width never falls, so threads
-    may share an index.
+    may share an index, and readers of ranked rows take no lock.
     """
 
     def __init__(self, emb: EmbeddingMatrix, unit: np.ndarray, sqnorm: np.ndarray):
@@ -156,22 +170,19 @@ class Index:
         self._lock = threading.Lock()
         self._table = _Table(len(emb), 0)
         self._rankings = self._reranks = self._rows_read = 0
+        self._radius_table = self._radius_pass = 0
 
     def __len__(self) -> int:
         return len(self.emb)
 
     def counts(self) -> TableCounts:
-        """Rows ranked, re-ranked and read by `table` so far. Rankings are
-        counted under the lock; rows read are not, to keep reads of ranked
-        rows cheap, so threads racing on one index may undercount them."""
+        """Rows ranked, re-ranked and read by `table` so far, and radius
+        queries answered. Rankings are counted under the lock; reads and
+        radius queries are not, to keep them cheap, so threads racing on
+        one index may undercount them."""
         with self._lock:
-            return TableCounts(self._rankings, self._reranks, self._rows_read)
-
-    def distances(self, row: int) -> np.ndarray:
-        """Distance from row `row` to every row, with its own entry at inf."""
-        dists = _difference_distances(self.unit, self.unit[row])
-        dists[row] = np.inf
-        return dists
+            return TableCounts(self._rankings, self._reranks, self._rows_read,
+                               self._radius_table, self._radius_pass)
 
     def table(self, rows, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Positions and distances of the min(k, N-1) nearest rows of each
@@ -211,17 +222,48 @@ class Index:
             floor = max(floor, self._table.capacity)
         return min(max(take, floor), len(self) - 1)
 
-    def _rank_row(self, row: int, w: int) -> None:
-        # `_rank_block` for one row, with one matrix-vector product.
+    def within(self, row: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and distances of every other row at distance <= `tau`
+        from row `row`, in no set order. A row ranked w wide whose w-th
+        distance exceeds `tau`, or ranked over all N-1 rows, answers from
+        its ranking; any other row takes one candidate pass, which writes
+        nothing to the table."""
+        if not tau >= 0.0:
+            raise ValueError(f"tau must be a number >= 0, got {tau!r}")
+        # Widths never fall and are written after the columns they claim,
+        # so one read of the table sees the row whole.
+        table = self._table
+        w = int(table.width[row])
+        if w == len(self) - 1 or (w and table.dist[row, w - 1] > tau):
+            self._radius_table += 1
+            end = int(np.searchsorted(table.dist[row, :w], tau, side="right"))
+            return table.pos[row, :end], table.dist[row, :end]
+        self._radius_pass += 1
+        cand, dist = self._candidates(row, tau=tau)
+        keep = dist <= tau
+        return cand[keep], dist[keep]
+
+    def _candidates(self, row: int, w: int = 0, tau: float | None = None):
+        """One matrix-vector pass for row `row`: the positions whose
+        approximate squared distance is within `_candidate_margin` of the
+        w-th smallest, or of tau², and their exact distances."""
+        # `_rank_block` for one row; its comments hold here too.
         unit = self.unit[row]
         approx = self.unit @ (unit * -2.0)
         approx += self.sqnorm
         approx += self.sqnorm[row]
         approx[row] = np.inf
-        cut = np.partition(approx, w - 1)[w - 1] + self._margin
-        cand = (approx <= cut).nonzero()[0]
+        if tau is None:
+            cut = np.partition(approx, w - 1)[w - 1] + self._margin
+            cand = (approx <= cut).nonzero()[0]
+        else:
+            cand = (approx <= tau * tau + self._margin).nonzero()[0]
+            cand = cand[cand != row]  # the row's own inf passes an infinite tau
         near = self.unit[cand]
-        dist = _difference_distances(near, unit, out=near)
+        return cand, _difference_distances(near, unit, out=near)
+
+    def _rank_row(self, row: int, w: int) -> None:
+        cand, dist = self._candidates(row, w)
         first = np.lexsort((self.ids[cand], dist))[:w]
         pos, dist = cand[first], dist[first]
         with self._lock:

@@ -53,7 +53,10 @@ def gcn_retrieve(
     prob_threshold: float = PROB_THRESHOLD,
 ) -> RetrievalResult:
     """Classify the query's subgraph; retrieve 1-hop nodes scoring strictly
-    above the threshold. Output size is data-dependent, not a fixed k."""
+    above the threshold, which must lie in [0, 1). Output size is
+    data-dependent, not a fixed k."""
+    if not 0.0 <= prob_threshold < 1.0:
+        raise ValueError(f"prob_threshold must be a number in [0, 1), got {prob_threshold!r}")
     qes = build_qes(index, emb, query_id, params)
     probs = model_forward(qes, model)
     retrieved = [
@@ -76,15 +79,11 @@ def topk_retrieve(index: Index, query_id: int, k: int) -> RetrievalResult:
 
 
 def threshold_retrieve(index: Index, query_id: int, tau: float) -> RetrievalResult:
-    """Everything within distance tau of the query."""
-    row = index.emb.position(query_id)
-    dists = index.distances(row)
-    hits = np.flatnonzero(dists <= tau)
-    hits = hits[hits != row]  # the query's own inf passes an infinite tau
-    retrieved = tuple(sorted(
-        (v, _distance_score(d))
-        for v, d in zip(index.ids[hits].tolist(), dists[hits].tolist())
-    ))
+    """Everything within distance tau (>= 0) of the query."""
+    pos, dist = index.within(index.emb.position(query_id), tau)
+    ids = index.ids[pos]
+    order = np.argsort(ids)  # ids are unique, so this is the order of sorted pairs
+    retrieved = tuple(zip(ids[order].tolist(), _distance_score(dist[order]).tolist()))
     return RetrievalResult(query_id=query_id, retrieved=retrieved)
 
 

@@ -1,7 +1,8 @@
 """Reference distances, kNN ranking and top-k truncation, used only by tests.
 
 `distance` is the normalized-descriptor metric written per pair, on top of
-`l2_normalize`. `brute_force_knn` re-ranks from scratch with per-pair
+`l2_normalize`; `row_distances` writes the index's difference formula for
+one row against all rows. `brute_force_knn` re-ranks from scratch with per-pair
 distance calls and a plain sort, so `query_knn` must agree with it exactly,
 ties included. `truncate_result` cuts one wide top-k result down to any
 smaller k.
@@ -44,6 +45,17 @@ def distance(a, b) -> float:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     diff = l2_normalize(a) - l2_normalize(b)
     return float(np.sqrt(np.sum(diff * diff)))
+
+
+def row_distances(unit: np.ndarray, row: int) -> np.ndarray:
+    """Distances from row `row` of the unit rows `unit` to every row, by
+    subtracting, squaring and summing along each row before the square
+    root, with the row's own entry at inf. These are the bits of every
+    distance a `knn.Index` returns."""
+    diff = unit - unit[row]
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    dist[row] = np.inf
+    return dist
 
 
 def brute_force_knn(emb: EmbeddingMatrix, query_id: int, k: int) -> NeighborList:

@@ -118,7 +118,8 @@ class TestPipeline:
         # every image is a query: 24 one-row requests and two block requests each
         table = [r.getMessage() for r in caplog.records if r.getMessage().startswith("knn table:")]
         assert len(table) == 1
-        assert re.fullmatch(r"knn table: rankings \d+ reranks \d+ rows_read \d+", table[0])
+        assert re.fullmatch(r"knn table: rankings \d+ reranks \d+ rows_read \d+"
+                            r" radius_table 0 radius_pass 0", table[0])
 
         report = tmp_path / "report.csv"
         code = run(
@@ -280,6 +281,18 @@ class TestBaseline:
         got = tuple(float(x) for x in macro_line[1:])
         assert got == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("mode,counts", [
+        (("--tau-dist", 0.6), "rankings 0 reranks 0 rows_read 0 radius_table 0 radius_pass 24"),
+        (("--topk", 5), "rankings 24 reranks 0 rows_read 48 radius_table 0 radius_pass 0"),
+    ])
+    def test_logs_knn_table_line(self, scene_files, tmp_path, caplog, mode, counts):
+        # each run has a fresh index, so every radius query takes a pass
+        with caplog.at_level(logging.INFO, logger="matchgraph.cli"):
+            assert run("baseline", "--embeddings", scene_files["embeddings"], *mode,
+                       "--pairs-out", tmp_path / "p.txt") == 0
+        table = [r.getMessage() for r in caplog.records if r.getMessage().startswith("knn table:")]
+        assert table == [f"knn table: {counts}"]
+
     def test_requires_exactly_one_mode(self, scene_files, tmp_path):
         code = run("baseline", "--embeddings", scene_files["embeddings"],
                    "--pairs-out", tmp_path / "p.txt")
@@ -436,6 +449,51 @@ class TestEveryOptionReadsConfig:
         assert run(command, *argv, "--config", config) == 3
         assert f"config value {dest}='x' is not a valid" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+BAD_THRESHOLDS = [
+    ("baseline", "tau_dist", "nan", "a number >= 0 or inf"),
+    ("baseline", "tau_dist", "-1", "a number >= 0 or inf"),
+    ("infer", "prob_threshold", "nan", "a number in [0, 1)"),
+    ("infer", "prob_threshold", "1.5", "a number in [0, 1)"),
+]
+
+
+class TestBadThresholds:
+    """A threshold outside its range is refused before anything is written."""
+
+    @staticmethod
+    def argv(command, files, out):
+        model = ["--model", files["m"]] if command == "infer" else []
+        return ["--embeddings", files["e"], *model, "--pairs-out", out / "p",
+                "--results-out", out / "r"]
+
+    @pytest.mark.parametrize("command,dest,value,expected", BAD_THRESHOLDS)
+    def test_flag_is_usage_error(self, command, dest, value, expected, guard_inputs,
+                                 tmp_path, capsys):
+        flag = "--" + dest.replace("_", "-")
+        assert run(command, *self.argv(command, guard_inputs, tmp_path), flag, value) == 2
+        assert f"argument {flag}: expected {expected}, got {value!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,dest,value,expected", BAD_THRESHOLDS)
+    def test_config_value_is_parse_error(self, command, dest, value, expected, guard_inputs,
+                                         tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{dest}={value}\n")
+        assert run(command, *self.argv(command, guard_inputs, out), "--config", config) == 3
+        assert f"config value {dest}={value!r} is not a valid" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command,dest,value", [
+        ("baseline", "tau_dist", "inf"), ("baseline", "tau_dist", "0"),
+        ("infer", "prob_threshold", "0")])
+    def test_range_ends_accepted(self, command, dest, value, guard_inputs, tmp_path):
+        flag = "--" + dest.replace("_", "-")
+        assert run(command, *self.argv(command, guard_inputs, tmp_path), flag, value) == 0
+        assert (tmp_path / "p").exists()
 
 
 # Minimal argv per subcommand; the tests only parse it.

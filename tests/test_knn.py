@@ -12,7 +12,7 @@ from matchgraph.errors import DegenerateVector, UnknownImage
 from matchgraph.knn import build_index, query_knn
 from matchgraph.synthetic import SceneConfig, generate_scene
 
-from retrieval_oracle import brute_force_knn
+from retrieval_oracle import brute_force_knn, row_distances
 
 
 def ring_matrix(n, start=0):
@@ -181,7 +181,7 @@ class TestNeighborTable:
         approx = index.sqnorm[:, None] + index.sqnorm - 2.0 * (index.unit @ index.unit.T)
         misordered = 0
         for q in range(len(emb)):
-            exact = index.distances(q)
+            exact = row_distances(index.unit, q)
             near = np.argsort(exact)[:5]
             a, e = approx[q, near], exact[near]
             misordered += int(np.sum((a[:, None] > a) & (e[:, None] < e)))
@@ -204,7 +204,7 @@ class TestNeighborTable:
         # every row against a full ranking by the library's own distances
         by_row = {}
         for r, line in zip(rows.tolist(), got):
-            d = index.distances(r)
+            d = row_distances(index.unit, r)
             order = np.lexsort((index.ids, d))[:9]
             assert line == list(zip(index.ids[order].tolist(), d[order].tolist()))
             assert by_row.setdefault(r, line) == line
@@ -215,18 +215,26 @@ class TestNeighborTable:
     def test_concurrent_widening_matches_oracle(self, make):
         # more threads than cores, switching often, rank rows narrow and
         # wide and widen one table through single-row and overlapping
-        # multi-row requests of mixed widths, around the floor of 16 too
+        # multi-row requests of mixed widths, around the floor of 16 too;
+        # radius queries race them, at radii that are exact distances of
+        # places around those widths
         emb = make(80)
         index = build_index(emb)
         widths = (3, 40, 9, 79, 16, 17)
+        full = {q: brute_force_knn(emb, q, 79).neighbors for q in range(80)}
+        radii = {(q, j): full[q][j][1] for q in range(80) for j in (2, 15, 16, 39, 78)}
         jobs = [([q], k) for q in range(80) for k in widths]
         jobs += [(list(range(q, q + 30)), k) for q in range(0, 50, 7) for k in widths]
         jobs += [(list(range(q, 80, 3)), k) for q in range(3) for k in widths]
+        jobs += [(q, tau) for (q, _), tau in radii.items()]
         order = np.random.default_rng(3).permutation(len(jobs))
         jobs = [jobs[i] for i in order]
 
         def run(job):
             rows, k = job
+            if isinstance(rows, int):
+                pos, dist = index.within(rows, k)
+                return sorted(zip(index.ids[pos].tolist(), dist.tolist()))
             if len(rows) == 1:
                 return [list(index.neighbors(rows[0], k).neighbors)]
             return table_rows(index, *index.table(rows, k))
@@ -238,10 +246,12 @@ class TestNeighborTable:
                 got = list(pool.map(run, jobs, timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        want = {(q, k): list(brute_force_knn(emb, q, k).neighbors)
-                for q in range(80) for k in widths}
+        want = {(q, k): list(full[q][:k]) for q in range(80) for k in widths}
         for (rows, k), lines in zip(jobs, got):
-            assert lines == [want[q, k] for q in rows]
+            if isinstance(rows, int):
+                assert lines == sorted((v, d) for v, d in full[rows] if d <= k)
+            else:
+                assert lines == [want[q, k] for q in rows]
         # every row ended up ranked, and no width claims unwritten columns
         pos, dist = index.table(range(80), 79)
         assert table_rows(index, pos, dist) == [want[q, 79] for q in range(80)]
@@ -322,25 +332,52 @@ class TestPerRowWidths:
 class TestTableCounts:
     def test_counts_on_a_small_ring(self):
         index = build_index(ring_matrix(40))
-        assert index.counts() == knn.TableCounts(0, 0, 0)
+        assert index.counts() == knn.TableCounts(0, 0, 0, 0, 0)
         rows = list(range(0, 40, 2))
         index.table(rows, 5)
         index.table(rows, 10)  # the floor of 16 covers k = 10: no re-rank
-        assert index.counts() == knn.TableCounts(20, 0, 40)
+        assert index.counts() == knn.TableCounts(20, 0, 40, 0, 0)
         index.table([1, 3], 30)  # new rows widen the table to 30 columns
         index.table(rows, 10)  # rows ranked before stay ranked
-        assert index.counts() == knn.TableCounts(22, 0, 62)
+        assert index.counts() == knn.TableCounts(22, 0, 62, 0, 0)
         index.table([0], 30)  # asked wider than ranked: one re-rank
         index.neighbors(0, 20)
-        assert index.counts() == knn.TableCounts(23, 1, 64)
-        assert str(index.counts()) == "rankings 23 reranks 1 rows_read 64"
+        assert index.counts() == knn.TableCounts(23, 1, 64, 0, 0)
+        assert str(index.counts()) == (
+            "rankings 23 reranks 1 rows_read 64 radius_table 0 radius_pass 0")
+
+    def test_radius_queries_on_a_small_ring(self):
+        # a fresh index answers by a pass and ranks nothing; a row ranked
+        # 16 wide (the floor) reaches past tau = 0.35 on the ring, and so
+        # does every row ranked over all N-1 rows
+        index = build_index(ring_matrix(40))
+        fresh = [index.within(r, 0.35) for r in range(40)]
+        assert index.counts() == knn.TableCounts(0, 0, 0, 0, 40)
+        index.table(range(0, 40, 2), 5)
+        narrow = [index.within(r, 0.35) for r in range(40)]
+        assert index.counts() == knn.TableCounts(20, 0, 20, 20, 60)
+        index.table(range(40), 39)
+        full = [index.within(r, 0.35) for r in range(40)]
+        assert index.counts() == knn.TableCounts(60, 20, 60, 60, 60)
+        for answers in (narrow, full):
+            for (p, d), (fp, fd) in zip(answers, fresh):
+                assert sorted(zip(p.tolist(), d.tolist())) == sorted(zip(fp.tolist(), fd.tolist()))
+
+    @pytest.mark.parametrize("tau", [float("nan"), -1.0, -math.inf])
+    @pytest.mark.parametrize("ranked", [False, True])
+    def test_radius_outside_range_rejected(self, tau, ranked):
+        index = build_index(ring_matrix(6))
+        if ranked:
+            index.table(range(6), 5)
+        with pytest.raises(ValueError, match="tau must be a number >= 0"):
+            index.within(0, tau)
 
     def test_floor_is_capped_at_the_population(self):
         index = build_index(ring_matrix(6))
         index.table(range(6), 2)
-        assert index.counts() == knn.TableCounts(6, 0, 6)
+        assert index.counts() == knn.TableCounts(6, 0, 6, 0, 0)
         assert index.table(range(6), 99)[0].shape == (6, 5)
-        assert index.counts() == knn.TableCounts(6, 0, 12)
+        assert index.counts() == knn.TableCounts(6, 0, 12, 0, 0)
 
     def test_frequent_reranks_rank_new_rows_at_capacity(self):
         # each query row was ranked narrow as a neighbor of the one before,
@@ -363,5 +400,5 @@ class TestTableCounts:
 
 def test_public_api_resolves_and_names_no_oracle():
     assert all(hasattr(mg, name) for name in mg.__all__)
-    oracles = {"brute_force_knn", "truncate_result", "distance", "l2_normalize"}
+    oracles = {"brute_force_knn", "truncate_result", "distance", "l2_normalize", "row_distances"}
     assert not oracles & set(mg.__all__)

@@ -23,6 +23,7 @@ from matchgraph.subgraph import QesParams
 from matchgraph.synthetic import SceneConfig, generate_scene
 
 from retrieval_oracle import brute_force_knn, distance, truncate_result
+from test_knn import duplicate_scene, near_tie_scene, random_scene as noisy_scene
 
 
 def ring_index(n=12, dim=6, seed=1):
@@ -60,6 +61,13 @@ class TestGcnRetrieve:
         result = gcn_retrieve(model, index, emb, 3, QesParams(5, 2, 3))
         for _, score in result.retrieved:
             assert 0.5 < score < 1.0
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.0, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        emb, index = ring_index()
+        model = constant_logit_model(6, 0.0)
+        with pytest.raises(ValueError, match=r"prob_threshold must be a number in \[0, 1\)"):
+            gcn_retrieve(model, index, emb, 0, QesParams(4, 2, 3), threshold)
 
     def test_second_hop_never_retrieved(self):
         emb, index = ring_index(20)
@@ -116,19 +124,46 @@ class TestThresholdRetrieve:
         large = threshold_retrieve(index, 2, 1.4).ids()
         assert small <= large
 
+    @pytest.mark.parametrize("state", ["fresh", "narrow", "wide", "full"])
     @pytest.mark.parametrize("emb", [
         EmbeddingMatrix([4], [[1.0, 2.0]]),
         EmbeddingMatrix([9, 2], [[1.0, 0.0], [0.0, 1.0]]),
         generate_scene(SceneConfig(n_images=48, symmetry_s=4, dim=6)).embeddings,
-    ])
-    def test_matches_filtered_oracle_ranking(self, emb):
+        noisy_scene(),
+        duplicate_scene(),
+        near_tie_scene(),
+    ], ids=["one", "two", "ring48", "noisy", "duplicates", "near-ties"])
+    def test_matches_filtered_oracle_ranking(self, emb, state):
+        # Every row unranked, ranked at the floor of 16, ranked N/2 wide or
+        # ranked over all N-1 rows. A radius that is a place's exact
+        # distance keeps that place: at the 16th place (or later) of a row
+        # ranked 16 wide it is answered by a candidate pass, at earlier
+        # places from the table.
         index = mg.build_index(emb)
         n = len(emb)
+        width = {"fresh": None, "narrow": 1, "wide": n // 2, "full": n - 1}[state]
+        if width:
+            index.table(range(n), width)
         for q in emb.ids:
             ranked = brute_force_knn(emb, q, n).neighbors
-            for tau in (0.0, 0.3, 1.0, 2.0, float("inf")):
+            places = {0, 7, 15, 16, n // 2 - 1, n // 2, n - 2}
+            exact = [ranked[j][1] for j in sorted(places) if 0 <= j < len(ranked)]
+            for tau in (0.0, 0.3, 1.0, 2.0, float("inf"), *exact):
                 want = tuple(sorted((v, 1.0 - d / 2.0) for v, d in ranked if d <= tau))
                 assert threshold_retrieve(index, q, tau).retrieved == want
+        counts = index.counts()
+        if state == "full" or n == 1:
+            assert counts.radius_pass == 0
+        elif state == "fresh":
+            assert counts.radius_table == 0
+        elif n > 16:
+            assert counts.radius_table > 0 and counts.radius_pass > 0
+
+    @pytest.mark.parametrize("tau", [float("nan"), -1.0, -1e-300])
+    def test_bad_tau_rejected(self, tau):
+        emb, index = ring_index(5)
+        with pytest.raises(ValueError, match="tau must be a number >= 0"):
+            threshold_retrieve(index, 0, tau)
 
     def test_unknown_query(self):
         emb, index = ring_index(5)

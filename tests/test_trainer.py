@@ -225,7 +225,8 @@ class TestTrain:
             build_training_set(scene.embeddings, scene.overlaps, [0, 1, 2], cfg)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("knn table:")]
         assert len(lines) == 1
-        assert re.fullmatch(r"knn table: rankings \d+ reranks \d+ rows_read \d+", lines[0])
+        assert re.fullmatch(r"knn table: rankings \d+ reranks \d+ rows_read \d+"
+                            r" radius_table 0 radius_pass 0", lines[0])
 
     def test_history_length_matches_epochs(self):
         scene = small_scene()
