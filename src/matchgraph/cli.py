@@ -2,12 +2,13 @@
 
 Subcommands: synth, index, train, infer, baseline, eval, stats. Every
 command is a deterministic function of its inputs; synth and train also
-take --seed. infer and baseline take --threads, which may parallelize
-per-query work but never changes output bytes. A --config file of
+take --seed. infer and baseline answer their queries one after another
+in one thread: a neighbor index is not shared between threads. They
+still accept --threads (an integer, also as a config key) and ignore it,
+so that existing command lines keep working. A --config file of
 key=value lines, keyed by long flag name with _ for -, supplies settings;
 explicit flags win. A setting given nowhere takes the library's default;
-the only defaults stated here are synth's 360 images, index's k of 10 and
-one query thread.
+the only defaults stated here are synth's 360 images and index's k of 10.
 
 Exit codes: 0 success, 2 usage error, 3 parse/read error, 4 compute error.
 """
@@ -16,7 +17,6 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import evaluation, overlaps, retrieval, synthetic, trainer
 from .embeddings import load_embeddings, save_embeddings
@@ -127,13 +127,6 @@ def _load_embeddings_file(path: str):
         return load_embeddings(fp)
 
 
-def _map_queries(fn, queries, threads: int = 1):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, queries))
-    return [fn(q) for q in queries]
-
-
 def _qes_params(args, cfg) -> QesParams:
     return QesParams(**_given(args, cfg, k1=int, k2=int, u=int))
 
@@ -225,12 +218,9 @@ def cmd_infer(args, cfg) -> int:
     params = _qes_params(args, cfg)
     threshold = _given(args, cfg, prob_threshold=_probability)
     queries = _read_queries(args.queries) if args.queries else sorted(emb.ids)
-    threads = _given(args, cfg, threads=int)
-
-    def one(q):
-        return retrieval.gcn_retrieve(model, index, emb, q, params, **threshold)
-
-    results = _map_queries(one, queries, **threads)
+    _given(args, cfg, threads=int)  # checked, then ignored (see the module docstring)
+    results = [retrieval.gcn_retrieve(model, index, emb, q, params, **threshold)
+               for q in queries]
     if log.isEnabledFor(logging.INFO):
         log.info("retrieved %d pairs for %d queries",
                  len(retrieval.collapse_pairs(results)), len(queries))
@@ -241,7 +231,7 @@ def cmd_infer(args, cfg) -> int:
 
 def cmd_baseline(args, cfg) -> int:
     mode = _given(args, cfg, topk=int, tau_dist=_distance)
-    threads = _given(args, cfg, threads=int)
+    _given(args, cfg, threads=int)  # checked, then ignored (see the module docstring)
     if len(mode) != 1:
         sys.stderr.write("matchgraph: error: give exactly one of --topk / --tau-dist\n")
         return EXIT_USAGE
@@ -252,13 +242,9 @@ def cmd_baseline(args, cfg) -> int:
     if topk is not None:
         # rank all query rows in blocks up front; each query then reads the table
         index.table([emb.position(q) for q in queries], topk)
-
-    def one(q):
-        if topk is not None:
-            return retrieval.topk_retrieve(index, q, topk)
-        return retrieval.threshold_retrieve(index, q, tau)
-
-    results = _map_queries(one, queries, **threads)
+        results = [retrieval.topk_retrieve(index, q, topk) for q in queries]
+    else:
+        results = [retrieval.threshold_retrieve(index, q, tau) for q in queries]
     log.info("knn table: %s", index.counts())
     _write_results(args, results)
     return EXIT_OK
@@ -373,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="classify subgraphs and export matchable pairs")
     common(p)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--pairs-out", dest="pairs_out", required=True)
@@ -388,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="top-k or distance-threshold retrieval")
     common(p)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--pairs-out", dest="pairs_out", required=True)
     p.add_argument("--results-out", dest="results_out", default=None)

@@ -55,8 +55,7 @@ class EmbeddingMatrix:
     """Immutable N x d matrix of per-image descriptors with stable ids.
 
     Rows are kept in 64-bit floats regardless of on-disk precision; the
-    matrix is made read-only after construction and may be shared freely
-    across threads.
+    matrix is made read-only after construction.
     """
 
     def __init__(self, ids: Sequence[int], vectors: np.ndarray):

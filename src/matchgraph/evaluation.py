@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .embeddings import ID_END
-from .errors import InvalidRecord
+from .errors import InvalidRecord, UnknownImage
 from .overlaps import TAU_CT, TAU_MO, label_pair
 
 
@@ -146,7 +146,8 @@ def view_graph_stats(
     truth: GroundTruth,
     symmetry_classes: Mapping[int, int] | None = None,
 ) -> ViewGraphStats:
-    """Count correct and spurious undirected pairs over all query results."""
+    """Count correct and spurious undirected pairs over all query results.
+    With `symmetry_classes`, every id of a spurious pair needs a class."""
     pairs: set[tuple[int, int]] = set()
     for result in results:
         q = result.query_id
@@ -155,6 +156,9 @@ def view_graph_stats(
     false_pairs = [(a, b) for a, b in pairs if not truth.contains(a, b)]
     cross = None
     if symmetry_classes is not None:
+        missing = [v for pair in false_pairs for v in pair if v not in symmetry_classes]
+        if missing:
+            raise UnknownImage(f"image id {min(missing)} has no symmetry class")
         cross = sum(
             1 for a, b in false_pairs
             if symmetry_classes[a] != symmetry_classes[b]

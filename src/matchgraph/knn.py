@@ -17,7 +17,6 @@ scratch while a block is ranked. Approximate search is deliberately out
 of scope because subgraph topology is the classifier's input signal.
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,9 +155,8 @@ class Index:
     (distance, id) with the difference formula.
     The table only caches exact answers, so it never changes results. A
     ranking wider than the table's capacity swaps in a wider copy of the
-    table. Rows are written under a lock, positions and distances before
-    the width that claims them, and a row's width never falls, so threads
-    may share an index, and readers of ranked rows take no lock.
+    table. An index must not be shared between threads: asking it anything
+    may write to the table.
     """
 
     def __init__(self, emb: EmbeddingMatrix, unit: np.ndarray, sqnorm: np.ndarray):
@@ -167,7 +165,6 @@ class Index:
         self.sqnorm = sqnorm
         self.ids = np.asarray(emb.ids, dtype=np.uint64)
         self._margin = _candidate_margin(unit.shape[1])
-        self._lock = threading.Lock()
         self._table = _Table(len(emb), 0)
         self._rankings = self._reranks = self._rows_read = 0
         self._radius_table = self._radius_pass = 0
@@ -177,12 +174,9 @@ class Index:
 
     def counts(self) -> TableCounts:
         """Rows ranked, re-ranked and read by `table` so far, and radius
-        queries answered. Rankings are counted under the lock; reads and
-        radius queries are not, to keep them cheap, so threads racing on
-        one index may undercount them."""
-        with self._lock:
-            return TableCounts(self._rankings, self._reranks, self._rows_read,
-                               self._radius_table, self._radius_pass)
+        queries answered."""
+        return TableCounts(self._rankings, self._reranks, self._rows_read,
+                           self._radius_table, self._radius_pass)
 
     def table(self, rows, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Positions and distances of the min(k, N-1) nearest rows of each
@@ -215,8 +209,8 @@ class Index:
             self._rank_block(rows[start:start + step], w)
 
     def _width(self, take: int) -> int:
-        """The width to rank a row asked at `take` (the counts are read
-        without the lock: they only steer the width, never the result)."""
+        """The width to rank a row asked at `take`. The counts only steer
+        the width, never the result."""
         floor = _MIN_WIDTH
         if self._reranks * _RERANK_SHARE > self._rankings:
             floor = max(floor, self._table.capacity)
@@ -230,8 +224,6 @@ class Index:
         nothing to the table."""
         if not tau >= 0.0:
             raise ValueError(f"tau must be a number >= 0, got {tau!r}")
-        # Widths never fall and are written after the columns they claim,
-        # so one read of the table sees the row whole.
         table = self._table
         w = int(table.width[row])
         if w == len(self) - 1 or (w and table.dist[row, w - 1] > tau):
@@ -266,14 +258,12 @@ class Index:
         cand, dist = self._candidates(row, w)
         first = np.lexsort((self.ids[cand], dist))[:w]
         pos, dist = cand[first], dist[first]
-        with self._lock:
-            table = self._writable(w)
-            width = int(table.width[row])
-            table.pos[row, :w] = pos
-            table.dist[row, :w] = dist
-            table.width[row] = max(width, w)
-            self._rankings += 1
-            self._reranks += width > 0
+        table = self._writable(w)
+        self._rankings += 1
+        self._reranks += bool(table.width[row])
+        table.pos[row, :w] = pos
+        table.dist[row, :w] = dist
+        table.width[row] = w
 
     def _rank_block(self, rows: np.ndarray, w: int) -> None:
         # The GEMM form cancels badly for near rows and may misorder them,
@@ -305,19 +295,15 @@ class Index:
         order = np.lexsort((self.ids[cand], dist, which))
         starts = np.searchsorted(which, np.arange(rows.size))
         first = order[starts[:, None] + np.arange(w)]
-        with self._lock:
-            table = self._writable(w)
-            width = table.width[rows]
-            table.pos[rows, :w] = cand[first]
-            table.dist[rows, :w] = dist[first]
-            table.width[rows] = np.maximum(width, w)
-            self._rankings += rows.size
-            self._reranks += int(np.count_nonzero(width))
+        table = self._writable(w)
+        self._rankings += rows.size
+        self._reranks += int(np.count_nonzero(table.width[rows]))
+        table.pos[rows, :w] = cand[first]
+        table.dist[rows, :w] = dist[first]
+        table.width[rows] = w
 
     def _writable(self, w: int) -> _Table:
-        """The table, widened to hold `w` columns; called under the lock.
-        A row that another thread ranked wider meanwhile keeps its width:
-        its first `w` columns get the same values again."""
+        """The table, widened to hold `w` columns."""
         if self._table.capacity < w:
             self._table = _Table(len(self), w, self._table)
         return self._table

@@ -68,7 +68,9 @@ def gcn_retrieve(
 
 
 def _distance_score(d: float) -> float:
-    return 1.0 - d / 2.0
+    """1 - d/2, or 0 past d = 2: unit rows lie within distance 2, but
+    antipodal rows can round just past it."""
+    return 0.0 if d >= 2.0 else 1.0 - d / 2.0
 
 
 def topk_retrieve(index: Index, query_id: int, k: int) -> RetrievalResult:
@@ -83,7 +85,8 @@ def threshold_retrieve(index: Index, query_id: int, tau: float) -> RetrievalResu
     pos, dist = index.within(index.emb.position(query_id), tau)
     ids = index.ids[pos]
     order = np.argsort(ids)  # ids are unique, so this is the order of sorted pairs
-    retrieved = tuple(zip(ids[order].tolist(), _distance_score(dist[order]).tolist()))
+    scores = np.maximum(1.0 - dist[order] / 2.0, 0.0)  # `_distance_score` of each
+    retrieved = tuple(zip(ids[order].tolist(), scores.tolist()))
     return RetrievalResult(query_id=query_id, retrieved=retrieved)
 
 

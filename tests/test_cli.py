@@ -21,10 +21,15 @@ from matchgraph.synthetic import SceneConfig, generate_scene
 from matchgraph.trainer import TrainConfig
 
 from retrieval_oracle import brute_force_knn
+from test_retrieval import antipodal_embeddings
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def knn_table_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("knn table:")]
 
 
 @pytest.fixture()
@@ -116,7 +121,7 @@ class TestPipeline:
         assert code == 0
         assert pairs.read_text().startswith("# matchgraph pairs v1\n")
         # every image is a query: 24 one-row requests and two block requests each
-        table = [r.getMessage() for r in caplog.records if r.getMessage().startswith("knn table:")]
+        table = knn_table_lines(caplog)
         assert len(table) == 1
         assert re.fullmatch(r"knn table: rankings \d+ reranks \d+ rows_read \d+"
                             r" radius_table 0 radius_pass 0", table[0])
@@ -148,7 +153,7 @@ class TestPipeline:
             outputs.append((model.read_bytes(), pairs.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_thread_count_does_not_change_output(self, scene_files, tmp_path):
+    def test_thread_count_does_not_change_output(self, scene_files, tmp_path, caplog):
         model = tmp_path / "model.ckpt"
         run(
             "train", "--embeddings", scene_files["embeddings"],
@@ -157,29 +162,35 @@ class TestPipeline:
             "--conv-widths", "8,8,6,6", "--fc-widths", "4",
             "--history-out", tmp_path / "h.csv",
         )
-        pair_files = []
+        outputs = []
         for threads in (1, 4):
             pairs = tmp_path / f"pairs-t{threads}.txt"
-            run(
-                "infer", "--embeddings", scene_files["embeddings"], "--model", model,
-                "--pairs-out", pairs, "--k1", 6, "--k2", 2, "--u", 3,
-                "--threads", threads,
-            )
-            pair_files.append(pairs.read_bytes())
-        assert pair_files[0] == pair_files[1]
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="matchgraph.cli"):
+                run(
+                    "infer", "--embeddings", scene_files["embeddings"], "--model", model,
+                    "--pairs-out", pairs, "--k1", 6, "--k2", 2, "--u", 3,
+                    "--threads", threads,
+                )
+            outputs.append((pairs.read_bytes(), knn_table_lines(caplog)))
+        assert len(outputs[0][1]) == 1
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("mode", [("--topk", 7), ("--tau-dist", 0.6)])
-    def test_thread_count_does_not_change_baseline(self, scene_files, tmp_path, mode):
+    def test_thread_count_does_not_change_baseline(self, scene_files, tmp_path, caplog, mode):
         # each run fills and widens the neighbor table of a fresh index
         outputs = []
         for threads in (1, 4):
             pairs = tmp_path / f"pairs-t{threads}.txt"
             results = tmp_path / f"results-t{threads}.csv"
-            assert run(
-                "baseline", "--embeddings", scene_files["embeddings"], *mode,
-                "--pairs-out", pairs, "--results-out", results, "--threads", threads,
-            ) == 0
-            outputs.append((pairs.read_bytes(), results.read_bytes()))
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="matchgraph.cli"):
+                assert run(
+                    "baseline", "--embeddings", scene_files["embeddings"], *mode,
+                    "--pairs-out", pairs, "--results-out", results, "--threads", threads,
+                ) == 0
+            outputs.append((pairs.read_bytes(), results.read_bytes(), knn_table_lines(caplog)))
+        assert len(outputs[0][2]) == 1
         assert outputs[0] == outputs[1]
 
     def test_blas_thread_count_does_not_change_checkpoint(self, tmp_path):
@@ -290,8 +301,16 @@ class TestBaseline:
         with caplog.at_level(logging.INFO, logger="matchgraph.cli"):
             assert run("baseline", "--embeddings", scene_files["embeddings"], *mode,
                        "--pairs-out", tmp_path / "p.txt") == 0
-        table = [r.getMessage() for r in caplog.records if r.getMessage().startswith("knn table:")]
-        assert table == [f"knn table: {counts}"]
+        assert knn_table_lines(caplog) == [f"knn table: {counts}"]
+
+    @pytest.mark.parametrize("mode", [("--topk", 2), ("--tau-dist", "inf")])
+    def test_antipodal_rows_score_zero(self, tmp_path, mode):
+        emb = tmp_path / "antipodal.emb"
+        emb.write_bytes(mg.save_embeddings(antipodal_embeddings()))
+        results = tmp_path / "results.csv"
+        assert run("baseline", "--embeddings", emb, *mode, "--pairs-out", tmp_path / "p.txt",
+                   "--results-out", results) == 0
+        assert "0,1,0.0" in results.read_text().splitlines()
 
     def test_requires_exactly_one_mode(self, scene_files, tmp_path):
         code = run("baseline", "--embeddings", scene_files["embeddings"],
@@ -315,6 +334,18 @@ class TestStats:
             line.split(",") for line in report.read_text().strip().splitlines()[1:]
         )
         assert int(rows["cross_class_false_positives"]) > 0
+
+    def test_false_pair_id_without_class_is_compute_error(self, tmp_path, capsys):
+        pairs, truth, classes = (tmp_path / name for name in ("pairs", "truth", "classes"))
+        for path, rows in ((pairs, [(0, 1, 0.5), (0, 2, 0.5)]), (truth, [(0, 1, 1.0)])):
+            with path.open("w") as fp:
+                write_pair_file(rows, fp)
+        classes.write_text("0 0\n1 1\n")
+        report = tmp_path / "stats.csv"
+        assert run("stats", "--pairs", pairs, "--truth-pairs", truth, "--classes", classes,
+                   "--report-out", report) == 4
+        assert "image id 2 has no symmetry class" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestConfigFile:

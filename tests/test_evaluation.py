@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import matchgraph as mg
-from matchgraph.errors import InvalidRecord
+from matchgraph.errors import InvalidRecord, UnknownImage
 from matchgraph.evaluation import (
     GroundTruth,
     macro_average,
@@ -118,6 +118,17 @@ class TestViewGraphStats:
         assert stats.true_positive_pairs == len(tp)
         assert stats.false_positive_pairs == len(fp)
         assert stats.cross_class_false_positives == len(cross)
+
+    def test_false_pair_id_without_class_is_named(self):
+        truth = GroundTruth.from_pairs([(0, 1)], [0, 1, 2])
+        results = [RetrievalResult(0, ((1, 0.5), (2, 0.5)))]
+        with pytest.raises(UnknownImage, match="image id 2 has no symmetry class"):
+            view_graph_stats(results, truth, {0: 0, 1: 1})
+
+    def test_only_false_pair_ids_need_a_class(self):
+        truth = GroundTruth.from_pairs([(0, 1)], [0, 1, 2])
+        results = [RetrievalResult(0, ((1, 0.5), (2, 0.5)))]
+        assert view_graph_stats(results, truth, {0: 0, 2: 1}).cross_class_false_positives == 1
 
 
 class TestGroundTruth:

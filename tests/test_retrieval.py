@@ -98,6 +98,25 @@ class TestTopkRetrieve:
         assert small <= large
 
 
+def antipodal_embeddings():
+    # v and -v, whose computed distance rounds to just above 2
+    v = np.array([-1.1980559825897217, 1.120263695716858, 1.2699267864227295], dtype=np.float32)
+    return EmbeddingMatrix([0, 1, 2], [v, -v, [0.0, 1.0, 0.0]])
+
+
+class TestAntipodalScore:
+    def test_distance_rounds_past_two(self):
+        index = mg.build_index(antipodal_embeddings())
+        assert dict(index.neighbors(0, 2).neighbors)[1] > 2.0
+
+    @pytest.mark.parametrize("retrieve", [lambda index: topk_retrieve(index, 0, 2),
+                                          lambda index: threshold_retrieve(index, 0, np.inf)],
+                             ids=["topk", "threshold"])
+    def test_score_is_zero(self, retrieve):
+        score = dict(retrieve(mg.build_index(antipodal_embeddings())).retrieved)[1]
+        assert score == 0.0 and type(score) is float
+
+
 class TestThresholdRetrieve:
     def test_tau_zero_keeps_exact_duplicates_only(self):
         emb = EmbeddingMatrix([0, 1, 2], [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
