@@ -17,35 +17,28 @@ from .errors import InvalidRecord, UnknownImage
 from .overlaps import TAU_CT, TAU_MO, label_pair
 
 
-@dataclass(frozen=True, init=False)
 class GroundTruth:
     """Symmetric matchable-pair relation over a known id universe.
 
     Built in bulk from the pairs `(a[k], b[k])` of two u64 columns, which
     from_pairs, from_records and from_columns make; the universe gains
-    every id of a pair. Each id's partners are indexed for relevant().
+    every id of a pair. One map holds each id's partners, and relevant()
+    and contains() both read it.
     """
-
-    matchable: frozenset[tuple[int, int]]
-    universe: frozenset[int]
 
     def __init__(self, a: np.ndarray, b: np.ndarray, universe: Iterable[int] = ()):
         if np.any(a == b):
             v = int(a[np.argmax(a == b)])
             raise ValueError(f"self-pair ({v}, {v}) in ground truth")
         # Each pair under both of its ids, grouped by id. A repeated pair
-        # repeats a partner, which relevant() folds into its set.
+        # repeats a partner, which the id's frozenset folds.
         ends, others = np.concatenate([a, b]), np.concatenate([b, a])
         order = np.argsort(ends)
         ids, starts = np.unique(ends[order], return_index=True)
         ids, others = ids.tolist(), others[order].tolist()
         bounds = starts.tolist() + [len(others)]
-        object.__setattr__(self, "matchable", frozenset(
-            zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())))
-        object.__setattr__(self, "universe", frozenset(universe).union(ids))
-        # Tuples take a fraction of a set's memory; relevant() builds the set.
-        object.__setattr__(self, "_partners",
-                           {v: tuple(others[s:e]) for v, s, e in zip(ids, bounds, bounds[1:])})
+        self.universe = frozenset(universe).union(ids)
+        self._partners = {v: frozenset(others[s:e]) for v, s, e in zip(ids, bounds, bounds[1:])}
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], universe: Iterable[int] = ()):
@@ -83,7 +76,12 @@ class GroundTruth:
         return set(self._partners.get(query_id, ()))
 
     def contains(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.matchable
+        return b in self._partners.get(a, ())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroundTruth):
+            return NotImplemented
+        return self.universe == other.universe and self._partners == other._partners
 
 
 def per_query_prf(predicted: set, relevant: set) -> tuple[float, float, float]:

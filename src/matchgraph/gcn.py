@@ -91,8 +91,8 @@ class DenseLayer:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise DimensionError("dense weights must be 2-d")
+        if self.weights.ndim != 2 or self.weights.shape[1] < 1:
+            raise DimensionError("dense weights must be 2-d with >= 1 column")
         if self.bias.shape != (self.weights.shape[1],):
             raise DimensionError("bias length must equal output width")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
@@ -173,6 +173,8 @@ def init_model(
     """
     if len(conv_widths) != 4:
         raise DimensionError("conv_widths must list exactly 4 widths")
+    if any(w < 1 for w in (*conv_widths, *fc_widths)):
+        raise DimensionError(f"layer widths must be >= 1: conv {conv_widths}, fc {fc_widths}")
     rng = np.random.default_rng(seed)
 
     def uniform(bound, *shape):

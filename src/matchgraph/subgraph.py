@@ -152,8 +152,6 @@ def append_edges(index: Index, rows, u: int) -> np.ndarray:
     """Stage 2: undirected edge p-r whenever r is among the u nearest
     rows of p searched over the entire collection and r is a node row."""
     n = len(rows)
-    if not n:
-        raise InvalidRecord("cannot append edges to an empty node set")
     slot = np.full(len(index), -1, dtype=np.intp)
     slot[rows] = np.arange(n)
     near = slot[index.table(rows, u)[0]]

@@ -36,8 +36,8 @@ class SceneConfig:
             raise ValueError("symmetry order must be >= 1")
         if not 0.0 < self.overlap_angle < math.pi:
             raise ValueError("overlap angle must lie in (0, pi)")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise sigma must be a finite number >= 0, got {self.noise_sigma!r}")
         if self.dim < 2:
             raise ValueError("descriptor dimension must be >= 2")
 

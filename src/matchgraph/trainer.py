@@ -52,8 +52,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 <= self.tau_mo <= 1.0 and 0.0 <= self.tau_ct <= 1.0):
             raise ValueError("thresholds must lie in [0, 1]")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate!r}")
         if self.epochs < 0:
             raise ValueError("epoch count must be non-negative")
         if self.batch_size < 1:
@@ -189,8 +189,8 @@ def train(
     """
     if not queries:
         raise NoTrainingData("no training queries given")
-    subgraphs = build_training_set(emb, records, queries, config)
     model = init_model(emb.dim, conv_widths, fc_widths, seed=[config.seed, 0])
+    subgraphs = build_training_set(emb, records, queries, config)
     state = init_adam(model.parameters())
     history: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):

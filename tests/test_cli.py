@@ -559,6 +559,31 @@ class TestSeedAndThreadFlags:
         assert getattr(args, flag[2:]) == 3
 
 
+class TestOneImageCollection:
+    @pytest.fixture()
+    def lone(self, tmp_path):
+        paths = {"embeddings": tmp_path / "one.emb", "overlaps": tmp_path / "one.overlaps"}
+        assert run("synth", "--embeddings", paths["embeddings"], "--overlaps",
+                   paths["overlaps"], "--n-images", 1, "--dim", 8) == 0
+        return paths
+
+    def test_infer_writes_a_header_only_pair_file(self, lone, tmp_path):
+        model = tmp_path / "model.ckpt"
+        model.write_bytes(mg.save_model(
+            mg.init_model(8, conv_widths=(6, 6, 4, 4), fc_widths=(3,), seed=0)))
+        pairs = tmp_path / "pairs.txt"
+        assert run("infer", "--embeddings", lone["embeddings"], "--model", model,
+                   "--pairs-out", pairs) == 0
+        assert pairs.read_text() == "# matchgraph pairs v1\n"
+
+    def test_train_is_compute_error_and_writes_no_checkpoint(self, lone, tmp_path, capsys):
+        model = tmp_path / "model.ckpt"
+        assert run("train", "--embeddings", lone["embeddings"], "--overlaps", lone["overlaps"],
+                   "--model", model, "--epochs", 1) == 4
+        assert "no query produced a trainable subgraph" in capsys.readouterr().err
+        assert not model.exists()
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert run("train") == 2
@@ -599,6 +624,37 @@ class TestExitCodes:
         )
         assert code == 4
         assert not model.exists() and not history.exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_sigma_is_compute_error_and_writes_nothing(self, tmp_path, capsys,
+                                                                        sigma):
+        emb, ov = tmp_path / "s.emb", tmp_path / "s.overlaps"
+        assert run("synth", "--embeddings", emb, "--overlaps", ov, "--n-images", 8,
+                   f"--noise-sigma={sigma}") == 4
+        assert "noise sigma must be a finite number >= 0" in capsys.readouterr().err
+        assert not emb.exists() and not ov.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_compute_error(self, scene_files, tmp_path, capsys, lr):
+        model = tmp_path / "model.ckpt"
+        assert run("train", "--embeddings", scene_files["embeddings"],
+                   "--overlaps", scene_files["overlaps"], "--model", model, "--lr", lr) == 4
+        assert f"learning rate must be finite and > 0, got {lr}" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flag, widths", [
+        ("--fc-widths", "0"), ("--fc-widths", "2,0"), ("--fc-widths", "-2"),
+        ("--conv-widths", "8,0,6,6"),
+    ])
+    def test_widths_below_one_are_compute_error(self, scene_files, tmp_path, capsys, flag,
+                                                widths):
+        model = tmp_path / "model.ckpt"
+        assert run("train", "--embeddings", scene_files["embeddings"],
+                   "--overlaps", scene_files["overlaps"], "--model", model,
+                   f"{flag}={widths}") == 4
+        err = capsys.readouterr().err
+        assert "layer widths must be >= 1" in err and str(cli._widths(widths)) in err
+        assert not model.exists()
 
     def test_overlap_id_outside_u64_is_parse_error(self, scene_files, tmp_path, capsys):
         pairs = tmp_path / "p.txt"

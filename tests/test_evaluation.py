@@ -112,8 +112,8 @@ class TestViewGraphStats:
         for res in results:
             for v, _ in res.retrieved:
                 pairs.add((min(res.query_id, v), max(res.query_id, v)))
-        tp = {p for p in pairs if p in truth.matchable}
-        fp = pairs - truth.matchable
+        tp = pairs & true_pairs
+        fp = pairs - true_pairs
         cross = {(a, b) for a, b in fp if classes[a] != classes[b]}
         assert stats.true_positive_pairs == len(tp)
         assert stats.false_positive_pairs == len(fp)
@@ -159,6 +159,13 @@ class TestGroundTruth:
         empty = GroundTruth.from_records([], universe=[3])
         assert empty == GroundTruth.from_pairs([], [3]) and empty.relevant(3) == set()
 
+    def test_equality_ignores_pair_order_and_repeats(self):
+        truth = GroundTruth.from_pairs([(1, 2), (3, 1), (2, 1)], [7])
+        assert truth == GroundTruth.from_pairs([(1, 3), (1, 2)], [7, 1])
+        assert truth != GroundTruth.from_pairs([(1, 3), (1, 2)])
+        assert truth != GroundTruth.from_pairs([(1, 3), (2, 3)], [7])
+        assert truth.contains(2, 1) and truth.contains(1, 3) and not truth.contains(2, 3)
+
     def test_from_store_columns_equals_from_records(self):
         scene = mg.generate_scene(
             mg.SceneConfig(n_images=40, symmetry_s=2, overlap_angle=math.pi / 6, seed=3))
@@ -187,7 +194,7 @@ class TestGroundTruth:
         pairs = [tuple(int(v) for v in rng.choice(40, size=2, replace=False)) for _ in range(150)]
         truth = GroundTruth.from_pairs(pairs)
         for q in range(42):
-            scan = {b for a, b in truth.matchable if a == q} | {a for a, b in truth.matchable if b == q}
+            scan = {b for a, b in pairs if a == q} | {a for a, b in pairs if b == q}
             assert truth.relevant(q) == scan
         truth.relevant(3).add(99)
         assert 99 not in truth.relevant(3)

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,8 @@ from matchgraph.errors import (
     VersionMismatch,
 )
 from matchgraph.gcn import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     DenseLayer,
     GcnLayer,
     GcnModel,
@@ -29,7 +32,7 @@ from matchgraph.gcn import (
     model_forward,
     save_model,
 )
-from matchgraph.subgraph import Qes, QesParams
+from matchgraph.subgraph import Qes, QesParams, build_qes
 from matchgraph.trainer import TrainConfig, build_training_set
 
 from gcn_oracle import (
@@ -142,6 +145,12 @@ class TestModelForward:
         model = init_model(4, conv_widths=(3, 3, 3, 3), fc_widths=(2,), seed=0)
         model.set_parameters([np.zeros_like(p) for p in model.parameters()])
         assert np.array_equal(model_forward(qes, model), np.full(6, 0.5))
+
+    def test_empty_subgraph_gives_no_probabilities(self):
+        emb = mg.EmbeddingMatrix([5], [[1.0, 0.5, 0.0, 0.0]])
+        qes = build_qes(mg.build_index(emb), emb, 5, QesParams(3, 2, 2))
+        model = init_model(4, conv_widths=(3, 3, 3, 3), fc_widths=(2,), seed=0)
+        assert len(qes) == 0 and model_forward(qes, model).shape == (0,)
 
     def test_golden_vector(self):
         model = init_model(4, conv_widths=(8, 8, 6, 6), fc_widths=(3,), seed=42)
@@ -427,6 +436,19 @@ class TestCheckpoints:
         with pytest.raises(VersionMismatch):
             load_model(bytes(data))
 
+    def test_zero_width_dense_layer_is_shape_corruption(self):
+        convs = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0).conv_layers
+        # conv layers as saved, then a 3x0 dense layer feeding a 0x1 head
+        layers = [(0, layer.weights, None) for layer in convs]
+        layers += [(1, np.ones((3, 0)), np.ones(0)), (1, np.ones((0, 1)), np.ones(1))]
+        data = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(layers))
+        for kind, weights, bias in layers:
+            data += struct.pack("<BIIB", kind, *weights.shape, bias is not None)
+            data += weights.astype("<f8").tobytes()
+            data += b"" if bias is None else bias.astype("<f8").tobytes()
+        with pytest.raises(ShapeCorruption, match="dense weights must be 2-d with >= 1 column"):
+            load_model(data)
+
     def test_shape_corruption(self):
         model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0)
         data = bytearray(save_model(model))
@@ -446,6 +468,16 @@ class TestModelValidation:
         convs = [GcnLayer(np.ones((4, 2))) for _ in range(4)]
         with pytest.raises(DimensionError):
             GcnModel(convs, [DenseLayer(np.ones((2, 3)), np.zeros(3))])
+
+    @pytest.mark.parametrize("widths", [
+        {"fc_widths": (0,)}, {"fc_widths": (2, 0)}, {"fc_widths": (-2,)},
+        {"conv_widths": (4, 0, 3, 3)},
+    ])
+    def test_init_rejects_widths_below_one_and_names_them(self, widths):
+        widths = {"conv_widths": (4, 4, 3, 3), "fc_widths": (2,), **widths}
+        with pytest.raises(DimensionError, match="layer widths must be >= 1") as exc:
+            init_model(3, **widths)
+        assert all(str(w) in str(exc.value) for w in widths.values())
 
     def test_default_widths(self):
         model = init_model(32)

@@ -55,6 +55,11 @@ class TestGcnRetrieve:
         result = gcn_retrieve(model, index, emb, 0, params)
         assert result.ids() == set(index.neighbors(0, 4).ids())
 
+    def test_lone_image_retrieves_nothing(self):
+        emb, index = ring_index(n=1)
+        model = constant_logit_model(6, 30.0)
+        assert gcn_retrieve(model, index, emb, 0, QesParams(4, 2, 3)).retrieved == ()
+
     def test_scores_are_probabilities(self):
         emb, index = ring_index()
         model = mg.init_model(6, conv_widths=(6, 6, 4, 4), fc_widths=(3,), seed=4)

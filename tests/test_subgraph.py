@@ -152,6 +152,12 @@ class TestBuildQes:
         assert np.array_equal(qes.adjacency, append_edges(index, rows, 2))
         assert np.array_equal(qes.features, compute_features(emb, qrow, rows))
 
+    def test_lone_image_gets_an_empty_subgraph(self):
+        emb, index = ring_scene(1)
+        qes = build_qes(index, emb, 0, QesParams(3, 2, 2))
+        assert len(qes) == 0 and qes.hop == ()
+        assert qes.adjacency.shape == (0, 0) and qes.features.shape == (0, 2)
+
     def test_unknown_query(self):
         emb, index = ring_scene(4)
         with pytest.raises(UnknownImage):

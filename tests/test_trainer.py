@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -19,6 +20,20 @@ from matchgraph.trainer import (
     optimizer_step,
     train,
 )
+
+
+# The settings each config class needs besides the one under test.
+_REQUIRED = {mg.SceneConfig: {"n_images": 8}, TrainConfig: {}}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("config, name", [
+    (config, f.name) for config in _REQUIRED for f in dataclasses.fields(config)
+    if f.type is float
+])
+def test_every_float_setting_refuses_non_finite_values(config, name, value):
+    with pytest.raises(ValueError):
+        config(**_REQUIRED[config], **{name: value})
 
 
 def small_scene(n=16, s=2, seed=3, dim=8, noise=0.05):
