@@ -109,6 +109,10 @@ def _probability(text: str) -> float:
     return _number(text, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
 
+def _fraction(text: str) -> float:
+    return _number(text, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+
+
 def _read_queries(path: str) -> list[int]:
     queries = []
     with open(path, "r", encoding="utf-8") as fp:
@@ -139,15 +143,17 @@ def _write_text(path: str | None, text: str) -> None:
             fp.write(text)
 
 
-def _write_results(args, results) -> None:
-    """The pair file, and with --results-out one CSV row per retrieved id."""
+def _write_results(args, results) -> int:
+    """The pair file, and with --results-out one CSV row per retrieved id.
+    Returns the number of pairs written."""
     with open(args.pairs_out, "w", encoding="utf-8") as fp:
-        retrieval.export_pairs(results, fp)
+        pairs = retrieval.export_pairs(results, fp)
     if args.results_out:
         rows = ["query_id,image_id,score"]
         for result in results:
             rows += [f"{result.query_id},{v},{s!r}" for v, s in result.retrieved]
         _write_text(args.results_out, "\n".join(rows) + "\n")
+    return len(pairs)
 
 
 def cmd_synth(args, cfg) -> int:
@@ -221,11 +227,8 @@ def cmd_infer(args, cfg) -> int:
     _given(args, cfg, threads=int)  # checked, then ignored (see the module docstring)
     results = [retrieval.gcn_retrieve(model, index, emb, q, params, **threshold)
                for q in queries]
-    if log.isEnabledFor(logging.INFO):
-        log.info("retrieved %d pairs for %d queries",
-                 len(retrieval.collapse_pairs(results)), len(queries))
-        log.info("knn table: %s", index.counts())
-    _write_results(args, results)
+    log.info("retrieved %d pairs for %d queries", _write_results(args, results), len(queries))
+    log.info("knn table: %s", index.counts())
     return EXIT_OK
 
 
@@ -259,7 +262,7 @@ def _load_truth(args, cfg) -> evaluation.GroundTruth:
         with open(args.overlaps, "r", encoding="utf-8") as fp:
             store = overlaps.load_overlaps(fp.read())
         return evaluation.GroundTruth.from_columns(
-            *store.columns(), **_given(args, cfg, tau_mo=float, tau_ct=float))
+            *store.columns(), **_given(args, cfg, tau_mo=_fraction, tau_ct=_fraction))
     raise InvalidRecord("ground truth requires --truth-pairs or --overlaps")
 
 
@@ -293,7 +296,8 @@ def cmd_stats(args, cfg) -> int:
     if args.classes:
         with open(args.classes, "r", encoding="utf-8") as fp:
             classes = synthetic.load_classes(fp.read())
-    results = [retrieval.RetrievalResult(a, ((b, score),)) for a, b, score in pairs]
+    # the pair file was checked as it was read: a < b, ids in [0, 2^64), scores in [0, 1]
+    results = [retrieval.RetrievalResult._built(a, ((b, score),)) for a, b, score in pairs]
     stats = evaluation.view_graph_stats(results, truth, classes)
     cross = "NA" if stats.cross_class_false_positives is None else stats.cross_class_false_positives
     text = (
@@ -390,8 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlaps", default=None, help="overlap records as ground truth")
     p.add_argument("--truth-pairs", dest="truth_pairs", default=None,
                    help="pair file as ground truth")
-    p.add_argument("--tau-mo", dest="tau_mo", type=float, default=None)
-    p.add_argument("--tau-ct", dest="tau_ct", type=float, default=None)
+    p.add_argument("--tau-mo", dest="tau_mo", type=_fraction, default=None,
+                   help="a number in [0, 1]")
+    p.add_argument("--tau-ct", dest="tau_ct", type=_fraction, default=None,
+                   help="a number in [0, 1]")
     p.add_argument("--queries", default=None)
     p.add_argument("--embeddings", default=None,
                    help="score every image of this embedding file as a query")
@@ -403,8 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--overlaps", default=None)
     p.add_argument("--truth-pairs", dest="truth_pairs", default=None)
-    p.add_argument("--tau-mo", dest="tau_mo", type=float, default=None)
-    p.add_argument("--tau-ct", dest="tau_ct", type=float, default=None)
+    p.add_argument("--tau-mo", dest="tau_mo", type=_fraction, default=None,
+                   help="a number in [0, 1]")
+    p.add_argument("--tau-ct", dest="tau_ct", type=_fraction, default=None,
+                   help="a number in [0, 1]")
     p.add_argument("--classes", default=None)
     p.add_argument("--report-out", dest="report_out", default=None)
     p.set_defaults(func=cmd_stats)

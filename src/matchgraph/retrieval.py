@@ -23,19 +23,34 @@ _PAIR_ROW = np.dtype([("a", "u8"), ("b", "u8"), ("score", "f8")])
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    """One query's retrieved ids with scores in [0, 1], set semantics."""
+    """One query's retrieved ids with scores in [0, 1], set semantics.
+
+    The constructor checks a result built outside the library; the
+    retrieval routes below build theirs through `_built`."""
 
     query_id: int
     retrieved: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
         ids = [v for v, _ in self.retrieved]
+        for v in (self.query_id, *ids):
+            if not (isinstance(v, (int, np.integer)) and 0 <= v < ID_END):
+                raise InvalidRecord(f"image id {v!r} is not an integer in [0, 2^64)")
         if self.query_id in ids:
             raise InvalidRecord("a query must not retrieve itself")
         if len(set(ids)) != len(ids):
             raise InvalidRecord("retrieved ids must be unique")
         if any(not 0.0 <= s <= 1.0 for _, s in self.retrieved):
             raise InvalidRecord("scores must lie in [0, 1]")
+
+    @classmethod
+    def _built(cls, query_id: int, retrieved: tuple) -> "RetrievalResult":
+        """A result a retrieval route assembled: the query excluded, ids
+        unique and scores in [0, 1] by construction, so stored unchecked."""
+        result = cls.__new__(cls)
+        object.__setattr__(result, "query_id", query_id)
+        object.__setattr__(result, "retrieved", retrieved)
+        return result
 
     def ids(self) -> set[int]:
         return {v for v, _ in self.retrieved}
@@ -58,13 +73,11 @@ def gcn_retrieve(
     if not 0.0 <= prob_threshold < 1.0:
         raise ValueError(f"prob_threshold must be a number in [0, 1), got {prob_threshold!r}")
     qes = build_qes(index, emb, query_id, params)
-    probs = model_forward(qes, model)
+    probs = model_forward(qes, model).tolist()
     retrieved = [
-        (v, float(p))
-        for v, h, p in zip(qes.nodes, qes.hop, probs)
-        if h == 1 and p > prob_threshold
+        (v, p) for v, h, p in zip(qes.nodes, qes.hop, probs) if h == 1 and p > prob_threshold
     ]
-    return RetrievalResult(query_id=query_id, retrieved=tuple(sorted(retrieved)))
+    return RetrievalResult._built(query_id, tuple(sorted(retrieved)))
 
 
 def _distance_score(d: float) -> float:
@@ -77,7 +90,7 @@ def topk_retrieve(index: Index, query_id: int, k: int) -> RetrievalResult:
     """The k nearest neighbors, scored by a monotone map of distance."""
     neighbors = index.neighbors(query_id, k)
     retrieved = tuple(sorted((v, _distance_score(d)) for v, d in neighbors.neighbors))
-    return RetrievalResult(query_id=query_id, retrieved=retrieved)
+    return RetrievalResult._built(query_id, retrieved)
 
 
 def threshold_retrieve(index: Index, query_id: int, tau: float) -> RetrievalResult:
@@ -86,35 +99,48 @@ def threshold_retrieve(index: Index, query_id: int, tau: float) -> RetrievalResu
     ids = index.ids[pos]
     order = np.argsort(ids)  # ids are unique, so this is the order of sorted pairs
     scores = np.maximum(1.0 - dist[order] / 2.0, 0.0)  # `_distance_score` of each
-    retrieved = tuple(zip(ids[order].tolist(), scores.tolist()))
-    return RetrievalResult(query_id=query_id, retrieved=retrieved)
+    return RetrievalResult._built(query_id, tuple(zip(ids[order].tolist(), scores.tolist())))
 
 
 def collapse_pairs(results: Iterable[RetrievalResult]) -> list[tuple[int, int, float]]:
-    """Deduplicate to unordered pairs, keeping the best score per pair."""
-    best: dict[tuple[int, int], float] = {}
-    for result in results:
-        q = result.query_id
-        for v, score in result.retrieved:
-            key = (min(q, v), max(q, v))
-            if key not in best or score > best[key]:
-                best[key] = score
-    return [(a, b, best[(a, b)]) for a, b in sorted(best)]
+    """Deduplicate to unordered pairs sorted by (a, b), keeping the best
+    score per pair; of equal scores (0.0 and -0.0 among them) the first
+    seen."""
+    results = list(results)
+    hits = [hit for result in results for hit in result.retrieved]
+    if not hits:
+        return []
+    queries = np.array([result.query_id for result in results], dtype=np.uint64)
+    q = np.repeat(queries, [len(result.retrieved) for result in results])
+    ids, scores = zip(*hits)
+    v, score = np.array(ids, dtype=np.uint64), np.array(scores, dtype=np.float64)
+    a, b = np.minimum(q, v), np.maximum(q, v)
+    order = np.lexsort((b, a))  # stable: each pair's hits stay in the order seen
+    a, b, score = a[order], b[order], score[order]
+    starts = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
+    best = np.maximum.reduceat(score, starts)
+    zero = best == 0.0  # every hit of the pair scored 0.0 or -0.0: keep the first's sign
+    best[zero] = score[starts[zero]]
+    return list(zip(a[starts].tolist(), b[starts].tolist(), best.tolist()))
 
 
 def write_pair_file(pairs: Sequence[tuple[int, int, float]], sink: TextIO) -> None:
-    """Write `id_a id_b score` lines under the pair-file header, sorted."""
-    sink.write(PAIR_FILE_HEADER + "\n")
-    for a, b, score in sorted(pairs):
+    """Write `id_a id_b score` lines under the pair-file header, sorted.
+    A pair with a >= b is refused before anything is written."""
+    pairs = sorted(pairs)
+    for a, b, _ in pairs:
         if a >= b:
             raise InvalidRecord(f"pair ({a}, {b}) not in ascending order")
-        sink.write(f"{a} {b} {score!r}\n")
+    sink.write("".join([PAIR_FILE_HEADER + "\n", *(f"{a} {b} {s!r}\n" for a, b, s in pairs)]))
 
 
-def export_pairs(results: Iterable[RetrievalResult], sink: TextIO) -> None:
+def export_pairs(results: Iterable[RetrievalResult],
+                 sink: TextIO) -> list[tuple[int, int, float]]:
     """Collapse per-query results into the undirected pair file an SfM
-    matcher consumes."""
-    write_pair_file(collapse_pairs(results), sink)
+    matcher consumes; return the pairs written."""
+    pairs = collapse_pairs(results)
+    write_pair_file(pairs, sink)
+    return pairs
 
 
 def read_pair_file(text: str) -> list[tuple[int, int, float]]:

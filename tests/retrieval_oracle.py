@@ -1,11 +1,13 @@
-"""Reference distances, kNN ranking and top-k truncation, used only by tests.
+"""Reference distances, kNN ranking, top-k truncation and pair collapsing, used only by tests.
 
 `distance` is the normalized-descriptor metric written per pair, on top of
 `l2_normalize`; `row_distances` writes the index's difference formula for
 one row against all rows. `brute_force_knn` re-ranks from scratch with per-pair
 distance calls and a plain sort, so `query_knn` must agree with it exactly,
 ties included. `truncate_result` cuts one wide top-k result down to any
-smaller k.
+smaller k. `collapse_pairs` is the per-hit dict that
+`retrieval.collapse_pairs` must agree with, signed zeros and types
+included.
 """
 
 import numpy as np
@@ -85,3 +87,16 @@ def truncate_result(result: RetrievalResult, k: int) -> RetrievalResult:
         query_id=result.query_id,
         retrieved=tuple(sorted(ranked[:k])),
     )
+
+
+def collapse_pairs(results) -> list[tuple[int, int, float]]:
+    """Deduplicate to unordered pairs, keeping the best score per pair: the
+    first seen of equal scores."""
+    best: dict[tuple[int, int], float] = {}
+    for result in results:
+        q = result.query_id
+        for v, score in result.retrieved:
+            key = (min(q, v), max(q, v))
+            if key not in best or score > best[key]:
+                best[key] = score
+    return [(a, b, best[(a, b)]) for a, b in sorted(best)]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import matchgraph as mg
-from matchgraph import cli
+from matchgraph import cli, retrieval
 from matchgraph.cli import build_parser, main
 from matchgraph.evaluation import GroundTruth, macro_average, per_query_prf
 from matchgraph.overlaps import OverlapStore, load_overlaps, save_overlaps
@@ -487,6 +487,10 @@ BAD_THRESHOLDS = [
     ("baseline", "tau_dist", "-1", "a number >= 0 or inf"),
     ("infer", "prob_threshold", "nan", "a number in [0, 1)"),
     ("infer", "prob_threshold", "1.5", "a number in [0, 1)"),
+    ("eval", "tau_mo", "nan", "a number in [0, 1]"),
+    ("eval", "tau_ct", "nan", "a number in [0, 1]"),
+    ("stats", "tau_mo", "5", "a number in [0, 1]"),
+    ("stats", "tau_ct", "-0.1", "a number in [0, 1]"),
 ]
 
 
@@ -495,6 +499,8 @@ class TestBadThresholds:
 
     @staticmethod
     def argv(command, files, out):
+        if command in ("eval", "stats"):
+            return ["--pairs", files["p"], "--overlaps", files["o"], "--report-out", out / "r"]
         model = ["--model", files["m"]] if command == "infer" else []
         return ["--embeddings", files["e"], *model, "--pairs-out", out / "p",
                 "--results-out", out / "r"]
@@ -520,11 +526,34 @@ class TestBadThresholds:
 
     @pytest.mark.parametrize("command,dest,value", [
         ("baseline", "tau_dist", "inf"), ("baseline", "tau_dist", "0"),
-        ("infer", "prob_threshold", "0")])
+        ("infer", "prob_threshold", "0"), ("eval", "tau_mo", "0"), ("eval", "tau_ct", "1"),
+        ("stats", "tau_mo", "1"), ("stats", "tau_ct", "0")])
     def test_range_ends_accepted(self, command, dest, value, guard_inputs, tmp_path):
         flag = "--" + dest.replace("_", "-")
         assert run(command, *self.argv(command, guard_inputs, tmp_path), flag, value) == 0
-        assert (tmp_path / "p").exists()
+        assert (tmp_path / ("r" if command in ("eval", "stats") else "p")).exists()
+
+
+class TestInferLog:
+    def test_pairs_are_collapsed_once_for_the_file_and_the_log(self, guard_inputs, tmp_path,
+                                                               caplog, monkeypatch):
+        calls = []
+        collapse = retrieval.collapse_pairs
+
+        def counted(results):
+            calls.append(len(results))
+            return collapse(results)
+
+        monkeypatch.setattr(retrieval, "collapse_pairs", counted)
+        pairs = tmp_path / "p"
+        with caplog.at_level(logging.INFO, logger="matchgraph.cli"):
+            assert run("infer", "--embeddings", guard_inputs["e"], "--model", guard_inputs["m"],
+                       "--pairs-out", pairs, "--prob-threshold", 0) == 0
+        assert calls == [24]
+        written = len(pairs.read_text().splitlines()) - 1
+        assert written > 0
+        assert f"retrieved {written} pairs for 24 queries" in [r.getMessage()
+                                                               for r in caplog.records]
 
 
 # Minimal argv per subcommand; the tests only parse it.

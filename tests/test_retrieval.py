@@ -6,7 +6,7 @@ import pytest
 import matchgraph as mg
 from matchgraph.embeddings import EmbeddingMatrix
 from matchgraph.errors import InvalidRecord, MalformedHeader, UnknownImage
-from matchgraph import retrieval
+from matchgraph import cli, retrieval
 from matchgraph.retrieval import (
     PAIR_FILE_HEADER,
     RetrievalResult,
@@ -23,6 +23,7 @@ from matchgraph.subgraph import QesParams
 from matchgraph.synthetic import SceneConfig, generate_scene
 
 from retrieval_oracle import brute_force_knn, distance, truncate_result
+from retrieval_oracle import collapse_pairs as oracle_collapse_pairs
 from test_knn import duplicate_scene, near_tie_scene, random_scene as noisy_scene
 
 
@@ -377,3 +378,130 @@ class TestResultValidation:
     def test_score_range_enforced(self):
         with pytest.raises(InvalidRecord):
             RetrievalResult(1, ((2, 1.5),))
+
+    @pytest.mark.parametrize("query_id,retrieved", [
+        (0, ((2**64, 0.5),)),
+        (5, ((-1, 0.5),)),
+        (2**64, ((1, 0.5),)),
+        (-1, ()),
+        (0, ((1.0, 0.5),)),
+        (1.5, ()),
+        ("3", ()),
+    ])
+    def test_id_not_an_integer_in_u64_rejected(self, query_id, retrieved):
+        with pytest.raises(InvalidRecord, match=r"is not an integer in \[0, 2\^64\)"):
+            RetrievalResult(query_id, retrieved)
+
+    def test_u64_ends_export_a_readable_pair_file(self):
+        result = RetrievalResult(2**64 - 1, ((0, 0.5), (2**63, 1.0), (np.uint64(7), 0.25)))
+        sink = io.StringIO()
+        export_pairs([result], sink)
+        assert read_pair_file(sink.getvalue()) == [
+            (0, 2**64 - 1, 0.5), (7, 2**64 - 1, 0.25), (2**63, 2**64 - 1, 1.0)]
+
+
+BUILT_SCENES = {
+    "random": noisy_scene,
+    "duplicates": duplicate_scene,
+    "near-ties": near_tie_scene,
+    "antipodal": antipodal_embeddings,
+    "one": lambda: EmbeddingMatrix([4], [[1.0, 2.0]]),
+}
+
+
+def every_route(emb):
+    """Each query's results from the three retrieval routes, at several widths."""
+    index = mg.build_index(emb)
+    model = mg.init_model(emb.dim, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0)
+    for q in emb.ids:
+        yield gcn_retrieve(model, index, emb, q, QesParams(6, 2, 3), prob_threshold=0.0)
+        for k in (1, 5, len(emb)):
+            yield topk_retrieve(index, q, k)
+        for tau in (0.0, 0.5, float("inf")):
+            yield threshold_retrieve(index, q, tau)
+
+
+class TestBuiltResults:
+    """The routes build their results unchecked; each must pass the check."""
+
+    @pytest.mark.parametrize("make", list(BUILT_SCENES.values()), ids=list(BUILT_SCENES))
+    def test_every_route_result_passes_the_constructor(self, make):
+        for result in every_route(make()):
+            assert result == RetrievalResult(result.query_id, result.retrieved)
+            assert type(result.retrieved) is tuple
+            assert all(type(hit) is tuple and type(hit[0]) is int and type(hit[1]) is float
+                       for hit in result.retrieved)
+            assert [v for v, _ in result.retrieved] == sorted(result.ids())
+
+    def test_routes_and_stats_never_run_the_check(self, monkeypatch, tmp_path):
+        def refuse(self):
+            raise AssertionError("result re-checked")
+
+        monkeypatch.setattr(RetrievalResult, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="re-checked"):
+            RetrievalResult(0, ())
+        emb, index = ring_index(20)
+        model = constant_logit_model(6, 30.0)
+        assert gcn_retrieve(model, index, emb, 0, QesParams(4, 2, 3)).retrieved
+        assert topk_retrieve(index, 0, 5).retrieved
+        assert threshold_retrieve(index, 0, 2.0).retrieved
+        pairs, report = tmp_path / "pairs", tmp_path / "stats.csv"
+        with pairs.open("w") as fp:
+            write_pair_file([(0, 1, 0.5), (1, 2, 0.25), (0, 2, 1.0)], fp)
+        assert cli.main(["stats", "--pairs", str(pairs), "--truth-pairs", str(pairs),
+                         "--report-out", str(report)]) == 0
+        assert "true_positive_pairs,3\n" in report.read_text()
+
+
+# Ids at both ends of the u64 range and across 2^63, where a signed
+# conversion would wrap; scores that tie, 0.0 and -0.0 among them.
+COLLAPSE_IDS = [0, 1, 2, 5, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+COLLAPSE_SCORES = [0.0, -0.0, 0.25, 0.5, 1.0]
+
+
+def random_results(rng):
+    pool = COLLAPSE_IDS + rng.integers(2**63, 2**64, size=4, dtype=np.uint64).tolist()
+    results = []
+    for _ in range(rng.integers(0, 12)):
+        q = pool[rng.integers(len(pool))]
+        others = [v for v in pool if v != q]
+        picked = rng.choice(len(others), size=rng.integers(0, len(others) + 1), replace=False)
+        scores = [COLLAPSE_SCORES[rng.integers(len(COLLAPSE_SCORES))]
+                  if rng.random() < 0.6 else float(rng.random()) for _ in picked]
+        retrieved = tuple(sorted((others[j], s) for j, s in zip(picked.tolist(), scores)))
+        results.append(RetrievalResult(q, retrieved))
+    return results
+
+
+class TestCollapsePairs:
+    def test_matches_dict_oracle_on_random_results(self):
+        rng = np.random.default_rng(181)
+        for _ in range(300):
+            results = random_results(rng)
+            # repr tells -0.0 from 0.0 and int from numpy scalars
+            assert repr(collapse_pairs(results)) == repr(oracle_collapse_pairs(results))
+            assert collapse_pairs(iter(results)) == collapse_pairs(results)
+
+    @pytest.mark.parametrize("first,second,kept", [
+        (0.25, 0.5, "0.5"), (0.5, 0.25, "0.5"), (0.5, 0.5, "0.5"),
+        (0.0, -0.0, "0.0"), (-0.0, 0.0, "-0.0"), (-0.0, -0.0, "-0.0")])
+    def test_repeated_pair_keeps_best_then_first_seen(self, first, second, kept):
+        results = [RetrievalResult(2**63, ((3, first),)), RetrievalResult(3, ((2**63, second),))]
+        assert repr(collapse_pairs(results)) == f"[(3, {2**63}, {kept})]"
+
+    @pytest.mark.parametrize("results", [[], [RetrievalResult(4, ())],
+                                         [RetrievalResult(4, ()), RetrievalResult(5, ())]],
+                             ids=["no-results", "one-empty", "two-empty"])
+    def test_no_hits_give_no_pairs(self, results):
+        assert collapse_pairs(results) == []
+
+    def test_empty_results_beside_hits_are_skipped(self):
+        results = [RetrievalResult(4, ()), RetrievalResult(1, ((0, 0.5),)), RetrievalResult(9, ())]
+        assert collapse_pairs(results) == [(0, 1, 0.5)]
+
+    @pytest.mark.parametrize("bad", [(3, 3, 0.5), (4, 3, 0.5)])
+    def test_write_refuses_unordered_pair_before_writing(self, bad):
+        sink = io.StringIO()
+        with pytest.raises(InvalidRecord, match="not in ascending order"):
+            write_pair_file([(0, 1, 0.5), bad], sink)
+        assert sink.getvalue() == ""
