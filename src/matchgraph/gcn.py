@@ -10,9 +10,14 @@ feed dense layers with bias; each is relu except the last, which is the
 identity and gives one logit per node. A sigmoid turns logits into
 matchability probabilities. The loss and its gradients are masked to
 1-hop nodes only. The backward pass is fully analytic (no autodiff) and is
-validated against central finite differences. Forward and backward run
-over a batch of subgraphs stacked row-wise, in a given dtype: training uses
-float32, inference and the gradient oracle float64 with a batch of one.
+validated against central finite differences.
+
+There are two forward passes over one arithmetic. Inference
+(`model_forward`) runs float64 over one subgraph and holds only the layer
+it is computing. The cached forward under `backward` runs over a batch of
+subgraphs stacked row-wise, in a given dtype (float32 in training, float64
+for the gradient oracle), and keeps every layer's intermediates for the
+backward pass. Both build each convolution's input with `_with_aggregate`.
 """
 
 import struct
@@ -212,7 +217,9 @@ def _normalize(a: np.ndarray) -> np.ndarray:
     inv_sqrt = np.zeros_like(degrees)
     nz = degrees > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(degrees[nz])
-    return inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    g = a * inv_sqrt[:, None]
+    g *= inv_sqrt[None, :]
+    return g
 
 
 def _inner_sum(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
@@ -223,16 +230,33 @@ def _inner_sum(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _check_input(qes: Qes, model: GcnModel) -> None:
+    if qes.dim != model.input_dim:
+        raise DimensionError(
+            f"model expects {model.input_dim}-d features, subgraph has {qes.dim}"
+        )
+
+
+def _with_aggregate(h: np.ndarray, blocks) -> np.ndarray:
+    """[H || G H] for rows stacked by subgraph: each (g, start, end) block
+    aggregates its own rows with its own G."""
+    d = h.shape[1]
+    concat = np.empty((len(h), 2 * d), dtype=h.dtype)
+    concat[:, :d] = h
+    for g, s, e in blocks:
+        _inner_sum(g.T, h[s:e], out=concat[s:e, d:])
+    return concat
+
+
 def _forward_cached(batch: Sequence[Qes], model: GcnModel, dtype=np.float64):
-    """Forward pass over the batch's subgraphs stacked row-wise, computed in
-    `dtype`, retaining the intermediates the backward pass needs. Each
-    weight product runs once for the whole batch; G H runs per subgraph,
-    with that subgraph's own G. Probabilities come back in float64."""
+    """The forward pass `backward` differentiates: the batch's subgraphs
+    stacked row-wise, computed in `dtype`, retaining every layer's
+    intermediates. Each weight product runs once for the whole batch; G H
+    runs per subgraph, with that subgraph's own G. Probabilities come back
+    in float64. In float64 over one subgraph it gives `model_forward`'s
+    bits."""
     for qes in batch:
-        if qes.dim != model.input_dim:
-            raise DimensionError(
-                f"model expects {model.input_dim}-d features, subgraph has {qes.dim}"
-            )
+        _check_input(qes, model)
     # Qes checked its adjacency when it was built, and the array is read-only.
     gs = [_normalize(qes.adjacency).astype(dtype, copy=False) for qes in batch]
     ends = np.cumsum([len(g) for g in gs]).tolist()
@@ -241,11 +265,7 @@ def _forward_cached(batch: Sequence[Qes], model: GcnModel, dtype=np.float64):
     conv_cache = []
     for layer in model.conv_layers:
         w = layer.weights.astype(dtype, copy=False)
-        d = h.shape[1]
-        concat = np.empty((len(h), 2 * d), dtype=dtype)
-        concat[:, :d] = h
-        for g, s, e in blocks:
-            _inner_sum(g.T, h[s:e], out=concat[s:e, d:])
+        concat = _with_aggregate(h, blocks)
         z = concat @ w
         conv_cache.append((concat, z, w))
         h = np.maximum(z, 0.0)
@@ -261,8 +281,25 @@ def _forward_cached(batch: Sequence[Qes], model: GcnModel, dtype=np.float64):
 
 
 def model_forward(qes: Qes, model: GcnModel) -> np.ndarray:
-    """Per-node matchability probabilities, aligned with qes.nodes."""
-    return _forward_cached([qes], model)[0]
+    """Per-node matchability probabilities, aligned with qes.nodes.
+
+    Float64 over the one subgraph, holding only the layer being computed:
+    each input is dropped once its weight product is taken, and relu and
+    the bias act in place. The products are those of `_forward_cached`,
+    so the bits are too."""
+    _check_input(qes, model)
+    blocks = [(_normalize(qes.adjacency), 0, len(qes))]
+    h = qes.features
+    for layer in model.conv_layers:
+        h = _with_aggregate(h, blocks) @ layer.weights
+        np.maximum(h, 0.0, out=h)
+    head = len(model.fc_layers) - 1
+    for i, layer in enumerate(model.fc_layers):
+        h = h @ layer.weights
+        h += layer.bias
+        if i != head:
+            np.maximum(h, 0.0, out=h)
+    return sigmoid(h[:, 0])
 
 
 def masked_loss(probs, labels, hop) -> float:

@@ -142,8 +142,11 @@ def discover_nodes(index: Index, qrow: int, k1: int, k2: int):
     first = index.table([qrow], k1)[0][0]
     second = first[:0]
     if k2 >= 1 and first.size:
-        reached = np.unique(index.table(first, k2)[0])
-        second = np.setdiff1d(reached, np.append(first, qrow), assume_unique=True)
+        reached = np.zeros(len(index), dtype=bool)
+        reached[index.table(first, k2)[0]] = True
+        reached[first] = False
+        reached[qrow] = False
+        second = np.flatnonzero(reached)
         second = second[np.argsort(index.ids[second])]
     return np.concatenate((first, second)), np.repeat((1, 2), (first.size, second.size))
 

@@ -3,6 +3,8 @@
 Used only by tests as an oracle: distances, rankings, and the three build
 stages are rewritten from the definitions with none of the library's code
 paths (different normalization reduction, different sort, explicit loops).
+`set_algebra_discover` is the exception: stage 1 as the library once wrote
+it, with sets over the index's own kNN table.
 """
 
 import numpy as np
@@ -66,3 +68,16 @@ def edges_of_qes(qes):
                 a, b = qes.nodes[i], qes.nodes[j]
                 out.add((min(a, b), max(a, b)))
     return out
+
+
+def set_algebra_discover(index, qrow, k1, k2):
+    """Stage 1 by set algebra on `index.table`: the k1 nearest rows of the
+    query row in rank order, then the unique rows their k2 nearest reach,
+    less those rows and the query row, in ascending id."""
+    first = index.table([qrow], k1)[0][0]
+    second = first[:0]
+    if k2 >= 1 and first.size:
+        reached = np.unique(index.table(first, k2)[0])
+        second = np.setdiff1d(reached, np.append(first, qrow), assume_unique=True)
+        second = second[np.argsort(index.ids[second])]
+    return np.concatenate((first, second)), np.repeat((1, 2), (first.size, second.size))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import matchgraph as mg
+from matchgraph import gcn
 from matchgraph.errors import (
     DimensionError,
     EmptyLossSet,
@@ -32,6 +33,7 @@ from matchgraph.gcn import (
     model_forward,
     save_model,
 )
+from matchgraph.retrieval import gcn_retrieve
 from matchgraph.subgraph import Qes, QesParams, build_qes
 from matchgraph.trainer import TrainConfig, build_training_set
 
@@ -139,7 +141,53 @@ class TestAggregationMatrix:
             assert eig.max() <= 1.0 + 1e-9
 
 
+def isolated_qes():
+    """Seven nodes, two of them (2 and 5) with no edges."""
+    rng = np.random.default_rng(8)
+    adjacency = random_graph(rng, 7)
+    adjacency[[2, 5], :] = 0.0
+    adjacency[:, [2, 5]] = 0.0
+    return Qes(70, range(7), [1, 1, 1, 1, 2, 2, 2], adjacency, rng.normal(size=(7, 4)))
+
+
+# Subgraphs on which inference must give the cached forward's bits.
+FORWARD_CASES = {
+    "empty": lambda: Qes(1, [], [], np.zeros((0, 0)), np.zeros((0, 4))),
+    "one node": lambda: Qes(1, [0], [1], np.zeros((1, 1)), [[0.5, -1.0, 2.0, 0.25]]),
+    "isolated nodes": isolated_qes,
+    "over _MAX_INNER nodes": lambda: random_qes(np.random.default_rng(9), gcn._MAX_INNER + 44, 4),
+}
+
+
 class TestModelForward:
+    @pytest.mark.parametrize("make", list(FORWARD_CASES.values()), ids=list(FORWARD_CASES))
+    def test_equals_cached_forward_bit_for_bit(self, make):
+        qes = make()
+        model = init_model(4, conv_widths=(8, 8, 6, 6), fc_widths=(5, 3), seed=1)
+        want = gcn._forward_cached([qes], model)[0]
+        got = model_forward(qes, model)
+        assert got.dtype == want.dtype and got.shape == (len(qes),)
+        assert got.tobytes() == want.tobytes()
+
+    def test_inference_never_runs_the_cached_forward(self, monkeypatch):
+        emb = mg.EmbeddingMatrix(range(20), np.random.default_rng(10).normal(size=(20, 4)))
+        index = mg.build_index(emb)
+        model = init_model(4, conv_widths=(6, 6, 4, 4), fc_widths=(3,), seed=2)
+        params = QesParams(4, 2, 3)
+        qes = build_qes(index, emb, 0, params)
+        probs = model_forward(qes, model)
+        result = gcn_retrieve(model, index, emb, 0, params, prob_threshold=0.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cached forward ran")
+
+        monkeypatch.setattr(gcn, "_forward_cached", refuse)
+        with pytest.raises(AssertionError, match="cached forward"):
+            backward([qes], model, [np.zeros(len(qes), dtype=bool)])
+        assert np.array_equal(model_forward(qes, model), probs)
+        assert gcn_retrieve(model, index, emb, 0, params, prob_threshold=0.0) == result
+        assert result.retrieved
+
     def test_zero_weights_give_half(self):
         qes = golden_qes()
         model = init_model(4, conv_widths=(3, 3, 3, 3), fc_widths=(2,), seed=0)

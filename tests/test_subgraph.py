@@ -16,7 +16,7 @@ from matchgraph.subgraph import (
     discover_nodes,
 )
 
-from qes_oracle import edges_of_qes, oracle_build
+from qes_oracle import edges_of_qes, oracle_build, set_algebra_discover
 
 
 def shuffled_ids(n):
@@ -55,7 +55,37 @@ class TestQesParams:
             QesParams(1, 0, 0)
 
 
+def zero_noise_ring():
+    emb = generate_scene(SceneConfig(n_images=48, symmetry_s=4, dim=8, seed=1)).embeddings
+    return emb, build_index(emb)
+
+
+DISCOVER_SCENES = {
+    "random": lambda: ring_scene(30, dim=5, seed=3, shuffled=True),
+    "zero-noise ring": zero_noise_ring,
+}
+
+
 class TestDiscoverNodes:
+    @pytest.mark.parametrize("make", list(DISCOVER_SCENES.values()), ids=list(DISCOVER_SCENES))
+    def test_equals_set_algebra_oracle(self, make):
+        emb, index = make()
+        n = len(emb)
+        for qrow in range(n):
+            for k1, k2 in ((3, 0), (1, 2), (5, 3), (4, n - 1), (2, n + 5), (n - 1, 2)):
+                rows, hop = discover_nodes(index, qrow, k1, k2)
+                o_rows, o_hop = set_algebra_discover(index, qrow, k1, k2)
+                assert np.array_equal(rows, o_rows) and np.array_equal(hop, o_hop)
+
+    def test_query_reached_from_its_neighbours_stays_out(self):
+        emb, index = ring_scene(10)
+        first = index.table([4], 2)[0][0]
+        assert 4 in index.table(first, 2)[0]
+        rows, hop = discover_nodes(index, 4, 2, 2)
+        o_rows, o_hop = set_algebra_discover(index, 4, 2, 2)
+        assert np.array_equal(rows, o_rows) and np.array_equal(hop, o_hop)
+        assert 4 not in rows and hop.tolist() == [1, 1, 2, 2]
+
     def test_k2_zero_is_pure_first_hop(self):
         emb, index = ring_scene(8)
         nodes, hops = discover_ids(index, 0, k1=3, k2=0)
