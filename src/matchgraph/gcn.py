@@ -14,10 +14,14 @@ validated against central finite differences.
 
 There are two forward passes over one arithmetic. Inference
 (`model_forward`) runs float64 over one subgraph and holds only the layer
-it is computing. The cached forward under `backward` runs over a batch of
-subgraphs stacked row-wise, in a given dtype (float32 in training, float64
-for the gradient oracle), and keeps every layer's intermediates for the
-backward pass. Both build each convolution's input with `_with_aggregate`.
+it is computing. Training (`backward`) runs over a batch of subgraphs
+stacked row-wise, in a given dtype (float32 in training, float64 for the
+gradient oracle), inside a `Workspace` of buffers allocated once: each
+convolution's [H || G H] stays in its buffer for the backward pass, and
+each relu writes straight into the next layer's input. `prepare` makes a
+subgraph's G and features in the compute dtype once, so a training run
+normalizes each subgraph once, not once per step. Both forwards aggregate
+with `_aggregate`.
 """
 
 import struct
@@ -115,8 +119,10 @@ class DenseLayer:
 class GcnModel:
     """Four graph convolutions followed by dense layers ending in a single
     logit. Every layer is relu except the last dense layer, which is the
-    identity. Immutable during inference; training replaces the layers
-    wholesale through set_parameters."""
+    identity. Inference only reads it. Training updates one flat float64
+    vector of the parameters in place and passes its views to
+    set_parameters after every step, so the layers view that vector and
+    the finiteness check runs each step."""
 
     def __init__(self, conv_layers: Sequence[GcnLayer], fc_layers: Sequence[DenseLayer]):
         conv_layers = list(conv_layers)
@@ -162,6 +168,17 @@ class GcnModel:
         conv = [GcnLayer(next(it)) for _ in self.conv_layers]
         fc = [DenseLayer(next(it), next(it)) for _ in self.fc_layers]
         self.conv_layers, self.fc_layers = conv, fc
+
+    def parameter_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """`flat` cut into arrays shaped like parameters(), in that order,
+        sharing its memory."""
+        views, start = [], 0
+        for p in self.parameters():
+            views.append(flat[start : start + p.size].reshape(p.shape))
+            start += p.size
+        if start != flat.size:
+            raise DimensionError(f"expected {start} parameters, got {flat.size}")
+        return views
 
 
 def init_model(
@@ -230,54 +247,16 @@ def _inner_sum(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _check_input(qes: Qes, model: GcnModel) -> None:
-    if qes.dim != model.input_dim:
-        raise DimensionError(
-            f"model expects {model.input_dim}-d features, subgraph has {qes.dim}"
-        )
+def _check_width(dim: int, model: GcnModel) -> None:
+    if dim != model.input_dim:
+        raise DimensionError(f"model expects {model.input_dim}-d features, subgraph has {dim}")
 
 
-def _with_aggregate(h: np.ndarray, blocks) -> np.ndarray:
-    """[H || G H] for rows stacked by subgraph: each (g, start, end) block
-    aggregates its own rows with its own G."""
-    d = h.shape[1]
-    concat = np.empty((len(h), 2 * d), dtype=h.dtype)
-    concat[:, :d] = h
+def _aggregate(h: np.ndarray, blocks, out: np.ndarray) -> None:
+    """G H into `out` for rows stacked by subgraph: each (g, start, end)
+    block aggregates its own rows with its own G."""
     for g, s, e in blocks:
-        _inner_sum(g.T, h[s:e], out=concat[s:e, d:])
-    return concat
-
-
-def _forward_cached(batch: Sequence[Qes], model: GcnModel, dtype=np.float64):
-    """The forward pass `backward` differentiates: the batch's subgraphs
-    stacked row-wise, computed in `dtype`, retaining every layer's
-    intermediates. Each weight product runs once for the whole batch; G H
-    runs per subgraph, with that subgraph's own G. Probabilities come back
-    in float64. In float64 over one subgraph it gives `model_forward`'s
-    bits."""
-    for qes in batch:
-        _check_input(qes, model)
-    # Qes checked its adjacency when it was built, and the array is read-only.
-    gs = [_normalize(qes.adjacency).astype(dtype, copy=False) for qes in batch]
-    ends = np.cumsum([len(g) for g in gs]).tolist()
-    blocks = list(zip(gs, [0] + ends[:-1], ends))
-    h = np.concatenate([qes.features for qes in batch]).astype(dtype, copy=False)
-    conv_cache = []
-    for layer in model.conv_layers:
-        w = layer.weights.astype(dtype, copy=False)
-        concat = _with_aggregate(h, blocks)
-        z = concat @ w
-        conv_cache.append((concat, z, w))
-        h = np.maximum(z, 0.0)
-    head = len(model.fc_layers) - 1
-    fc_cache = []
-    for i, layer in enumerate(model.fc_layers):
-        w = layer.weights.astype(dtype, copy=False)
-        z = h @ w + layer.bias.astype(dtype, copy=False)
-        fc_cache.append((h, z, w))
-        h = z if i == head else np.maximum(z, 0.0)
-    probs = sigmoid(h[:, 0])
-    return probs, blocks, conv_cache, fc_cache
+        _inner_sum(g.T, h[s:e], out=out[s:e])
 
 
 def model_forward(qes: Qes, model: GcnModel) -> np.ndarray:
@@ -285,13 +264,17 @@ def model_forward(qes: Qes, model: GcnModel) -> np.ndarray:
 
     Float64 over the one subgraph, holding only the layer being computed:
     each input is dropped once its weight product is taken, and relu and
-    the bias act in place. The products are those of `_forward_cached`,
-    so the bits are too."""
-    _check_input(qes, model)
+    the bias act in place. The products are those of the training
+    forward, so the bits are too."""
+    _check_width(qes.dim, model)
     blocks = [(_normalize(qes.adjacency), 0, len(qes))]
     h = qes.features
     for layer in model.conv_layers:
-        h = _with_aggregate(h, blocks) @ layer.weights
+        d = h.shape[1]
+        concat = np.empty((len(h), 2 * d))
+        concat[:, :d] = h
+        _aggregate(h, blocks, concat[:, d:])
+        h = concat @ layer.weights
         np.maximum(h, 0.0, out=h)
     head = len(model.fc_layers) - 1
     for i, layer in enumerate(model.fc_layers):
@@ -300,6 +283,118 @@ def model_forward(qes: Qes, model: GcnModel) -> np.ndarray:
         if i != head:
             np.maximum(h, 0.0, out=h)
     return sigmoid(h[:, 0])
+
+
+@dataclass(frozen=True)
+class TrainingSubgraph:
+    """One labeled subgraph as a training step reads it: its aggregation
+    matrix G and its features in the compute dtype, its 1-hop mask, and its
+    labels as float64 0/1. Made once by `prepare`; a step only stacks it."""
+
+    g: np.ndarray
+    features: np.ndarray
+    hop1: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.hop1)
+
+
+def prepare(qes: Qes, labels, dtype=np.float64) -> TrainingSubgraph:
+    """A subgraph and one label per node, ready for `backward` in `dtype`."""
+    labels = np.asarray(labels, dtype=bool)
+    if labels.shape != (len(qes),):
+        raise DimensionError(f"need one label per node: {len(qes)} nodes, "
+                             f"labels shaped {labels.shape}")
+    # Qes checked its adjacency when it was built, and the array is read-only.
+    return TrainingSubgraph(
+        _normalize(qes.adjacency).astype(dtype, copy=False),
+        qes.features.astype(dtype, copy=False),
+        qes.hop_mask(1),
+        labels.astype(np.float64),
+    )
+
+
+def _rows(flat: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The first n rows of `width` columns of a flat scratch buffer."""
+    return flat[: n * width].reshape(n, width)
+
+
+class Workspace:
+    """Buffers for training steps of one model shape over at most `rows`
+    stacked nodes in `dtype`, allocated once and reused by every step:
+
+    - one [H || G H] per convolution; the previous relu writes its left half;
+    - one input per dense layer; the last convolution's relu writes the first;
+    - one z scratch, one d[H || G H] scratch and two dH buffers used in turn;
+    - the parameters cast to `dtype`, and their gradients.
+
+    A relu's output is kept and its input is not: h > 0 exactly where z > 0,
+    so the backward pass masks with the output."""
+
+    def __init__(self, model: GcnModel, rows: int, dtype=np.float64):
+        self.rows = rows
+        convs, fcs = model.conv_layers, model.fc_layers
+        self.concat = [np.empty((rows, 2 * c.in_dim), dtype) for c in convs]
+        self.fc_in = [np.empty((rows, f.in_dim), dtype) for f in fcs]
+        self.z = np.empty(rows * max(layer.out_dim for layer in (*convs, *fcs)), dtype)
+        # The first convolution's input gradient is never taken.
+        self.dconcat = np.empty(rows * max(2 * c.in_dim for c in convs[1:]), dtype)
+        widest = max(layer.in_dim for layer in (*convs[1:], *fcs))
+        self.dh = (np.empty(rows * widest, dtype), np.empty(rows * widest, dtype))
+        size = sum(p.size for p in model.parameters())
+        self.weights = model.parameter_views(np.empty(size, dtype))
+        self.grad = np.empty(size, dtype)
+        self.grads = model.parameter_views(self.grad)
+        self.grad64 = self.grad if self.grad.dtype == np.float64 else np.empty(size)
+        self.grads64 = model.parameter_views(self.grad64)
+
+
+def _relu_backward(dh: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
+    """dH * (h > 0) in place, with h the relu's output: the gradient at
+    its input. The mask is built as 0/1 in `scratch`, in dH's dtype, which
+    multiplies exactly as the boolean mask would."""
+    mask = _rows(scratch, *h.shape)
+    np.greater(h, 0.0, out=mask)
+    dh *= mask
+
+
+def _forward_batch(batch: Sequence[TrainingSubgraph], model: GcnModel, work: Workspace):
+    """The forward pass `backward` differentiates: the batch's subgraphs
+    stacked row-wise in `work`, computed in its dtype, each convolution's
+    input left in its buffer. Each weight product runs once for the whole
+    batch; G H runs per subgraph, with that subgraph's own G. Returns the
+    probabilities in float64, and the (G, start, end) row blocks. In
+    float64 over one subgraph it gives `model_forward`'s bits."""
+    for x in batch:
+        _check_width(x.features.shape[1], model)
+    ends = np.cumsum([len(x) for x in batch]).tolist()
+    blocks = [(x.g, s, e) for x, s, e in zip(batch, [0] + ends[:-1], ends)]
+    n = ends[-1]
+    if n > work.rows:
+        raise DimensionError(f"batch of {n} nodes exceeds the workspace's {work.rows} rows")
+    for w, p in zip(work.weights, model.parameters()):
+        np.copyto(w, p)
+    d = model.input_dim
+    for x, (_, s, e) in zip(batch, blocks):
+        work.concat[0][s:e, :d] = x.features
+    convs = model.conv_layers
+    for i, layer in enumerate(convs):
+        concat, d = work.concat[i][:n], layer.in_dim
+        _aggregate(concat[:, :d], blocks, concat[:, d:])
+        z = _rows(work.z, n, layer.out_dim)
+        np.matmul(concat, work.weights[i], out=z)
+        h = work.concat[i + 1][:n, : layer.out_dim] if i + 1 < len(convs) else work.fc_in[0][:n]
+        np.maximum(z, 0.0, out=h)
+    head = len(model.fc_layers) - 1
+    for i, layer in enumerate(model.fc_layers):
+        k = len(convs) + 2 * i
+        z = _rows(work.z, n, layer.out_dim)
+        np.matmul(work.fc_in[i][:n], work.weights[k], out=z)
+        z += work.weights[k + 1]
+        if i != head:
+            np.maximum(z, 0.0, out=work.fc_in[i + 1][:n])
+    return sigmoid(z[:, 0]), blocks
 
 
 def masked_loss(probs, labels, hop) -> float:
@@ -324,64 +419,91 @@ def masked_loss(probs, labels, hop) -> float:
 
 @dataclass
 class ModelGradients:
-    """A batch's mean loss gradients in GcnModel.parameters() order, float64,
-    with each subgraph's loss and per-node probabilities from the forward
-    pass they were taken at."""
+    """A batch's mean loss gradients, float64: `flat` holds them all in
+    GcnModel.parameters() order and `grads` views it shaped like the
+    parameters. With each subgraph's loss and per-node probabilities from
+    the forward pass they were taken at. The next step in the same
+    workspace overwrites the gradients."""
 
     grads: list[np.ndarray]
     losses: list[float]
     probs: list[np.ndarray]
+    flat: np.ndarray
 
 
-def backward(batch: Sequence[Qes], model: GcnModel, labels: Sequence,
-             dtype=np.float64) -> ModelGradients:
+def backward(batch: Sequence, model: GcnModel, labels: Sequence | None = None,
+             dtype=np.float64, workspace: Workspace | None = None) -> ModelGradients:
     """Exact gradients of the batch's mean masked loss for every weight and
-    bias, with one label array per subgraph.
+    bias.
 
-    The batch is stacked row-wise and computed in `dtype`: every node's
-    output gradient is scaled by 1 / (m * B), with m its subgraph's 1-hop
-    count and B the batch size, so the weight products return the batch
-    mean directly. Losses and probabilities are taken in float64. The
-    clamp's flat regions propagate a zero gradient, matching what finite
-    differences see there.
+    `batch` holds subgraphs (Qes) with one label array each in `labels`,
+    or, with `labels` None, subgraphs `prepare` has already made in
+    `dtype`, as `train` passes them. The batch is stacked row-wise and
+    computed in `dtype`, in `workspace` if one is given (`train` reuses one
+    sized for its largest batch) or else in one sized for this batch: every
+    node's output gradient is scaled by 1 / (m * B), with m its subgraph's
+    1-hop count and B the batch size, so the weight products return the
+    batch mean directly. Losses and probabilities are taken in float64, each
+    subgraph's loss as `masked_loss` takes it. The clamp's flat regions
+    propagate a zero gradient, matching what finite differences see there.
     """
-    if len(labels) != len(batch):
-        raise DimensionError("need one label array per subgraph")
-    probs, blocks, conv_cache, fc_cache = _forward_cached(batch, model, dtype)
-    losses, per_probs = [], []
-    dz = np.empty(len(probs))
-    for qes, node_labels, (_, s, e) in zip(batch, labels, blocks):
-        p, y, hop = probs[s:e], np.asarray(node_labels, dtype=bool), np.asarray(qes.hop)
-        losses.append(masked_loss(p, y, hop))
-        per_probs.append(p)
-        mask = hop == 1
-        live = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
-        dz[s:e] = np.where(mask & live, (p - y) / (int(mask.sum()) * len(batch)), 0.0)
+    if labels is not None:
+        if len(labels) != len(batch):
+            raise DimensionError("need one label array per subgraph")
+        batch = [prepare(qes, y, dtype) for qes, y in zip(batch, labels)]
+    if not batch:
+        raise DimensionError("cannot take gradients of an empty batch: it holds no subgraph")
+    counts = [int(np.count_nonzero(x.hop1)) for x in batch]
+    if not all(counts):
+        raise EmptyLossSet("subgraph has no 1-hop nodes")
+    work = Workspace(model, sum(map(len, batch)), dtype) if workspace is None else workspace
+    probs, blocks = _forward_batch(batch, model, work)
+    n = len(probs)
+    hop1 = np.concatenate([x.hop1 for x in batch])
+    y = np.concatenate([x.labels for x in batch])
+    p, y1 = np.clip(probs[hop1], PROB_CLAMP, 1.0 - PROB_CLAMP), y[hop1]
+    terms = -(y1 * np.log(p) + (1.0 - y1) * np.log1p(-p))
+    cuts = np.cumsum(counts).tolist()
+    losses = [float(terms[a:b].mean()) for a, b in zip([0] + cuts[:-1], cuts)]
+    live = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
+    scale = np.repeat(np.multiply(counts, len(batch)), list(map(len, batch)))
+    dz = np.where(hop1 & live, (probs - y) / scale, 0.0)
 
-    dh = dz.astype(dtype)[:, None]
-    grads: list[np.ndarray] = []  # reversed parameter order until the end
-    head = len(fc_cache) - 1
+    convs, fcs, grads = model.conv_layers, model.fc_layers, work.grads
+    turn = 0
+    dh = _rows(work.dh[turn], n, 1)
+    dh[:, 0] = dz
+    head = len(fcs) - 1
     for i in range(head, -1, -1):
-        h_in, z, w = fc_cache[i]
-        dzl = dh if i == head else dh * (z > 0)
-        grads.append(dzl.sum(axis=0))
-        grads.append(_inner_sum(h_in, dzl))
-        dh = dzl @ w.T
+        k = len(convs) + 2 * i
+        if i != head:
+            _relu_backward(dh, work.fc_in[i + 1][:n], work.z)
+        np.sum(dh, axis=0, out=grads[k + 1])
+        _inner_sum(work.fc_in[i][:n], dh, out=grads[k])
+        turn = 1 - turn
+        dh_in = _rows(work.dh[turn], n, fcs[i].in_dim)
+        np.matmul(dh, work.weights[k].T, out=dh_in)
+        dh = dh_in
 
-    for i in range(len(conv_cache) - 1, -1, -1):
-        concat, z, w = conv_cache[i]
-        dzl = dh * (z > 0)
-        grads.append(_inner_sum(concat, dzl))
+    for i in range(len(convs) - 1, -1, -1):
+        out_dim, d = convs[i].out_dim, convs[i].in_dim
+        _relu_backward(dh, work.concat[i + 1][:n, :out_dim] if i + 1 < len(convs)
+                       else work.fc_in[0][:n], work.z)
+        _inner_sum(work.concat[i][:n], dh, out=grads[i])
         if i == 0:
             break  # below it are the node features, which are not parameters
-        dconcat = dzl @ w.T
-        d = dconcat.shape[1] // 2
-        dh = dconcat[:, :d].copy()
+        dconcat = _rows(work.dconcat, n, 2 * d)
+        np.matmul(dh, work.weights[i].T, out=dconcat)
+        turn = 1 - turn
+        dh = _rows(work.dh[turn], n, d)
+        dh[...] = dconcat[:, :d]
         for g, s, e in blocks:
-            dh[s:e] += _inner_sum(g, dconcat[s:e, d:])
-    grads.reverse()
+            dh[s:e] += _inner_sum(g, dconcat[s:e, d:], out=_rows(work.z, e - s, d))
 
-    return ModelGradients([g.astype(np.float64, copy=False) for g in grads], losses, per_probs)
+    if work.grad64 is not work.grad:
+        np.copyto(work.grad64, work.grad)
+    per_probs = [probs[s:e] for _, s, e in blocks]
+    return ModelGradients(work.grads64, losses, per_probs, work.grad64)
 
 
 def save_model(model: GcnModel) -> bytes:

@@ -4,8 +4,10 @@ Each subgraph node is labeled against its query by `overlaps.label_pair`;
 a pair with no observed overlap record is non-matchable. Training
 iterates epochs over shuffled queries, takes each batch's mean gradient in
 one float32 pass over its subgraphs stacked row-wise, and applies one
-adaptive-moment update per batch to float64 parameters. Given a seed the
-whole procedure is bit-reproducible.
+adaptive-moment update per batch to float64 parameters. Each subgraph is
+prepared in float32 once per run, every step computes in buffers allocated
+once per run, and the update works in place on one flat vector. Given a
+seed the whole procedure is bit-reproducible.
 """
 
 import logging
@@ -20,7 +22,8 @@ from . import evaluation
 from .embeddings import EmbeddingMatrix
 from .errors import DimensionError, NoTrainingData
 from .gcn import (
-    CONV_WIDTHS, FC_WIDTHS, PROB_THRESHOLD, GcnModel, ModelGradients, backward, init_model,
+    CONV_WIDTHS, FC_WIDTHS, PROB_THRESHOLD, GcnModel, ModelGradients, Workspace, backward,
+    init_model, prepare,
 )
 from .knn import build_index
 from .overlaps import TAU_CT, TAU_MO, OverlapStore, label_pair
@@ -71,47 +74,56 @@ def label_qes(qes: Qes, store: OverlapStore, config: TrainConfig) -> Qes:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the bias-correction step count."""
+    """First/second moment estimates and the bias-correction step count,
+    plus two scratch vectors for the update; flat, like the parameters."""
 
     step: int
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
 
 
-def init_adam(params: Sequence[np.ndarray]) -> AdamState:
+def init_adam(params: np.ndarray) -> AdamState:
     return AdamState(
         step=0,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        m=np.zeros_like(params),
+        v=np.zeros_like(params),
+        scratch=(np.empty_like(params), np.empty_like(params)),
     )
 
 
 def optimizer_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     learning_rate: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One adaptive-moment update with bias correction. Functional: returns
-    fresh parameter and state arrays."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DimensionError("parameter, gradient, and state counts differ")
+) -> None:
+    """One adaptive-moment update with bias correction, in place: `params`
+    and the moments in `state` are each one flat vector, updated with
+    `out=` arithmetic and no new array."""
+    if not params.shape == grads.shape == state.m.shape:
+        raise DimensionError(f"parameter {params.shape}, gradient {grads.shape} and "
+                             f"state {state.m.shape} shapes differ")
     t = state.step + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise DimensionError(f"gradient shape {g.shape} != parameter {p.shape}")
-        m2 = beta1 * m + (1.0 - beta1) * g
-        v2 = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m2 / (1.0 - beta1**t)
-        v_hat = v2 / (1.0 - beta2**t)
-        new_params.append(p - learning_rate * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m2)
-        new_v.append(v2)
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+    m, v, (a, b) = state.m, state.v, state.scratch
+    m *= beta1  # m = beta1 * m + (1 - beta1) * g
+    np.multiply(1.0 - beta1, grads, out=a)
+    m += a
+    v *= beta2  # v = beta2 * v + (1 - beta2) * g^2
+    np.multiply(grads, grads, out=a)
+    np.multiply(1.0 - beta2, a, out=a)
+    v += a
+    np.divide(m, 1.0 - beta1**t, out=a)  # lr * m_hat / (sqrt(v_hat) + eps)
+    np.multiply(learning_rate, a, out=a)
+    np.divide(v, 1.0 - beta2**t, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    params -= a
+    state.step = t
 
 
 def average_gradients(grads: Sequence[ModelGradients]) -> list[np.ndarray]:
@@ -191,7 +203,14 @@ def train(
         raise NoTrainingData("no training queries given")
     model = init_model(emb.dim, conv_widths, fc_widths, seed=[config.seed, 0])
     subgraphs = build_training_set(emb, records, queries, config)
-    state = init_adam(model.parameters())
+    # float32 compute; the parameters and Adam state stay float64. Neither a
+    # subgraph's G nor its features change between epochs.
+    inputs = [prepare(qes, qes.labels, np.float32) for qes in subgraphs]
+    largest = sorted(map(len, subgraphs))[-config.batch_size:]
+    work = Workspace(model, sum(largest), np.float32)
+    params = np.concatenate([p.ravel() for p in model.parameters()])
+    views = model.parameter_views(params)
+    state = init_adam(params)
     history: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -201,21 +220,15 @@ def train(
         scores = [None] * len(subgraphs)  # by subgraph: a fixed summation order
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            qes_batch = [subgraphs[qi] for qi in batch]
-            # float32 compute; the parameters and Adam state stay float64
-            step = backward(qes_batch, model, [q.labels for q in qes_batch], np.float32)
-            for qi, qes, probs in zip(batch, qes_batch, step.probs):
-                scores[qi] = _hop1_prf(qes, probs)
+            step = backward([inputs[qi] for qi in batch], model, dtype=np.float32,
+                            workspace=work)
+            for qi, probs in zip(batch, step.probs):
+                scores[qi] = _hop1_prf(subgraphs[qi], probs)
             grad_norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in step.grads)))
-            params, state = optimizer_step(
-                model.parameters(),
-                step.grads,
-                state,
-                learning_rate=config.learning_rate,
-                beta2=config.beta2,
-            )
+            optimizer_step(params, step.flat, state, learning_rate=config.learning_rate,
+                           beta2=config.beta2)
             try:
-                model.set_parameters(params)
+                model.set_parameters(views)
             except DimensionError as exc:
                 raise DimensionError(f"training diverged in epoch {epoch}: {exc}") from exc
             losses.extend(step.losses)

@@ -1,7 +1,9 @@
 """Independent reference implementations used as oracles in GCN tests.
 
-Forward pass in pure-python loops (no shared code with the library) and a
-central finite-difference gradient of the masked loss.
+Forward pass in pure-python loops (no shared code with the library), a
+central finite-difference gradient of the masked loss, and the training
+step as it ran before its buffers were reused (`oracle_train`), whose bits
+`trainer.train` must give.
 """
 
 import math
@@ -91,3 +93,124 @@ def max_relative_error(analytic, numeric):
         rel = float(np.linalg.norm(a - f)) / max(na, nf, 1e-8)
         worst = max(worst, rel)
     return worst
+
+
+# The training step as it ran before it moved into reused buffers: each
+# batch normalizes its subgraphs' G and casts their features again, the
+# cached forward allocates and keeps every layer, and Adam returns fresh
+# arrays. `train` must give these bits.
+
+def cached_forward(batch, model, dtype=np.float64):
+    """The batch stacked row-wise, computed in `dtype`, keeping every
+    layer's input, output and weights."""
+    from matchgraph.gcn import _inner_sum, _normalize, sigmoid
+
+    gs = [_normalize(qes.adjacency).astype(dtype, copy=False) for qes in batch]
+    ends = np.cumsum([len(g) for g in gs]).tolist()
+    blocks = list(zip(gs, [0] + ends[:-1], ends))
+    h = np.concatenate([qes.features for qes in batch]).astype(dtype, copy=False)
+    conv_cache = []
+    for layer in model.conv_layers:
+        w = layer.weights.astype(dtype, copy=False)
+        d = h.shape[1]
+        concat = np.empty((len(h), 2 * d), dtype=h.dtype)
+        concat[:, :d] = h
+        for g, s, e in blocks:
+            _inner_sum(g.T, h[s:e], out=concat[s:e, d:])
+        z = concat @ w
+        conv_cache.append((concat, z, w))
+        h = np.maximum(z, 0.0)
+    head = len(model.fc_layers) - 1
+    fc_cache = []
+    for i, layer in enumerate(model.fc_layers):
+        w = layer.weights.astype(dtype, copy=False)
+        z = h @ w + layer.bias.astype(dtype, copy=False)
+        fc_cache.append((h, z, w))
+        h = z if i == head else np.maximum(z, 0.0)
+    return sigmoid(h[:, 0]), blocks, conv_cache, fc_cache
+
+
+def cached_backward(batch, model, labels, dtype=np.float64):
+    """(float64 gradients per parameter, per-subgraph losses, per-subgraph
+    probabilities) of the batch's mean masked loss, on `cached_forward`."""
+    from matchgraph.gcn import PROB_CLAMP, _inner_sum, masked_loss
+
+    probs, blocks, conv_cache, fc_cache = cached_forward(batch, model, dtype)
+    losses, per_probs = [], []
+    dz = np.empty(len(probs))
+    for qes, node_labels, (_, s, e) in zip(batch, labels, blocks):
+        p, y, hop = probs[s:e], np.asarray(node_labels, dtype=bool), np.asarray(qes.hop)
+        losses.append(masked_loss(p, y, hop))
+        per_probs.append(p)
+        mask = hop == 1
+        live = (p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP)
+        dz[s:e] = np.where(mask & live, (p - y) / (int(mask.sum()) * len(batch)), 0.0)
+    dh = dz.astype(dtype)[:, None]
+    grads = []  # reversed parameter order until the end
+    head = len(fc_cache) - 1
+    for i in range(head, -1, -1):
+        h_in, z, w = fc_cache[i]
+        dzl = dh if i == head else dh * (z > 0)
+        grads.append(dzl.sum(axis=0))
+        grads.append(_inner_sum(h_in, dzl))
+        dh = dzl @ w.T
+    for i in range(len(conv_cache) - 1, -1, -1):
+        concat, z, w = conv_cache[i]
+        dzl = dh * (z > 0)
+        grads.append(_inner_sum(concat, dzl))
+        if i == 0:
+            break
+        dconcat = dzl @ w.T
+        d = dconcat.shape[1] // 2
+        dh = dconcat[:, :d].copy()
+        for g, s, e in blocks:
+            dh[s:e] += _inner_sum(g, dconcat[s:e, d:])
+    grads.reverse()
+    return [g.astype(np.float64, copy=False) for g in grads], losses, per_probs
+
+
+def adam_step(params, grads, m, v, t, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One functional adaptive-moment update of lists of arrays, at step t
+    (1-based): returns fresh (params, m, v)."""
+    new_params, new_m, new_v = [], [], []
+    for p, g, m1, v1 in zip(params, grads, m, v):
+        m2 = beta1 * m1 + (1.0 - beta1) * g
+        v2 = beta2 * v1 + (1.0 - beta2) * (g * g)
+        m_hat = m2 / (1.0 - beta1**t)
+        v_hat = v2 / (1.0 - beta2**t)
+        new_params.append(p - learning_rate * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m2)
+        new_v.append(v2)
+    return new_params, new_m, new_v
+
+
+def oracle_train(emb, records, queries, config, conv_widths, fc_widths):
+    """`trainer.train` on `cached_backward` and `adam_step`: the same
+    seeds, order, scores and stats rows."""
+    from matchgraph import evaluation
+    from matchgraph.gcn import init_model
+    from matchgraph.trainer import EpochStats, _hop1_prf, build_training_set
+
+    model = init_model(emb.dim, conv_widths, fc_widths, seed=[config.seed, 0])
+    subgraphs = build_training_set(emb, records, queries, config)
+    m = [np.zeros_like(p) for p in model.parameters()]
+    v = [np.zeros_like(p) for p in model.parameters()]
+    t = 0
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(subgraphs))
+        losses, scores = [], [None] * len(subgraphs)
+        for start in range(0, len(order), config.batch_size):
+            batch = [subgraphs[qi] for qi in order[start : start + config.batch_size]]
+            grads, batch_losses, probs = cached_backward(
+                batch, model, [q.labels for q in batch], np.float32)
+            for qi, qes, p in zip(order[start : start + config.batch_size], batch, probs):
+                scores[qi] = _hop1_prf(qes, p)
+            t += 1
+            params, m, v = adam_step(model.parameters(), grads, m, v, t,
+                                     learning_rate=config.learning_rate, beta2=config.beta2)
+            model.set_parameters(params)
+            losses.extend(batch_losses)
+        precision, recall, fmeasure = evaluation.macro_average(scores)
+        history.append(EpochStats(epoch, float(np.mean(losses)), precision, recall, fmeasure))
+    return model, history

@@ -150,7 +150,7 @@ def isolated_qes():
     return Qes(70, range(7), [1, 1, 1, 1, 2, 2, 2], adjacency, rng.normal(size=(7, 4)))
 
 
-# Subgraphs on which inference must give the cached forward's bits.
+# Subgraphs on which inference must give the training forward's bits.
 FORWARD_CASES = {
     "empty": lambda: Qes(1, [], [], np.zeros((0, 0)), np.zeros((0, 4))),
     "one node": lambda: Qes(1, [0], [1], np.zeros((1, 1)), [[0.5, -1.0, 2.0, 0.25]]),
@@ -161,15 +161,16 @@ FORWARD_CASES = {
 
 class TestModelForward:
     @pytest.mark.parametrize("make", list(FORWARD_CASES.values()), ids=list(FORWARD_CASES))
-    def test_equals_cached_forward_bit_for_bit(self, make):
+    def test_equals_training_forward_bit_for_bit(self, make):
         qes = make()
         model = init_model(4, conv_widths=(8, 8, 6, 6), fc_widths=(5, 3), seed=1)
-        want = gcn._forward_cached([qes], model)[0]
+        prepared = gcn.prepare(qes, np.zeros(len(qes), dtype=bool))
+        want = gcn._forward_batch([prepared], model, gcn.Workspace(model, len(qes)))[0]
         got = model_forward(qes, model)
         assert got.dtype == want.dtype and got.shape == (len(qes),)
         assert got.tobytes() == want.tobytes()
 
-    def test_inference_never_runs_the_cached_forward(self, monkeypatch):
+    def test_inference_never_runs_the_training_forward(self, monkeypatch):
         emb = mg.EmbeddingMatrix(range(20), np.random.default_rng(10).normal(size=(20, 4)))
         index = mg.build_index(emb)
         model = init_model(4, conv_widths=(6, 6, 4, 4), fc_widths=(3,), seed=2)
@@ -179,10 +180,10 @@ class TestModelForward:
         result = gcn_retrieve(model, index, emb, 0, params, prob_threshold=0.0)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("cached forward ran")
+            raise AssertionError("training forward ran")
 
-        monkeypatch.setattr(gcn, "_forward_cached", refuse)
-        with pytest.raises(AssertionError, match="cached forward"):
+        monkeypatch.setattr(gcn, "_forward_batch", refuse)
+        with pytest.raises(AssertionError, match="training forward"):
             backward([qes], model, [np.zeros(len(qes), dtype=bool)])
         assert np.array_equal(model_forward(qes, model), probs)
         assert gcn_retrieve(model, index, emb, 0, params, prob_threshold=0.0) == result
@@ -402,6 +403,11 @@ class TestBatchBackward:
             for qes, probs in zip(batch, low.probs):
                 worst = max(worst, float(np.max(np.abs(probs - model_forward(qes, model)))))
         assert worst <= 1e-4
+
+    def test_empty_batch_is_refused_by_name(self):
+        model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0)
+        with pytest.raises(DimensionError, match="empty batch"):
+            backward([], model, [])
 
     def test_one_label_array_per_subgraph(self):
         rng = np.random.default_rng(17)

@@ -21,6 +21,8 @@ from matchgraph.trainer import (
     train,
 )
 
+from gcn_oracle import adam_step, oracle_train
+
 
 # The settings each config class needs besides the one under test.
 _REQUIRED = {mg.SceneConfig: {"n_images": 8}, TrainConfig: {}}
@@ -79,43 +81,64 @@ class TestLabelQes:
                 assert got == expected
 
 
+def flat(*arrays):
+    return np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])
+
+
 class TestOptimizerStep:
     def test_zero_gradient_leaves_params(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        grads = [np.zeros(2), np.zeros((1, 1))]
+        params = flat([1.0, -2.0], [[3.0]])
+        before = params.copy()
         state = init_adam(params)
-        new_params, new_state = optimizer_step(params, grads, state)
-        assert all(np.array_equal(a, b) for a, b in zip(params, new_params))
-        assert new_state.step == 1
+        optimizer_step(params, np.zeros(3), state)
+        assert np.array_equal(params, before)
+        assert state.step == 1
 
     def test_first_step_is_signed_learning_rate(self):
-        params = [np.array([0.0, 0.0, 0.0])]
-        grads = [np.array([0.5, -3.0, 1e-3])]
-        new_params, _ = optimizer_step(params, grads, init_adam(params), learning_rate=1e-2)
-        step = new_params[0] - params[0]
+        params = np.zeros(3)
+        grads = np.array([0.5, -3.0, 1e-3])
+        optimizer_step(params, grads, init_adam(params), learning_rate=1e-2)
+        step = params  # from zero
         # bias-corrected first step is -lr * g / (|g| + eps)
-        assert np.all(np.sign(step) == -np.sign(grads[0]))
+        assert np.all(np.sign(step) == -np.sign(grads))
         assert np.allclose(np.abs(step), 1e-2, rtol=1e-4)
 
     def test_constant_gradient_reaches_learning_rate_per_step(self):
-        params = [np.array([0.0])]
-        grads = [np.array([0.37])]
+        params = np.zeros(1)
+        grads = np.array([0.37])
         state = init_adam(params)
-        prev = params[0].copy()
+        prev = params.copy()
         for t in range(400):
-            params, state = optimizer_step(params, grads, state, learning_rate=1e-3)
+            optimizer_step(params, grads, state, learning_rate=1e-3)
             if t >= 398:
-                delta = prev - params[0]
-                prev = params[0].copy()
+                delta = prev - params
+                prev = params.copy()
         assert np.allclose(delta, 1e-3, rtol=1e-2)
 
     def test_shape_mismatch(self):
-        params = [np.zeros(3)]
+        params = np.zeros(3)
         state = init_adam(params)
         from matchgraph.errors import DimensionError
 
         with pytest.raises(DimensionError):
-            optimizer_step(params, [np.zeros(4)], state)
+            optimizer_step(params, np.zeros(4), state)
+
+    def test_equals_functional_update_over_24_steps(self):
+        rng = np.random.default_rng(21)
+        shapes = [(4, 3), (3,), (5, 1), (1,)]
+        arrays = [rng.normal(size=s) for s in shapes]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        params = flat(*arrays)
+        state = init_adam(params)
+        for t in range(1, 25):
+            # zero, tiny and large gradients among the draws
+            grads = [rng.normal(size=s) * rng.choice([0.0, 1e-9, 1.0, 1e3]) for s in shapes]
+            arrays, m, v = adam_step(arrays, grads, m, v, t, learning_rate=1e-2, beta2=0.99)
+            optimizer_step(params, flat(*grads), state, learning_rate=1e-2, beta2=0.99)
+            assert params.tobytes() == flat(*arrays).tobytes()
+            assert state.m.tobytes() == flat(*m).tobytes()
+            assert state.v.tobytes() == flat(*v).tobytes()
 
 
 class TestTrain:
@@ -184,18 +207,19 @@ class TestTrain:
         scene = small_scene()
         ids = list(scene.embeddings.ids)
         cfg = TrainConfig(qes_params=QesParams(4, 2, 3), epochs=3, batch_size=5, seed=2)
-        forward = gcn._forward_cached
+        forward = gcn._forward_batch
         calls = []
 
         def counted(batch, *args):
-            calls.extend(qes.query_id for qes in batch)
+            calls.extend(batch)
             return forward(batch, *args)
 
-        monkeypatch.setattr(gcn, "_forward_cached", counted)
+        monkeypatch.setattr(gcn, "_forward_batch", counted)
         train(scene.embeddings, scene.overlaps, ids, cfg,
               conv_widths=(6, 6, 4, 4), fc_widths=(3,))
         n = len(build_training_set(scene.embeddings, scene.overlaps, ids, cfg))
         assert len(calls) == 3 * n
+        assert len({id(x) for x in calls}) == n  # each subgraph prepared once
 
     def test_epoch_log_line_ends_with_wall_seconds(self, caplog):
         scene = small_scene()
@@ -249,6 +273,74 @@ class TestTrain:
         _, history = train(scene.embeddings, scene.overlaps, [0, 1, 2], cfg,
                            conv_widths=(6, 6, 4, 4), fc_widths=(3,))
         assert [h.epoch for h in history] == [1, 2, 3]
+
+
+# (scene size, subgraph shape, queries, batch size, conv widths, fc widths)
+ORACLE_GRID = {
+    "batch 1": (40, QesParams(6, 2, 3), range(19), 1, (6, 6, 4, 4), (3,)),
+    "batch 3, partial last": (40, QesParams(6, 2, 3), range(19), 3, (6, 6, 4, 4), (3,)),
+    "batch 8, partial last": (40, QesParams(6, 2, 3), range(19), 8, (6, 6, 4, 4), (3,)),
+    "k2 0": (40, QesParams(6, 0, 3), range(19), 3, (6, 6, 4, 4), (3,)),
+    "widths 1": (40, QesParams(6, 2, 3), range(19), 3, (1, 1, 1, 1), (1,)),
+    "over _MAX_INNER nodes": (300, QesParams(gcn._MAX_INNER + 14, 3, 3), range(0, 300, 60), 2,
+                              (4, 4, 3, 3), (2,)),
+}
+
+
+class TestTrainEqualsOracle:
+    @pytest.mark.parametrize("case", list(ORACLE_GRID.values()), ids=list(ORACLE_GRID))
+    def test_checkpoint_and_history_bit_equal(self, case):
+        n, params, queries, batch_size, conv, fc = case
+        scene = small_scene(n=n)
+        cfg = TrainConfig(qes_params=params, epochs=3, batch_size=batch_size, seed=5,
+                          learning_rate=1e-2, beta2=0.99)
+        subgraphs = build_training_set(scene.embeddings, scene.overlaps, list(queries), cfg)
+        if batch_size > 1:
+            assert len(subgraphs) % batch_size != 0
+        if n > gcn._MAX_INNER:
+            assert max(map(len, subgraphs)) > gcn._MAX_INNER
+        model, history = train(scene.embeddings, scene.overlaps, list(queries), cfg, conv, fc)
+        want, want_history = oracle_train(scene.embeddings, scene.overlaps, list(queries), cfg,
+                                          conv, fc)
+        assert save_model(model) == save_model(want)
+        assert history == want_history
+
+    def test_normalizes_each_subgraph_once_per_run(self, monkeypatch):
+        scene = small_scene()
+        ids = list(scene.embeddings.ids)
+        cfg = TrainConfig(qes_params=QesParams(4, 2, 3), epochs=3, batch_size=5, seed=2)
+        normalize = gcn._normalize
+        calls = []
+
+        def counted(a):
+            calls.append(len(a))
+            return normalize(a)
+
+        monkeypatch.setattr(gcn, "_normalize", counted)
+        train(scene.embeddings, scene.overlaps, ids, cfg, conv_widths=(6, 6, 4, 4), fc_widths=(3,))
+        n = len(build_training_set(scene.embeddings, scene.overlaps, ids, cfg))
+        assert len(calls) == n
+
+    def test_second_run_repeats_the_first_and_leaves_its_model(self, monkeypatch):
+        scene = small_scene()
+        ids = list(scene.embeddings.ids)
+        cfg = TrainConfig(qes_params=QesParams(4, 2, 3), epochs=4, batch_size=3, seed=8)
+        first, first_history = train(scene.embeddings, scene.overlaps, ids, cfg,
+                                     conv_widths=(6, 6, 4, 4), fc_widths=(3,))
+        first_bytes = save_model(first)
+        step = trainer.optimizer_step
+        checked = []
+
+        def checking(*args, **kwargs):
+            step(*args, **kwargs)
+            checked.append(save_model(first) == first_bytes)
+
+        monkeypatch.setattr(trainer, "optimizer_step", checking)
+        second, second_history = train(scene.embeddings, scene.overlaps, ids, cfg,
+                                       conv_widths=(6, 6, 4, 4), fc_widths=(3,))
+        assert checked and all(checked)
+        assert save_model(first) == first_bytes == save_model(second)
+        assert first_history == second_history
 
 
 class TestHop1Prf:
