@@ -160,11 +160,16 @@ def cmd_synth(args, cfg) -> int:
     settings = _given(args, cfg, n_images=int, symmetry_s=int, overlap_angle=float,
                       noise_sigma=float, dim=int, seed=int)
     scene = synthetic.generate_scene(synthetic.SceneConfig(**{"n_images": 360, **settings}))
-    with open(args.embeddings, "wb") as fp:
-        fp.write(save_embeddings(scene.embeddings))
-    _write_text(args.overlaps, overlaps.save_overlaps(scene.overlaps))
+    # every output is built before any file is opened, so a refused scene
+    # writes nothing
+    embeddings = save_embeddings(scene.embeddings)
+    texts = [(args.overlaps, overlaps.save_overlaps(scene.overlaps))]
     if args.classes:
-        _write_text(args.classes, synthetic.save_classes(scene.classes))
+        texts.append((args.classes, synthetic.save_classes(scene.classes)))
+    with open(args.embeddings, "wb") as fp:
+        fp.write(embeddings)
+    for path, text in texts:
+        _write_text(path, text)
     return EXIT_OK
 
 

@@ -126,10 +126,18 @@ def load_embeddings(source: bytes | BinaryIO) -> EmbeddingMatrix:
 
 
 def save_embeddings(emb: EmbeddingMatrix) -> bytes:
-    """Serialize to the binary format (32-bit float payload)."""
+    """Serialize to the binary format (32-bit float payload). A value
+    that is not finite in 32 bits is refused, by image id, since
+    `load_embeddings` would refuse the file."""
+    with np.errstate(over="ignore"):
+        payload = emb.vectors.astype("<f4")
+    bad = np.flatnonzero(~np.isfinite(payload).all(axis=1))
+    if bad.size:
+        raise ValueError(f"image id {emb.ids[int(bad[0])]} has an embedding value "
+                         "outside the 32-bit float range")
     out = [_HEADER.pack(MAGIC, FORMAT_VERSION, len(emb), emb.dim)]
     out.append(np.asarray(emb.ids, dtype="<u8").tobytes())
-    out.append(emb.vectors.astype("<f4").tobytes())
+    out.append(payload.tobytes())
     return b"".join(out)
 
 

@@ -8,13 +8,19 @@ are ranked a block at a time: one matrix product gives approximate squared
 distances from the block to every row, which only picks candidates; the
 candidates are then ranked by the difference formula, keeping a margin
 proven wide enough that the result equals a full sort by (distance, id).
-A single row takes the same steps with a matrix-vector product. Requests
-a row's ranking covers are array slices. A radius query (`Index.within`)
-is a prefix of the row's ranking when that ranking reaches past the
-radius, else one matrix-vector candidate pass that writes nothing. Memory
-is O(N·w) for the widest k asked so far, w <= N-1, plus O(block·N)
-scratch while a block is ranked. Approximate search is deliberately out
-of scope because subgraph topology is the classifier's input signal.
+A single row takes the same steps with a matrix-vector product. Rows
+asked about around a pivot row q (`table(rows, k, near=q)`, as a query's
+subgraph asks about its 1-hop rows) are ranked against a pool instead of
+all N rows: q and every row within a radius of q that the triangle
+inequality proves holds each row's exact first w (see `_candidate_margin`).
+The pool falls back to all rows when q is ranked narrower than w or the
+pool holds more than half of them. Requests a row's ranking covers are
+array slices. A radius query (`Index.within`) is a prefix of the row's
+ranking when that ranking reaches past the radius, else one matrix-vector
+candidate pass that writes nothing. Memory is O(N·w) for the widest k
+asked so far, w <= N-1, plus O(block·N) scratch while a block is ranked.
+Approximate search is deliberately out of scope because subgraph topology
+is the classifier's input signal.
 """
 
 from dataclasses import dataclass
@@ -104,6 +110,24 @@ def _candidate_margin(dim: int) -> float:
     that is for tau² <= 4.1 (and so for every tau <= 2). Every A is below
     4.1, and for tau² > 4.1 the cut is above 4.1: every column is a
     candidate.
+
+    The same margin bounds a pool around a pivot row q. Let f = (D + 2)·u.
+    A computed distance fl(√S) is within a factor 1 ± f of the distance δ
+    (S errs by at most 1.01·(D + 2)·u relative, the root halves that and
+    adds u). For a row r, let A_w be the (w + 1)-th smallest A from r to
+    q and the w or more columns of q's ranking. At least w columns other
+    than r are at or below it, and they have δ² <= A_w + eps, so r's w-th
+    computed distance is at most U·(1 + f) with U = √(A_w + eps), and
+    every column c of r's exact first w, ties included, has
+    δ(r, c) <= U·(1 + f)/(1 - f). The triangle inequality
+    δ(q, c) <= δ(q, r) + δ(r, c) then gives
+    fl(√S(q, c)) <= (t + U)·(1 + 3.1·f), where t = fl(√S(q, r)). The radius
+    is R = fl(M + margin), M the largest over r of fl(t + fl(√fl(A_w +
+    margin))). fl(A_w + margin) >= A_w + eps, since margin·(1 - u) - 4.1·u
+    >= eps, so each term of M is at least (t + U)·(1 - u)². As t + U < 4.1,
+    fl(√S(q, c)) exceeds M by less than 4.1·(3.1·f + 2.1·u) <= 15.7·f, and
+    R exceeds M by more than 22·f. So every such c is within R of q, and
+    the radius pass of q at tau = R (above) returns it as a candidate.
     """
     return 24.0 * (dim + 2) * (np.finfo(np.float64).eps / 2)
 
@@ -127,18 +151,21 @@ class _Table:
 @dataclass(frozen=True)
 class TableCounts:
     """Work done by an index's neighbor table: rows ranked, the rankings of
-    rows that had been ranked before (narrower), rows read, and radius
-    queries answered from a ranked row and by a candidate pass."""
+    rows that had been ranked before (narrower), rows read, radius queries
+    answered from a ranked row and by a candidate pass, and rows ranked
+    against a pool around a pivot instead of all rows."""
 
     rankings: int
     reranks: int
     rows_read: int
     radius_table: int
     radius_pass: int
+    pooled: int = 0
 
     def __str__(self) -> str:
         return (f"rankings {self.rankings} reranks {self.reranks} rows_read {self.rows_read}"
-                f" radius_table {self.radius_table} radius_pass {self.radius_pass}")
+                f" radius_table {self.radius_table} radius_pass {self.radius_pass}"
+                f" pooled {self.pooled}")
 
 
 class Index:
@@ -149,10 +176,11 @@ class Index:
     asked about whose ranking is missing or narrower than k, at k but at
     least `_MIN_WIDTH` (see `_RERANK_SHARE` for when it ranks wider): one
     row by a matrix-vector pass, several in blocks of max(1, 2^16 // N)
-    rows by a GEMM pass. The pass gives approximate squared distances;
-    every column within `_candidate_margin` of a row's w-th smallest
-    approximate value is a candidate, and the candidates are ranked by
-    (distance, id) with the difference formula.
+    rows by a GEMM pass (N: the pool's size when they are ranked around a
+    pivot). The pass gives approximate squared distances; every column
+    within `_candidate_margin` of a row's w-th smallest approximate value
+    is a candidate, and the candidates are ranked by (distance, id) with
+    the difference formula.
     The table only caches exact answers, so it never changes results. A
     ranking wider than the table's capacity swaps in a wider copy of the
     table. An index must not be shared between threads: asking it anything
@@ -167,26 +195,29 @@ class Index:
         self._margin = _candidate_margin(unit.shape[1])
         self._table = _Table(len(emb), 0)
         self._rankings = self._reranks = self._rows_read = 0
-        self._radius_table = self._radius_pass = 0
+        self._radius_table = self._radius_pass = self._pooled = 0
 
     def __len__(self) -> int:
         return len(self.emb)
 
     def counts(self) -> TableCounts:
-        """Rows ranked, re-ranked and read by `table` so far, and radius
-        queries answered."""
+        """Rows ranked, re-ranked and read by `table` so far, radius
+        queries answered, and rows ranked against a pool."""
         return TableCounts(self._rankings, self._reranks, self._rows_read,
-                           self._radius_table, self._radius_pass)
+                           self._radius_table, self._radius_pass, self._pooled)
 
-    def table(self, rows, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def table(self, rows, k: int, near: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Positions and distances of the min(k, N-1) nearest rows of each
-        of `rows`, as two (len(rows), min(k, N-1)) arrays."""
+        of `rows`, as two (len(rows), min(k, N-1)) arrays. Given a pivot
+        row `near` (such as the query whose neighbors `rows` are), rows are
+        ranked against a pool around it (see `_pool`); the answer is the
+        same."""
         take = self._take(k)
         rows = np.asarray(rows, dtype=np.intp)
         table = self._table
         short = rows[table.width[rows] < take]
         if short.size:
-            self._rank(short, take)
+            self._rank(short, take, near)
             # Widths never fall and a wider table copies them, so every row
             # is ranked at least `take` wide in the current table.
             table = self._table
@@ -198,15 +229,49 @@ class Index:
             raise ValueError("k must be >= 1")
         return min(k, len(self) - 1)
 
-    def _rank(self, rows: np.ndarray, take: int) -> None:
+    def _rank(self, rows: np.ndarray, take: int, near: int | None) -> None:
         w = self._width(take)
         if rows.size == 1:
             self._rank_row(int(rows[0]), w)
             return
         rows = np.unique(rows)
-        step = max(1, _BLOCK_ENTRIES // len(self))
+        cols = None if near is None else self._pool(near, rows, w)
+        step = max(1, _BLOCK_ENTRIES // (len(self) if cols is None else cols.size))
         for start in range(0, rows.size, step):
-            self._rank_block(rows[start:start + step], w)
+            self._rank_block(rows[start:start + step], w, cols)
+
+    def _pool(self, q: int, rows: np.ndarray, w: int) -> np.ndarray | None:
+        """Row q and the candidates of its radius pass at R, sorted: a
+        superset of the exact first w of each of `rows` (see
+        `_candidate_margin` for R and the proof). None when q is ranked
+        narrower than w or the pool would hold more than half the rows."""
+        wq = int(self._table.width[q])
+        if wq < w:
+            return None
+        # q and its ranking are w + 1 or more columns, at most one of them
+        # the row itself, so the (w + 1)-th smallest bounds w others
+        ring = np.append(self._table.pos[q, :wq], q)
+        reach = np.partition(self._approx(rows, ring), w, axis=1)[:, w]
+        reach += self._margin
+        np.sqrt(reach, out=reach)
+        reach += _difference_distances(self.unit[rows], self.unit[q])
+        pool = self._candidate_positions(q, tau=float(reach.max()) + self._margin)
+        if 2 * (pool.size + 1) > len(self):
+            return None
+        return np.sort(np.append(pool, q))
+
+    def _approx(self, rows: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
+        """The GEMM form |a|² + |b|² - 2 a·b from each of `rows` to each of
+        `cols` (every row if None). Scaling by -2 is exact, so it is
+        applied to the small left operand."""
+        if cols is None:
+            approx = (self.unit[rows] * -2.0) @ self.unit.T
+            approx += self.sqnorm
+        else:
+            approx = (self.unit[rows] * -2.0) @ self.unit[cols].T
+            approx += self.sqnorm[cols]
+        approx += self.sqnorm[rows, None]
+        return approx
 
     def _width(self, take: int) -> int:
         """The width to rank a row asked at `take`. The counts only steer
@@ -239,9 +304,13 @@ class Index:
         """One matrix-vector pass for row `row`: the positions whose
         approximate squared distance is within `_candidate_margin` of the
         w-th smallest, or of tau², and their exact distances."""
+        cand = self._candidate_positions(row, w, tau)
+        near = self.unit[cand]
+        return cand, _difference_distances(near, self.unit[row], out=near)
+
+    def _candidate_positions(self, row: int, w: int = 0, tau: float | None = None):
         # `_rank_block` for one row; its comments hold here too.
-        unit = self.unit[row]
-        approx = self.unit @ (unit * -2.0)
+        approx = self.unit @ (self.unit[row] * -2.0)
         approx += self.sqnorm
         approx += self.sqnorm[row]
         approx[row] = np.inf
@@ -251,8 +320,7 @@ class Index:
         else:
             cand = (approx <= tau * tau + self._margin).nonzero()[0]
             cand = cand[cand != row]  # the row's own inf passes an infinite tau
-        near = self.unit[cand]
-        return cand, _difference_distances(near, unit, out=near)
+        return cand
 
     def _rank_row(self, row: int, w: int) -> None:
         cand, dist = self._candidates(row, w)
@@ -265,19 +333,22 @@ class Index:
         table.dist[row, :w] = dist
         table.width[row] = w
 
-    def _rank_block(self, rows: np.ndarray, w: int) -> None:
+    def _rank_block(self, rows: np.ndarray, w: int, cols: np.ndarray | None) -> None:
         # The GEMM form cancels badly for near rows and may misorder them,
         # so it only picks candidates; `_candidate_margin` proves that they
-        # hold every row of the exact first `w`. Ranking the candidates by
-        # (row, distance, id) then gives each row the order of a full sort.
-        # A row's own entry is set to inf and never reaches the cut. Scaling
-        # by -2 is exact, so it is applied to the small left operand.
-        approx = (self.unit[rows] * -2.0) @ self.unit.T
-        approx += self.sqnorm
-        approx += self.sqnorm[rows, None]
-        approx[np.arange(rows.size), rows] = np.inf
+        # hold every row of the exact first `w` among `cols` (a pool that
+        # holds each row's exact first w over all rows, or every row).
+        # Ranking the candidates by (row, distance, id) then gives each row
+        # the order of a full sort. A row's own entry is set to inf and
+        # never reaches the cut; a pool is sorted and holds every row.
+        approx = self._approx(rows, cols)
+        own = rows if cols is None else np.searchsorted(cols, rows)
+        approx[np.arange(rows.size), own] = np.inf
         cut = np.partition(approx, w - 1, axis=1)[:, w - 1] + self._margin
-        which, cand = np.divmod(np.flatnonzero(approx <= cut[:, None]), len(self))
+        which, cand = np.divmod(np.flatnonzero(approx <= cut[:, None]), approx.shape[1])
+        if cols is not None:
+            cand = cols[cand]
+            self._pooled += rows.size
         dist = np.empty(cand.size)
         step = min(cand.size, max(1, _BLOCK_ENTRIES // self.unit.shape[1]))
         near = np.empty((step, self.unit.shape[1]))

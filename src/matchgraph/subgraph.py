@@ -137,13 +137,14 @@ def discover_nodes(index: Index, qrow: int, k1: int, k2: int):
 
     Returns (rows, hop) as arrays: the 1-hop rows in rank order, then the
     2-hop rows in ascending id. A row found in both hops keeps tag 1
-    because classification coverage must equal the 1-hop set.
+    because classification coverage must equal the 1-hop set. The 1-hop
+    rows are ranked around the query row (see `Index.table`).
     """
     first = index.table([qrow], k1)[0][0]
     second = first[:0]
     if k2 >= 1 and first.size:
         reached = np.zeros(len(index), dtype=bool)
-        reached[index.table(first, k2)[0]] = True
+        reached[index.table(first, k2, near=qrow)[0]] = True
         reached[first] = False
         reached[qrow] = False
         second = np.flatnonzero(reached)

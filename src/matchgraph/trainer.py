@@ -22,8 +22,8 @@ from . import evaluation
 from .embeddings import EmbeddingMatrix
 from .errors import DimensionError, NoTrainingData
 from .gcn import (
-    CONV_WIDTHS, FC_WIDTHS, PROB_THRESHOLD, GcnModel, ModelGradients, Workspace, backward,
-    init_model, prepare,
+    CONV_WIDTHS, FC_WIDTHS, PROB_THRESHOLD, GcnModel, ModelGradients, TrainingSubgraph,
+    Workspace, backward, init_model, prepare,
 )
 from .knn import build_index
 from .overlaps import TAU_CT, TAU_MO, OverlapStore, label_pair
@@ -174,12 +174,11 @@ def build_training_set(
     return subgraphs
 
 
-def _hop1_prf(qes: Qes, probs: np.ndarray) -> tuple[float, float, float]:
+def _hop1_prf(sub: TrainingSubgraph, probs: np.ndarray) -> tuple[float, float, float]:
     """Precision, recall and F of the 1-hop nodes predicted above the
     retrieval threshold. Nodes are unique, so masks count the sets."""
-    hop1 = qes.hop_mask(1)
-    predicted = hop1 & (probs > PROB_THRESHOLD)
-    relevant = hop1 & np.asarray(qes.labels, dtype=bool)
+    predicted = sub.hop1 & (probs > PROB_THRESHOLD)
+    relevant = sub.hop1 & (sub.labels > 0.0)
     counts = (int(np.count_nonzero(m)) for m in (predicted & relevant, predicted, relevant))
     return evaluation.prf_counts(*counts)
 
@@ -223,7 +222,7 @@ def train(
             step = backward([inputs[qi] for qi in batch], model, dtype=np.float32,
                             workspace=work)
             for qi, probs in zip(batch, step.probs):
-                scores[qi] = _hop1_prf(subgraphs[qi], probs)
+                scores[qi] = _hop1_prf(inputs[qi], probs)
             grad_norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in step.grads)))
             optimizer_step(params, step.flat, state, learning_rate=config.learning_rate,
                            beta2=config.beta2)

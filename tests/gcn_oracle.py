@@ -189,7 +189,16 @@ def oracle_train(emb, records, queries, config, conv_widths, fc_widths):
     seeds, order, scores and stats rows."""
     from matchgraph import evaluation
     from matchgraph.gcn import init_model
-    from matchgraph.trainer import EpochStats, _hop1_prf, build_training_set
+    from matchgraph.gcn import PROB_THRESHOLD
+    from matchgraph.trainer import EpochStats, build_training_set
+
+    def hop1_prf(qes, probs):
+        # the 1-hop mask and the labels from the subgraph's tuples
+        hop1 = qes.hop_mask(1)
+        predicted = hop1 & (probs > PROB_THRESHOLD)
+        relevant = hop1 & np.asarray(qes.labels, dtype=bool)
+        counts = (int(np.count_nonzero(m)) for m in (predicted & relevant, predicted, relevant))
+        return evaluation.prf_counts(*counts)
 
     model = init_model(emb.dim, conv_widths, fc_widths, seed=[config.seed, 0])
     subgraphs = build_training_set(emb, records, queries, config)
@@ -205,7 +214,7 @@ def oracle_train(emb, records, queries, config, conv_widths, fc_widths):
             grads, batch_losses, probs = cached_backward(
                 batch, model, [q.labels for q in batch], np.float32)
             for qi, qes, p in zip(order[start : start + config.batch_size], batch, probs):
-                scores[qi] = _hop1_prf(qes, p)
+                scores[qi] = hop1_prf(qes, p)
             t += 1
             params, m, v = adam_step(model.parameters(), grads, m, v, t,
                                      learning_rate=config.learning_rate, beta2=config.beta2)

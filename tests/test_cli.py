@@ -124,7 +124,7 @@ class TestPipeline:
         table = knn_table_lines(caplog)
         assert len(table) == 1
         assert re.fullmatch(r"knn table: rankings \d+ reranks \d+ rows_read \d+"
-                            r" radius_table 0 radius_pass 0", table[0])
+                            r" radius_table 0 radius_pass 0 pooled \d+", table[0])
 
         report = tmp_path / "report.csv"
         code = run(
@@ -293,8 +293,8 @@ class TestBaseline:
         assert got == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("mode,counts", [
-        (("--tau-dist", 0.6), "rankings 0 reranks 0 rows_read 0 radius_table 0 radius_pass 24"),
-        (("--topk", 5), "rankings 24 reranks 0 rows_read 48 radius_table 0 radius_pass 0"),
+        (("--tau-dist", 0.6), "rankings 0 reranks 0 rows_read 0 radius_table 0 radius_pass 24 pooled 0"),
+        (("--topk", 5), "rankings 24 reranks 0 rows_read 48 radius_table 0 radius_pass 0 pooled 0"),
     ])
     def test_logs_knn_table_line(self, scene_files, tmp_path, caplog, mode, counts):
         # each run has a fresh index, so every radius query takes a pass
@@ -662,6 +662,20 @@ class TestExitCodes:
                    f"--noise-sigma={sigma}") == 4
         assert "noise sigma must be a finite number >= 0" in capsys.readouterr().err
         assert not emb.exists() and not ov.exists()
+
+    @pytest.mark.parametrize("classes", [False, True])
+    def test_noise_beyond_float32_is_compute_error_and_writes_nothing(self, tmp_path, capsys,
+                                                                      classes):
+        # the scene is finite in float64, but its embedding file would
+        # hold values that `index` refuses
+        out = {name: tmp_path / name for name in ("s.emb", "s.ov", "s.cls")}
+        argv = ["synth", "--embeddings", out["s.emb"], "--overlaps", out["s.ov"],
+                "--n-images", 12, "--noise-sigma", "1e39"]
+        if classes:
+            argv += ["--classes", out["s.cls"]]
+        assert run(*argv) == 4
+        assert "outside the 32-bit float range" in capsys.readouterr().err
+        assert not any(path.exists() for path in out.values())
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_learning_rate_is_compute_error(self, scene_files, tmp_path, capsys, lr):

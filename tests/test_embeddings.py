@@ -144,6 +144,20 @@ class TestBinaryFormat:
         assert emb.ids == (7, 3)
         assert save_embeddings(emb) == data
 
+    @pytest.mark.parametrize("value", [1e39, -3.5e38, 1e300])
+    def test_value_outside_float32_refused_by_id(self, value):
+        # the float32 payload would hold inf, which `load_embeddings` refuses
+        emb = EmbeddingMatrix([5, 12, 9], [[1.0, 2.0], [0.5, value], [3.0, value]])
+        with pytest.raises(ValueError, match="image id 12 "):
+            save_embeddings(emb)
+
+    def test_float32_range_ends_round_trip(self):
+        top = float(np.finfo(np.float32).max)
+        emb = EmbeddingMatrix([4, 2], [[top, -top], [np.finfo(np.float64).tiny, 1.0]])
+        back = load_embeddings(save_embeddings(emb))
+        assert back.ids == (4, 2)
+        assert back.vectors[0].tolist() == [top, -top]
+
     def test_accepts_stream(self):
         data = make_file([1], [[0.5, 0.25]])
         emb = load_embeddings(io.BytesIO(data))

@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -284,9 +285,117 @@ class TestPerRowWidths:
         assert (index.counts().rankings, index.counts().reranks) == (121, 1)
 
 
-def test_no_module_imports_threads():
-    # `Index` writes its neighbor table on reads and holds no lock, which
-    # is safe only while nothing in the package starts a thread
+def many_near_ties(clusters=60):
+    # `near_tie_scene` in 3-d with more clusters, so that a pool can be
+    # smaller than half the rows
+    rng = np.random.default_rng(22)
+    centers = np.repeat(rng.normal(size=(clusters, 3)), 6, axis=0)
+    return EmbeddingMatrix(range(6 * clusters),
+                           centers + 1e-9 * rng.normal(size=centers.shape))
+
+
+def noisy_ring():
+    return generate_scene(SceneConfig(n_images=400, symmetry_s=4, dim=8, noise_sigma=0.05,
+                                      seed=3)).embeddings
+
+
+def pooled_table(emb, q, k1, k, extra=()):
+    """Rank the k1 nearest rows of row q (and `extra`) at k around q, as
+    `discover_nodes` does; the rows, the table's answer and its counts."""
+    index = build_index(emb)
+    rows = np.append(index.table([q], k1)[0][0], np.asarray(extra, dtype=np.intp))
+    pos, dist = index.table(rows, k, near=q)
+    return rows, table_rows(index, pos, dist), index.counts()
+
+
+class TestPool:
+    """Rows ranked around a pivot (`table(..., near=q)`) against a pool of
+    the pivot's neighborhood equal the oracle row by row, and every way
+    the pool falls back to the full scan does too."""
+
+    @pytest.mark.parametrize("n, d", [(400, 3), (300, 2), (300, 4), (500, 8)])
+    def test_random_scenes(self, n, d):
+        rng = np.random.default_rng(n + d)
+        emb = EmbeddingMatrix(rng.permutation(10**6)[:n].tolist(), rng.normal(size=(n, d)))
+        pooled = 0
+        for q in (0, n // 3):
+            for k1, k in ((20, 5), (30, 16), (12, 40)):
+                rows, got, counts = pooled_table(emb, q, k1, k)
+                assert got == oracle_rows(emb, rows, k)
+                pooled += counts.pooled
+        # the two low-dimensional scenes rank against pools
+        assert (pooled > 0) == (d < 4)
+
+    @pytest.mark.parametrize("n", [200, 400])
+    @pytest.mark.parametrize("k1", [12, 30])
+    def test_zero_noise_rings_with_ties_at_the_cut(self, n, k1):
+        # every point has three exact copies and its ring neighbors come in
+        # fours at one distance, so the cut at 16 falls inside a tie
+        emb = generate_scene(SceneConfig(n_images=n, symmetry_s=4, dim=6)).embeddings
+        for q in (0, 3, n // 2 + 1):
+            rows, got, counts = pooled_table(emb, q, k1, 16)
+            assert counts.pooled == k1
+            want = oracle_rows(emb, rows, 17)
+            assert got == [line[:16] for line in want]
+            assert any(line[15][1] == line[16][1] for line in want)
+
+    def test_evenly_spaced_ring_with_shuffled_ids(self):
+        # a row's two neighbors at each distance tie up to rounding, and
+        # the ids, shuffled against the angles, decide between them
+        n = 400
+        angles = 2 * math.pi * np.arange(n) / n
+        ids = (1000 + 7 * np.random.default_rng(n).permutation(n)).tolist()
+        emb = EmbeddingMatrix(ids, np.column_stack([np.cos(angles), np.sin(angles)]))
+        for q in (0, 133, 266):
+            rows, got, counts = pooled_table(emb, q, 30, 17)
+            assert counts.pooled == 30
+            assert got == oracle_rows(emb, rows, 17)
+
+    def test_near_ties_the_gemm_form_misorders(self):
+        emb = many_near_ties()
+        for q in (0, 100, 301):
+            for k1, k in ((6, 2), (6, 5), (20, 5)):
+                rows, got, counts = pooled_table(emb, q, k1, k)
+                assert counts.pooled == k1
+                assert got == oracle_rows(emb, rows, k)
+
+    def test_pivot_ranked_narrower_than_the_width_falls_back(self):
+        # the pivot is ranked 20 wide and the rows are asked at 30
+        emb = noisy_ring()
+        rows, got, counts = pooled_table(emb, 5, 20, 30)
+        assert counts.pooled == 0 and counts.rankings == 21
+        assert got == oracle_rows(emb, rows, 30)
+
+    def test_rows_that_hold_the_pivot(self):
+        emb = noisy_ring()
+        rows, got, counts = pooled_table(emb, 5, 20, 5, extra=(5, 5))
+        # the pivot is ranked already; its row is read, the others pooled
+        assert counts.pooled == 20 and counts.rankings == 21
+        assert got == oracle_rows(emb, rows, 5)
+
+    @pytest.mark.parametrize("k", [150, 199])
+    def test_pool_over_half_the_rows_falls_back(self, k):
+        # the rows' k nearest reach past half the ring around the pivot
+        emb = noisy_ring()
+        index = build_index(emb)
+        index.table([5], 200)
+        rows = index.table([5], 20)[0][0]
+        pos, dist = index.table(rows, k, near=5)
+        assert index.counts().pooled == 0
+        assert table_rows(index, pos, dist) == oracle_rows(emb, rows, k)
+
+    def test_one_short_row_takes_the_row_pass(self):
+        emb = random_scene(200)
+        index = build_index(emb)
+        rows = index.table([0], 40)[0][0]
+        index.table(rows[1:], 5)
+        pos, dist = index.table(rows, 5, near=0)
+        assert index.counts().pooled == 0
+        assert table_rows(index, pos, dist) == oracle_rows(emb, rows, 5)
+
+
+def package_imports():
+    """(module file, top-level name) of every absolute import in the package."""
     package = Path(mg.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 1
@@ -299,7 +408,22 @@ def test_no_module_imports_threads():
             else:
                 continue
             for name in names:
-                assert name.split(".")[0] not in ("threading", "concurrent"), (path.name, name)
+                yield path.name, name.split(".")[0]
+
+
+def test_no_module_imports_threads():
+    # `Index` writes its neighbor table on reads and holds no lock, which
+    # is safe only while nothing in the package starts a thread
+    for module, name in package_imports():
+        assert name not in ("threading", "concurrent"), (module, name)
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # the runtime dependency is numpy alone; scipy may be installed, but
+    # nothing declares it
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for module, name in package_imports():
+        assert name in allowed, (module, name)
 
 
 class TestTableCounts:
@@ -317,7 +441,7 @@ class TestTableCounts:
         index.neighbors(0, 20)
         assert index.counts() == knn.TableCounts(23, 1, 64, 0, 0)
         assert str(index.counts()) == (
-            "rankings 23 reranks 1 rows_read 64 radius_table 0 radius_pass 0")
+            "rankings 23 reranks 1 rows_read 64 radius_table 0 radius_pass 0 pooled 0")
 
     def test_radius_queries_on_a_small_ring(self):
         # a fresh index answers by a pass and ranks nothing; a row ranked

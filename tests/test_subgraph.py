@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from matchgraph import knn
 from matchgraph.embeddings import EmbeddingMatrix
 from matchgraph.errors import DimensionError, InvalidAdjacency, InvalidRecord, UnknownImage
 from matchgraph.knn import build_index
@@ -282,6 +284,35 @@ class TestBuildQes:
             assert type(qes.query_id) is int and qes.labels is None
             for tags in (qes.nodes, qes.hop):
                 assert type(tags) is tuple and all(type(v) is int for v in tags)
+
+    def test_ranking_around_the_query_changes_no_bit(self, monkeypatch):
+        # `build_qes` ranks node rows against pools around the query. Over
+        # a strided sample of a 2000-image ring, the subgraphs, the ranked
+        # rows and the counts must equal those of ranking over every row.
+        emb = generate_scene(SceneConfig(n_images=2000, symmetry_s=4, noise_sigma=0.05,
+                                         seed=1001)).embeddings
+        queries = emb.ids[7::41]
+
+        def build():
+            index = build_index(emb)
+            built = [build_qes(index, emb, q, QesParams()) for q in queries]
+            return index, [(g.nodes, g.hop, g.adjacency.tobytes(), g.features.tobytes())
+                           for g in built]
+
+        pooled_index, pooled = build()
+        table = knn.Index.table
+        monkeypatch.setattr(knn.Index, "table", lambda self, rows, k, near=None:
+                            table(self, rows, k))
+        full_index, full = build()
+        assert pooled == full
+        counts = pooled_index.counts()
+        assert counts.pooled > 0
+        assert full_index.counts() == dataclasses.replace(counts, pooled=0)
+        a, b = pooled_index._table, full_index._table
+        assert np.array_equal(a.width, b.width)
+        for r, w in enumerate(a.width.tolist()):
+            assert a.pos[r, :w].tobytes() == b.pos[r, :w].tobytes()
+            assert a.dist[r, :w].tobytes() == b.dist[r, :w].tobytes()
 
     def test_edge_superset_with_larger_u(self):
         emb, index = ring_scene(20, dim=4, seed=2)

@@ -9,7 +9,7 @@ import pytest
 import matchgraph as mg
 from matchgraph import evaluation, gcn, trainer
 from matchgraph.errors import NoTrainingData
-from matchgraph.gcn import masked_loss, save_model
+from matchgraph.gcn import masked_loss, prepare, save_model
 from matchgraph.overlaps import OverlapRecord, OverlapStore
 from matchgraph.subgraph import QesParams
 from matchgraph.trainer import (
@@ -265,7 +265,7 @@ class TestTrain:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("knn table:")]
         assert len(lines) == 1
         assert re.fullmatch(r"knn table: rankings \d+ reranks \d+ rows_read \d+"
-                            r" radius_table 0 radius_pass 0", lines[0])
+                            r" radius_table 0 radius_pass 0 pooled \d+", lines[0])
 
     def test_history_length_matches_epochs(self):
         scene = small_scene()
@@ -358,16 +358,17 @@ class TestHop1Prf:
         hop1 = hop == 1
         predicted = set(nodes[hop1 & (probs > 0.5)].tolist())
         relevant = set(nodes[hop1 & labels].tolist())
-        got = trainer._hop1_prf(qes, probs)
+        got = trainer._hop1_prf(prepare(qes, labels), probs)
         assert got == evaluation.per_query_prf(predicted, relevant)
         assert all(type(v) is float for v in got)
 
     def test_empty_sets_follow_the_conventions(self):
         qes = mg.Qes(0, [1, 2], [1, 2], np.zeros((2, 2)), np.zeros((2, 2))).with_labels(
             [False, True])
-        assert trainer._hop1_prf(qes, np.array([0.1, 0.9])) == (1.0, 1.0, 1.0)
-        assert trainer._hop1_prf(qes, np.array([0.9, 0.9])) == (0.0, 1.0, 0.0)
-        labeled = qes.with_labels([True, False])
+        sub = prepare(qes, qes.labels)
+        assert trainer._hop1_prf(sub, np.array([0.1, 0.9])) == (1.0, 1.0, 1.0)
+        assert trainer._hop1_prf(sub, np.array([0.9, 0.9])) == (0.0, 1.0, 0.0)
+        labeled = prepare(qes, [True, False])
         assert trainer._hop1_prf(labeled, np.array([0.1, 0.9])) == (0.0, 0.0, 0.0)
 
 
