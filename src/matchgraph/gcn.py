@@ -5,20 +5,23 @@ aggregate of its neighbors' features:
 
     Y = relu([X || G X] W),   G = D^(-1/2) A D^(-1/2)
 
-with concatenation along the feature axis and no bias. Four such layers
-feed dense layers with bias; each is relu except the last, which is the
-identity and gives one logit per node. A sigmoid turns logits into
-matchability probabilities. The loss and its gradients are masked to
-1-hop nodes only. The backward pass is fully analytic (no autodiff) and is
-validated against central finite differences.
+with concatenation along the feature axis: a dense layer with no bias
+whose input is [X || G X]. One or more such layers (the
+paper's linkage GCN has four) feed dense layers with bias; every layer is
+relu except the last, which is the identity and gives one logit per
+node. A sigmoid turns logits into matchability probabilities. The loss
+and its gradients are masked to 1-hop nodes only. The backward pass is
+fully analytic (no autodiff) and is validated against central finite
+differences.
 
 There are two forward passes over one arithmetic. Inference
 (`model_forward`) runs float64 over one subgraph and holds only the layer
 it is computing. Training (`backward`) runs over a batch of subgraphs
 stacked row-wise, in a given dtype (float32 in training, float64 for the
 gradient oracle), inside a `Workspace` of buffers allocated once: each
-convolution's [H || G H] stays in its buffer for the backward pass, and
-each relu writes straight into the next layer's input. `prepare` makes a
+layer's input, for a convolution its [H || G H], stays in its buffer for
+the backward pass, and each relu writes straight into the next layer's
+input. Every pass walks the one list `GcnModel.layers`. `prepare` makes a
 subgraph's G and features in the compute dtype once, so a training run
 normalizes each subgraph once, not once per step. Both forwards aggregate
 with `_aggregate`.
@@ -68,9 +71,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GcnLayer:
-    """One graph convolution: weights shaped (2 * d_in) x d_out, no bias."""
+    """One graph convolution: weights shaped (2 * d_in) x d_out, no bias.
+    Its `bias` is None, which is how a walk over `GcnModel.layers` tells it
+    from a dense layer."""
 
     weights: np.ndarray
+    bias = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -117,57 +123,53 @@ class DenseLayer:
 
 
 class GcnModel:
-    """Four graph convolutions followed by dense layers ending in a single
-    logit. Every layer is relu except the last dense layer, which is the
-    identity. Inference only reads it. Training updates one flat float64
-    vector of the parameters in place and passes its views to
-    set_parameters after every step, so the layers view that vector and
-    the finiteness check runs each step."""
+    """One or more graph convolutions followed by dense layers ending in a
+    single logit, walked in that order as `layers`. Every layer is relu
+    except the last dense layer, which is the identity. Inference only
+    reads it. Training updates one flat float64 vector of the parameters
+    in place and passes its views to set_parameters after every step, so
+    the layers view that vector and the finiteness check runs each step."""
 
     def __init__(self, conv_layers: Sequence[GcnLayer], fc_layers: Sequence[DenseLayer]):
-        conv_layers = list(conv_layers)
-        fc_layers = list(fc_layers)
-        if len(conv_layers) != 4:
-            raise DimensionError("model requires exactly 4 graph conv layers")
+        if not conv_layers:
+            raise DimensionError("model requires at least one graph conv layer")
         if not fc_layers:
             raise DimensionError("model requires at least one dense layer")
         if fc_layers[-1].out_dim != 1:
             raise DimensionError("final dense layer must output one logit")
-        width = conv_layers[0].in_dim
-        for i, layer in enumerate(conv_layers):
+        self.layers = [*conv_layers, *fc_layers]
+        width = self.input_dim
+        for i, layer in enumerate(self.layers):
             if layer.in_dim != width:
-                raise DimensionError(f"conv layer {i} expects input {layer.in_dim}, got {width}")
+                raise DimensionError(f"layer {i} expects input {layer.in_dim}, got {width}")
             width = layer.out_dim
-        for i, layer in enumerate(fc_layers):
-            if layer.in_dim != width:
-                raise DimensionError(f"dense layer {i} expects input {layer.in_dim}, got {width}")
-            width = layer.out_dim
-        self.conv_layers = conv_layers
-        self.fc_layers = fc_layers
+
+    @property
+    def conv_layers(self) -> list[GcnLayer]:
+        return [layer for layer in self.layers if layer.bias is None]
+
+    @property
+    def fc_layers(self) -> list[DenseLayer]:
+        return [layer for layer in self.layers if layer.bias is not None]
 
     @property
     def input_dim(self) -> int:
-        return self.conv_layers[0].in_dim
+        return self.layers[0].in_dim
 
     def parameters(self) -> list[np.ndarray]:
-        params = [layer.weights for layer in self.conv_layers]
-        for layer in self.fc_layers:
-            params.append(layer.weights)
-            params.append(layer.bias)
-        return params
+        """Each layer's weights, then its bias if it has one, in layer order."""
+        return [p for layer in self.layers for p in (layer.weights, layer.bias) if p is not None]
 
     def set_parameters(self, params: Sequence[np.ndarray]) -> None:
-        expected = 4 + 2 * len(self.fc_layers)
-        if len(params) != expected:
-            raise DimensionError(f"expected {expected} parameter arrays")
-        if any(np.shape(new) != old.shape for new, old in zip(params, self.parameters())):
+        old = self.parameters()
+        if len(params) != len(old):
+            raise DimensionError(f"expected {len(old)} parameter arrays")
+        if any(np.shape(new) != p.shape for new, p in zip(params, old)):
             raise DimensionError("parameter shape changed")
         # The layer constructors check finiteness; build every layer before
         # replacing any, so a rejected array leaves the model as it was.
-        it = iter(params)
-        conv = [GcnLayer(next(it)) for _ in self.conv_layers]
-        fc = [DenseLayer(next(it), next(it)) for _ in self.fc_layers]
-        self.conv_layers, self.fc_layers = conv, fc
+        self.layers = [GcnLayer(w) if b is None else DenseLayer(w, b)
+                       for w, b in _by_layer(self, params)]
 
     def parameter_views(self, flat: np.ndarray) -> list[np.ndarray]:
         """`flat` cut into arrays shaped like parameters(), in that order,
@@ -179,6 +181,13 @@ class GcnModel:
         if start != flat.size:
             raise DimensionError(f"expected {start} parameters, got {flat.size}")
         return views
+
+
+def _by_layer(model: GcnModel, arrays: Sequence[np.ndarray]) -> list[tuple]:
+    """Arrays in parameters() order, grouped as one (weights, bias) pair per
+    layer; a convolution's bias is None."""
+    it = iter(arrays)
+    return [(next(it), None if layer.bias is None else next(it)) for layer in model.layers]
 
 
 def init_model(
@@ -193,8 +202,6 @@ def init_model(
     ReLU input sits exactly on the kink even when an upstream layer goes
     quiet.
     """
-    if len(conv_widths) != 4:
-        raise DimensionError("conv_widths must list exactly 4 widths")
     if any(w < 1 for w in (*conv_widths, *fc_widths)):
         raise DimensionError(f"layer widths must be >= 1: conv {conv_widths}, fc {fc_widths}")
     rng = np.random.default_rng(seed)
@@ -239,11 +246,15 @@ def _normalize(a: np.ndarray) -> np.ndarray:
     return g
 
 
-def _inner_sum(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
-    """x.T @ y, summed in order over blocks of at most _MAX_INNER rows."""
+def _inner_sum(x: np.ndarray, y: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """x.T @ y, summed in order over blocks of at most _MAX_INNER rows.
+    Each block after the first is taken into `scratch`, a flat buffer of
+    at least out's size, if one is given, and into a new array if not."""
     out = np.matmul(x[:_MAX_INNER].T, y[:_MAX_INNER], out=out)
+    block = None if scratch is None else _rows(scratch, *out.shape)
     for start in range(_MAX_INNER, len(x), _MAX_INNER):
-        out += x[start : start + _MAX_INNER].T @ y[start : start + _MAX_INNER]
+        out += np.matmul(x[start : start + _MAX_INNER].T, y[start : start + _MAX_INNER],
+                         out=block)
     return out
 
 
@@ -269,18 +280,18 @@ def model_forward(qes: Qes, model: GcnModel) -> np.ndarray:
     _check_width(qes.dim, model)
     blocks = [(_normalize(qes.adjacency), 0, len(qes))]
     h = qes.features
-    for layer in model.conv_layers:
-        d = h.shape[1]
-        concat = np.empty((len(h), 2 * d))
-        concat[:, :d] = h
-        _aggregate(h, blocks, concat[:, d:])
-        h = concat @ layer.weights
-        np.maximum(h, 0.0, out=h)
-    head = len(model.fc_layers) - 1
-    for i, layer in enumerate(model.fc_layers):
+    head = model.layers[-1]
+    for layer in model.layers:
+        if layer.bias is None:
+            d = layer.in_dim
+            concat = np.empty((len(h), 2 * d))
+            concat[:, :d] = h
+            _aggregate(h, blocks, concat[:, d:])
+            h = concat
         h = h @ layer.weights
-        h += layer.bias
-        if i != head:
+        if layer.bias is not None:
+            h += layer.bias
+        if layer is not head:
             np.maximum(h, 0.0, out=h)
     return sigmoid(h[:, 0])
 
@@ -324,9 +335,10 @@ class Workspace:
     """Buffers for training steps of one model shape over at most `rows`
     stacked nodes in `dtype`, allocated once and reused by every step:
 
-    - one [H || G H] per convolution; the previous relu writes its left half;
-    - one input per dense layer; the last convolution's relu writes the first;
-    - one z scratch, one d[H || G H] scratch and two dH buffers used in turn;
+    - one input per layer, [H || G H] for a convolution and H for a dense
+      layer; the previous layer's relu writes H;
+    - one z scratch, two gradient buffers used in turn, and one scratch
+      for the blocks of a weight gradient;
     - the parameters cast to `dtype`, and their gradients.
 
     A relu's output is kept and its input is not: h > 0 exactly where z > 0,
@@ -334,15 +346,14 @@ class Workspace:
 
     def __init__(self, model: GcnModel, rows: int, dtype=np.float64):
         self.rows = rows
-        convs, fcs = model.conv_layers, model.fc_layers
-        self.concat = [np.empty((rows, 2 * c.in_dim), dtype) for c in convs]
-        self.fc_in = [np.empty((rows, f.in_dim), dtype) for f in fcs]
-        self.z = np.empty(rows * max(layer.out_dim for layer in (*convs, *fcs)), dtype)
-        # The first convolution's input gradient is never taken.
-        self.dconcat = np.empty(rows * max(2 * c.in_dim for c in convs[1:]), dtype)
-        widest = max(layer.in_dim for layer in (*convs[1:], *fcs))
+        layers, params = model.layers, model.parameters()
+        self.inputs = [np.empty((rows, layer.weights.shape[0]), dtype) for layer in layers]
+        self.z = np.empty(rows * max(layer.out_dim for layer in layers), dtype)
+        # The first layer's input gradient is never taken.
+        widest = max(layer.weights.shape[0] for layer in layers[1:])
         self.dh = (np.empty(rows * widest, dtype), np.empty(rows * widest, dtype))
-        size = sum(p.size for p in model.parameters())
+        self.block = np.empty(max(p.size for p in params), dtype)
+        size = sum(p.size for p in params)
         self.weights = model.parameter_views(np.empty(size, dtype))
         self.grad = np.empty(size, dtype)
         self.grads = model.parameter_views(self.grad)
@@ -361,8 +372,8 @@ def _relu_backward(dh: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
 
 def _forward_batch(batch: Sequence[TrainingSubgraph], model: GcnModel, work: Workspace):
     """The forward pass `backward` differentiates: the batch's subgraphs
-    stacked row-wise in `work`, computed in its dtype, each convolution's
-    input left in its buffer. Each weight product runs once for the whole
+    stacked row-wise in `work`, computed in its dtype, each layer's input
+    left in its buffer. Each weight product runs once for the whole
     batch; G H runs per subgraph, with that subgraph's own G. Returns the
     probabilities in float64, and the (G, start, end) row blocks. In
     float64 over one subgraph it gives `model_forward`'s bits."""
@@ -375,25 +386,20 @@ def _forward_batch(batch: Sequence[TrainingSubgraph], model: GcnModel, work: Wor
         raise DimensionError(f"batch of {n} nodes exceeds the workspace's {work.rows} rows")
     for w, p in zip(work.weights, model.parameters()):
         np.copyto(w, p)
-    d = model.input_dim
+    inputs = [x[:n] for x in work.inputs]
     for x, (_, s, e) in zip(batch, blocks):
-        work.concat[0][s:e, :d] = x.features
-    convs = model.conv_layers
-    for i, layer in enumerate(convs):
-        concat, d = work.concat[i][:n], layer.in_dim
-        _aggregate(concat[:, :d], blocks, concat[:, d:])
+        inputs[0][s:e, : model.input_dim] = x.features
+    head = len(model.layers) - 1
+    for i, (layer, (w, b)) in enumerate(zip(model.layers, _by_layer(model, work.weights))):
+        if b is None:
+            d = layer.in_dim
+            _aggregate(inputs[i][:, :d], blocks, inputs[i][:, d:])
         z = _rows(work.z, n, layer.out_dim)
-        np.matmul(concat, work.weights[i], out=z)
-        h = work.concat[i + 1][:n, : layer.out_dim] if i + 1 < len(convs) else work.fc_in[0][:n]
-        np.maximum(z, 0.0, out=h)
-    head = len(model.fc_layers) - 1
-    for i, layer in enumerate(model.fc_layers):
-        k = len(convs) + 2 * i
-        z = _rows(work.z, n, layer.out_dim)
-        np.matmul(work.fc_in[i][:n], work.weights[k], out=z)
-        z += work.weights[k + 1]
+        np.matmul(inputs[i], w, out=z)
+        if b is not None:
+            z += b
         if i != head:
-            np.maximum(z, 0.0, out=work.fc_in[i + 1][:n])
+            np.maximum(z, 0.0, out=inputs[i + 1][:, : layer.out_dim])
     return sigmoid(z[:, 0]), blocks
 
 
@@ -469,36 +475,30 @@ def backward(batch: Sequence, model: GcnModel, labels: Sequence | None = None,
     scale = np.repeat(np.multiply(counts, len(batch)), list(map(len, batch)))
     dz = np.where(hop1 & live, (probs - y) / scale, 0.0)
 
-    convs, fcs, grads = model.conv_layers, model.fc_layers, work.grads
+    layers = list(zip(model.layers, _by_layer(model, work.weights),
+                      _by_layer(model, work.grads)))
     turn = 0
     dh = _rows(work.dh[turn], n, 1)
     dh[:, 0] = dz
-    head = len(fcs) - 1
+    head = len(layers) - 1
     for i in range(head, -1, -1):
-        k = len(convs) + 2 * i
+        layer, (w, _), (dw, db) = layers[i]
         if i != head:
-            _relu_backward(dh, work.fc_in[i + 1][:n], work.z)
-        np.sum(dh, axis=0, out=grads[k + 1])
-        _inner_sum(work.fc_in[i][:n], dh, out=grads[k])
-        turn = 1 - turn
-        dh_in = _rows(work.dh[turn], n, fcs[i].in_dim)
-        np.matmul(dh, work.weights[k].T, out=dh_in)
-        dh = dh_in
-
-    for i in range(len(convs) - 1, -1, -1):
-        out_dim, d = convs[i].out_dim, convs[i].in_dim
-        _relu_backward(dh, work.concat[i + 1][:n, :out_dim] if i + 1 < len(convs)
-                       else work.fc_in[0][:n], work.z)
-        _inner_sum(work.concat[i][:n], dh, out=grads[i])
+            _relu_backward(dh, work.inputs[i + 1][:n, : layer.out_dim], work.z)
+        if db is not None:
+            np.sum(dh, axis=0, out=db)
+        _inner_sum(work.inputs[i][:n], dh, out=dw, scratch=work.block)
         if i == 0:
             break  # below it are the node features, which are not parameters
-        dconcat = _rows(work.dconcat, n, 2 * d)
-        np.matmul(dh, work.weights[i].T, out=dconcat)
         turn = 1 - turn
-        dh = _rows(work.dh[turn], n, d)
-        dh[...] = dconcat[:, :d]
-        for g, s, e in blocks:
-            dh[s:e] += _inner_sum(g, dconcat[s:e, d:], out=_rows(work.z, e - s, d))
+        dx = dh = np.matmul(dh, w.T, out=_rows(work.dh[turn], n, w.shape[0]))
+        if db is None:  # dH from d[H || G H], into the buffer dZ has left
+            d = layer.in_dim
+            turn = 1 - turn
+            dh = _rows(work.dh[turn], n, d)
+            dh[...] = dx[:, :d]
+            for g, s, e in blocks:
+                dh[s:e] += _inner_sum(g, dx[s:e, d:], out=_rows(work.z, e - s, d))
 
     if work.grad64 is not work.grad:
         np.copyto(work.grad64, work.grad)
@@ -508,19 +508,14 @@ def backward(batch: Sequence, model: GcnModel, labels: Sequence | None = None,
 
 def save_model(model: GcnModel) -> bytes:
     """Binary checkpoint: little-endian, 64-bit weights, lossless."""
-    out = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    layers: list[tuple[int, np.ndarray, np.ndarray | None]] = []
-    for layer in model.conv_layers:
-        layers.append((_KIND_CONV, layer.weights, None))
-    for layer in model.fc_layers:
-        layers.append((_KIND_FC, layer.weights, layer.bias))
-    out.append(struct.pack("<I", len(layers)))
-    for kind, weights, bias in layers:
-        rows, cols = weights.shape
-        out.append(struct.pack("<BIIB", kind, rows, cols, 0 if bias is None else 1))
-        out.append(weights.astype("<f8").tobytes())
-        if bias is not None:
-            out.append(bias.astype("<f8").tobytes())
+    out = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(model.layers))]
+    for layer in model.layers:
+        conv = layer.bias is None
+        out.append(struct.pack("<BIIB", _KIND_CONV if conv else _KIND_FC,
+                               *layer.weights.shape, not conv))
+        out.append(layer.weights.astype("<f8").tobytes())
+        if not conv:
+            out.append(layer.bias.astype("<f8").tobytes())
     return b"".join(out)
 
 
@@ -550,17 +545,17 @@ def load_model(data: bytes) -> GcnModel:
         kind, rows, cols, has_bias = struct.unpack("<BIIB", take(10))
         if kind not in (_KIND_CONV, _KIND_FC):
             raise ShapeCorruption(f"unknown layer kind {kind}", offset=offset - 10)
+        if kind == _KIND_CONV and fc_params:
+            raise ShapeCorruption("conv layer after a dense layer", offset=offset - 10)
         weights = np.frombuffer(take(8 * rows * cols), dtype="<f8").reshape(rows, cols).copy()
-        bias = None
-        if has_bias:
-            bias = np.frombuffer(take(8 * cols), dtype="<f8").copy()
+        bias = np.frombuffer(take(8 * cols), dtype="<f8").copy() if has_bias else None
         if kind == _KIND_CONV:
             if has_bias:
                 raise ShapeCorruption("conv layer must not carry a bias", offset=offset)
             conv_weights.append(weights)
+        elif bias is None:
+            raise ShapeCorruption("dense layer missing its bias", offset=offset)
         else:
-            if bias is None:
-                raise ShapeCorruption("dense layer missing its bias", offset=offset)
             fc_params.append((weights, bias))
     if offset != len(data):
         raise ShapeCorruption("trailing bytes after checkpoint", offset=offset)

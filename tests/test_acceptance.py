@@ -85,6 +85,19 @@ def test_criterion_1_gradient_oracle():
             numeric = finite_difference_gradients(qes, model, labels, step=1e-6)
             worst = max_relative_error(analytic, numeric)
             assert worst <= 1e-5, f"trial {trial}: relative error {worst}"
+        # shallower models, drawn apart so the trials above keep their draws
+        rng = np.random.default_rng(2025)
+        for depth in (1, 2, 3):
+            for trial in range(3):
+                n = int(rng.integers(5, 31))
+                d = int(rng.choice([8, 32]))
+                qes = random_qes(rng, n, d)
+                labels = rng.random(n) < 0.5
+                model = init_model(d, conv_widths=(10, 8, 6)[:depth], fc_widths=(4,), seed=trial)
+                analytic = backward([qes], model, [labels]).grads
+                numeric = finite_difference_gradients(qes, model, labels, step=1e-6)
+                worst = max_relative_error(analytic, numeric)
+                assert worst <= 1e-5, f"depth {depth} trial {trial}: relative error {worst}"
         assert time.time() - start < 60.0
 
 
@@ -133,22 +146,24 @@ def test_criterion_3_aggregation_matrix_properties():
 
 def test_criterion_4_permutation_equivariance():
     with criterion(4, "permutation-equivariance"):
-        rng = np.random.default_rng(6)
-        for trial in range(50):
-            n = int(rng.integers(3, 16))
-            d = int(rng.integers(2, 9))
-            qes = random_qes(rng, n, d)
-            model = init_model(d, conv_widths=(6, 5, 4, 4), fc_widths=(3,), seed=trial)
-            base = model_forward(qes, model)
-            perm = rng.permutation(n)
-            permuted = Qes(
-                qes.query_id,
-                [qes.nodes[i] for i in perm],
-                [qes.hop[i] for i in perm],
-                qes.adjacency[np.ix_(perm, perm)],
-                qes.features[perm],
-            )
-            assert np.max(np.abs(model_forward(permuted, model) - base[perm])) <= 1e-9
+        # depth 4 first, then shallower models on rngs of their own
+        for conv_widths, seed in [((6, 5, 4, 4), 6), ((6,), 61), ((6, 5), 62), ((6, 5, 4), 63)]:
+            rng = np.random.default_rng(seed)
+            for trial in range(50):
+                n = int(rng.integers(3, 16))
+                d = int(rng.integers(2, 9))
+                qes = random_qes(rng, n, d)
+                model = init_model(d, conv_widths=conv_widths, fc_widths=(3,), seed=trial)
+                base = model_forward(qes, model)
+                perm = rng.permutation(n)
+                permuted = Qes(
+                    qes.query_id,
+                    [qes.nodes[i] for i in perm],
+                    [qes.hop[i] for i in perm],
+                    qes.adjacency[np.ix_(perm, perm)],
+                    qes.features[perm],
+                )
+                assert np.max(np.abs(model_forward(permuted, model) - base[perm])) <= 1e-9
 
 
 def test_criterion_5_ambiguity_resolution(ambiguous_scene):
@@ -284,6 +299,17 @@ def test_criterion_8_file_format_round_trips():
             model = init_model(
                 int(rng.integers(2, 7)), conv_widths=widths,
                 fc_widths=(int(rng.integers(2, 6)),), seed=trial,
+            )
+            data = save_model(model)
+            assert save_model(load_model(data)) == data
+        # checkpoints of shallower models, drawn apart so the draws around keep theirs
+        depth_rng = np.random.default_rng(22)
+        for trial in range(30):
+            depth = 1 + trial % 3
+            widths = tuple(int(w) for w in depth_rng.integers(2, 9, size=depth))
+            model = init_model(
+                int(depth_rng.integers(2, 7)), conv_widths=widths,
+                fc_widths=(int(depth_rng.integers(2, 6)),), seed=trial,
             )
             data = save_model(model)
             assert save_model(load_model(data)) == data

@@ -134,6 +134,21 @@ class TestPipeline:
         assert code == 0
         assert report.read_text().splitlines()[-1].startswith("MACRO,")
 
+    def test_two_convolutions_train_infer_eval(self, scene_files, tmp_path):
+        model, pairs = tmp_path / "model.ckpt", tmp_path / "pairs.txt"
+        assert run(
+            "train", "--embeddings", scene_files["embeddings"],
+            "--overlaps", scene_files["overlaps"], "--model", model,
+            "--k1", 6, "--k2", 2, "--u", 3, "--epochs", 2, "--seed", 7,
+            "--conv-widths", "16,8", "--fc-widths", "4",
+        ) == 0
+        assert len(mg.load_model(model.read_bytes()).conv_layers) == 2
+        assert run(
+            "infer", "--embeddings", scene_files["embeddings"], "--model", model,
+            "--pairs-out", pairs, "--k1", 6, "--k2", 2, "--u", 3,
+        ) == 0
+        assert run("eval", "--pairs", pairs, "--overlaps", scene_files["overlaps"]) == 0
+
     def test_rerun_training_is_byte_identical(self, scene_files, tmp_path):
         outputs = []
         for tag in ("a", "b"):

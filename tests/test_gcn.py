@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from matchgraph.gcn import (
     load_model,
     masked_loss,
     model_forward,
+    prepare,
     save_model,
 )
 from matchgraph.retrieval import gcn_retrieve
@@ -404,6 +406,27 @@ class TestBatchBackward:
                 worst = max(worst, float(np.max(np.abs(probs - model_forward(qes, model)))))
         assert worst <= 1e-4
 
+    def test_step_memory_does_not_grow_with_layer_width(self):
+        # Over 256 stacked rows, so each weight gradient sums blocks. numpy
+        # buffers a relu into a strided view in at most 8192 elements; over
+        # 1024 rows the 8-wide layers fill that buffer too. Each subgraph
+        # stays within 256 nodes, where G H is one product.
+        rng = np.random.default_rng(18)
+        batch = [prepare(q, rng.random(len(q)) < 0.5, np.float32)
+                 for q in (random_qes(rng, 220, 8) for _ in range(5))]
+        peaks = []
+        for widths in ((8, 8, 8, 8), (256, 256, 128, 128)):
+            model = init_model(8, conv_widths=widths, fc_widths=(8,), seed=0)
+            work = gcn.Workspace(model, 1100, np.float32)
+            backward(batch, model, dtype=np.float32, workspace=work)
+            tracemalloc.start()
+            try:
+                backward(batch, model, dtype=np.float32, workspace=work)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.1 * min(peaks), peaks
+
     def test_empty_batch_is_refused_by_name(self):
         model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0)
         with pytest.raises(DimensionError, match="empty batch"):
@@ -503,6 +526,22 @@ class TestCheckpoints:
         with pytest.raises(ShapeCorruption, match="dense weights must be 2-d with >= 1 column"):
             load_model(data)
 
+    def test_conv_layer_after_a_dense_layer_is_shape_corruption(self):
+        model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0)
+        data = save_model(model)
+        records, start = [], 12
+        for p in model.parameters():
+            if p.ndim == 2:
+                records.append(data[start : start + 10])
+                start += 10
+            records[-1] += data[start : start + 8 * p.size]
+            start += 8 * p.size
+        assert start == len(data) and len(records) == 6
+        # the two dense layers' records moved ahead of the four convolutions'
+        with pytest.raises(ShapeCorruption, match="conv layer after a dense layer") as exc:
+            load_model(data[:12] + b"".join(records[4:] + records[:4]))
+        assert exc.value.offset == 12 + len(records[4]) + len(records[5])
+
     def test_shape_corruption(self):
         model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0)
         data = bytearray(save_model(model))
@@ -513,10 +552,15 @@ class TestCheckpoints:
 
 
 class TestModelValidation:
-    def test_requires_four_conv_layers(self):
-        layers = [GcnLayer(np.ones((4, 2))) for _ in range(3)]
-        with pytest.raises(DimensionError):
-            GcnModel(layers, [DenseLayer(np.ones((2, 1)), np.zeros(1))])
+    def test_requires_at_least_one_conv_layer(self):
+        head = [DenseLayer(np.ones((2, 1)), np.zeros(1))]
+        with pytest.raises(DimensionError, match="at least one graph conv layer"):
+            GcnModel([], head)
+        with pytest.raises(DimensionError, match="at least one graph conv layer"):
+            init_model(3, conv_widths=(), fc_widths=(2,))
+        for depth in (1, 2, 3):
+            convs = [GcnLayer(np.ones((4, 2))) for _ in range(depth)]
+            assert len(GcnModel(convs, head).conv_layers) == depth
 
     def test_final_width_must_be_one(self):
         convs = [GcnLayer(np.ones((4, 2))) for _ in range(4)]

@@ -282,6 +282,8 @@ ORACLE_GRID = {
     "batch 8, partial last": (40, QesParams(6, 2, 3), range(19), 8, (6, 6, 4, 4), (3,)),
     "k2 0": (40, QesParams(6, 0, 3), range(19), 3, (6, 6, 4, 4), (3,)),
     "widths 1": (40, QesParams(6, 2, 3), range(19), 3, (1, 1, 1, 1), (1,)),
+    "one convolution": (40, QesParams(6, 2, 3), range(19), 3, (6,), (3,)),
+    "two convolutions": (40, QesParams(6, 2, 3), range(19), 3, (6, 4), (3, 2)),
     "over _MAX_INNER nodes": (300, QesParams(gcn._MAX_INNER + 14, 3, 3), range(0, 300, 60), 2,
                               (4, 4, 3, 3), (2,)),
 }
