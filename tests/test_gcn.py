@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import matchgraph as mg
-from matchgraph import gcn
+from matchgraph import gcn, retrieval
 from matchgraph.errors import (
     DimensionError,
     EmptyLossSet,
@@ -37,7 +37,7 @@ from matchgraph.gcn import (
 )
 from matchgraph.retrieval import gcn_retrieve
 from matchgraph.subgraph import Qes, QesParams, build_qes
-from matchgraph.trainer import TrainConfig, build_training_set
+from matchgraph.trainer import TrainConfig, build_training_set, train
 
 from gcn_oracle import (
     finite_difference_gradients,
@@ -261,6 +261,88 @@ class TestModelForward:
         assert abs(model_forward(solo, model)[0] - full[4]) <= 1e-12
 
 
+def full_width_forward(qes, model):
+    """The training forward in float64 over one subgraph: every column of
+    every layer, whether or not it is zero on every node."""
+    prepared = gcn.prepare(qes, np.zeros(len(qes), dtype=bool))
+    return gcn._forward_batch([prepared], model, gcn.Workspace(model, len(qes)))[0]
+
+
+def plant_dead_units(model, layer, units):
+    """Make `units` of a convolution after the first dead on every node:
+    its input is a relu output, nonnegative, so nonpositive weights keep
+    those units' relu inputs at or below zero."""
+    w = model.layers[layer].weights
+    w[:, units] = -np.abs(w[:, units])
+
+
+def aggregated_widths(monkeypatch):
+    """The column count of every H that `_aggregate` takes, in call order."""
+    widths = []
+    aggregate = gcn._aggregate
+
+    def spy(h, *args, **kwargs):
+        widths.append(h.shape[1])
+        return aggregate(h, *args, **kwargs)
+
+    monkeypatch.setattr(gcn, "_aggregate", spy)
+    return widths
+
+
+class TestLiveColumns:
+    @pytest.mark.parametrize("n", [30, gcn._MAX_INNER + 44])
+    def test_weights_of_dead_columns_are_never_read(self, n, monkeypatch):
+        # Six of conv2's eight units are dead, so conv3 reads only the two
+        # live columns: its weight rows for the dead ones, of H and of
+        # G H, may hold anything.
+        qes = random_qes(np.random.default_rng(30), n, 4)
+        dead = np.arange(6)
+        zeroed = init_model(4, conv_widths=(8, 8, 6, 6), fc_widths=(5, 3), seed=1)
+        plant_dead_units(zeroed, 1, dead)
+        poisoned = load_model(save_model(zeroed))
+        zeroed.layers[2].weights[np.r_[dead, dead + 8]] = 0.0
+        poisoned.layers[2].weights[np.r_[dead, dead + 8]] = np.nan
+        widths = aggregated_widths(monkeypatch)
+        got = model_forward(qes, poisoned)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - model_forward(qes, zeroed))) <= 1e-12
+        assert np.max(np.abs(got - full_width_forward(qes, zeroed))) <= 1e-12
+        assert widths[:4] == [4, 8, 2, 6]
+
+    @pytest.mark.parametrize("learning_rate", [3e-2, 1e-1])
+    def test_trained_model_with_dead_units(self, learning_rate, monkeypatch):
+        # Trained at these rates, the model's hidden layers die: at 3e-2
+        # half or more of the units of conv2 to fc1 on some subgraphs, at
+        # 1e-1 every unit of conv2 to conv4, so the forward carries no
+        # column at all through them.
+        scene = mg.generate_scene(mg.SceneConfig(
+            n_images=96, symmetry_s=4, overlap_angle=math.pi / 12,
+            noise_sigma=0.05, dim=8, seed=7,
+        ))
+        emb = scene.embeddings
+        params = QesParams(20, 3, 5)
+        config = TrainConfig(tau_mo=0.25, tau_ct=0.15, qes_params=params,
+                             learning_rate=learning_rate, epochs=20, batch_size=8,
+                             beta2=0.99, seed=1)
+        model, _ = train(emb, scene.overlaps, list(range(0, 96, 4)), config,
+                         conv_widths=(16, 16, 8, 8), fc_widths=(8,))
+        index = mg.build_index(emb)
+        full = [gcn_retrieve(model, index, emb, q, params) for q in emb.ids]
+        widths = aggregated_widths(monkeypatch)
+        for q in list(emb.ids)[::8]:
+            qes = build_qes(index, emb, q, params)
+            expected = oracle_forward(qes.features.tolist(), qes.adjacency.tolist(), model)
+            assert np.max(np.abs(model_forward(qes, model) - expected)) <= 1e-12
+        assert any(w < d for w, d in zip(widths, [8, 16, 16, 8] * len(widths)))
+
+        monkeypatch.setattr(retrieval, "model_forward", full_width_forward)
+        for q, got in zip(emb.ids, full):
+            want = gcn_retrieve(model, index, emb, q, params)
+            assert got.ids() == want.ids()
+            assert max((abs(a[1] - b[1]) for a, b in zip(got.retrieved, want.retrieved)),
+                       default=0.0) <= 1e-12
+
+
 class TestMaskedLoss:
     def test_single_node_half_probability(self):
         loss = masked_loss([0.5], [True], [1])
@@ -409,23 +491,31 @@ class TestBatchBackward:
     def test_step_memory_does_not_grow_with_layer_width(self):
         # Over 256 stacked rows, so each weight gradient sums blocks. numpy
         # buffers a relu into a strided view in at most 8192 elements; over
-        # 1024 rows the 8-wide layers fill that buffer too. Each subgraph
-        # stays within 256 nodes, where G H is one product.
+        # 1024 rows the 8-wide layers fill that buffer too. In the first
+        # batch each subgraph stays within 256 nodes, where G H is one
+        # product; the second holds one of 400 nodes, whose G H and its
+        # transpose sum blocks too.
         rng = np.random.default_rng(18)
-        batch = [prepare(q, rng.random(len(q)) < 0.5, np.float32)
+        small = [prepare(q, rng.random(len(q)) < 0.5, np.float32)
                  for q in (random_qes(rng, 220, 8) for _ in range(5))]
-        peaks = []
-        for widths in ((8, 8, 8, 8), (256, 256, 128, 128)):
-            model = init_model(8, conv_widths=widths, fc_widths=(8,), seed=0)
-            work = gcn.Workspace(model, 1100, np.float32)
-            backward(batch, model, dtype=np.float32, workspace=work)
-            tracemalloc.start()
-            try:
+        large = [prepare(q, rng.random(len(q)) < 0.5, np.float32)
+                 for q in (random_qes(rng, n, 8) for n in (400, 175, 175, 175, 175))]
+        for batch, exact in ((small, False), (large, True)):
+            peaks = []
+            for widths in ((8, 8, 8, 8), (256, 256, 128, 128)):
+                model = init_model(8, conv_widths=widths, fc_widths=(8,), seed=0)
+                work = gcn.Workspace(model, 1100, np.float32)
                 backward(batch, model, dtype=np.float32, workspace=work)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) <= 1.1 * min(peaks), peaks
+                tracemalloc.start()
+                try:
+                    backward(batch, model, dtype=np.float32, workspace=work)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            if exact:
+                assert peaks[0] == peaks[1], peaks
+            else:
+                assert max(peaks) <= 1.1 * min(peaks), peaks
 
     def test_empty_batch_is_refused_by_name(self):
         model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0)
@@ -443,6 +533,8 @@ class TestBatchBackward:
 # One subgraph of 400-500 nodes: forward probabilities and the float64 and
 # float32 gradients, hashed. Its G H products have an inner dimension of the
 # node count, which OpenBLAS blocks differently with two threads than one.
+# A second model, with three quarters of conv2's units and half of conv3's
+# dead, hashes the forward that carries only live columns on.
 _LARGE_SUBGRAPH_HASH = """
 import hashlib
 import numpy as np
@@ -454,6 +546,11 @@ qes = build_qes(mg.build_index(emb), emb, 0, QesParams(100, 5, 10))
 assert 400 <= len(qes.nodes) <= 500, len(qes.nodes)
 model = init_model(32, seed=3)
 digest = hashlib.sha256(model_forward(qes, model).tobytes())
+planted = init_model(32, seed=4)
+for layer, dead in ((1, 192), (2, 64)):
+    w = planted.layers[layer].weights
+    w[:, :dead] = -np.abs(w[:, :dead])
+digest.update(model_forward(qes, planted).tobytes())
 labels = [np.arange(len(qes.nodes)) % 2 == 0]
 for dtype in (np.float64, np.float32):
     for grad in backward([qes], model, labels, dtype).grads:
