@@ -5,31 +5,33 @@ aggregate of its neighbors' features:
 
     Y = relu([X || G X] W),   G = D^(-1/2) A D^(-1/2)
 
-with concatenation along the feature axis: a dense layer with no bias
-whose input is [X || G X]. One or more such layers (the
-paper's linkage GCN has four) feed dense layers with bias; every layer is
-relu except the last, which is the identity and gives one logit per
-node. A sigmoid turns logits into matchability probabilities. The loss
-and its gradients are masked to 1-hop nodes only. The backward pass is
-fully analytic (no autodiff) and is validated against central finite
+with concatenation along the feature axis: a `Layer` with no bias whose
+input is [X || G X]. One or more such layers (the paper's linkage GCN has
+four) feed dense layers, each a `Layer` with bias; every layer is relu
+except the last, which is the identity and gives one logit per node. A
+sigmoid turns logits into matchability probabilities. The loss and its
+gradients are masked to 1-hop nodes only. The backward pass is fully
+analytic (no autodiff) and is validated against central finite
 differences.
 
 There are two forward passes over one arithmetic. Inference
 (`model_forward`) runs float64 over one subgraph, holds only the layer it
 is computing, and skips the columns of dead relu units. Training
-(`backward`) runs over a batch of subgraphs stacked row-wise, in a given
-dtype (float32 in training, float64 for the gradient oracle), inside a
-`Workspace` of buffers allocated once: each layer's input, for a
-convolution its [H || G H], stays in its buffer for the backward pass,
-and each relu writes straight into the next layer's input. Every pass
-walks the one list `GcnModel.layers`. `prepare` makes a subgraph's G and
-features in the compute dtype once, so a training run normalizes each
-subgraph once, not once per step. Both forwards aggregate
+(`backward`) runs over a batch of subgraphs stacked row-wise, in the
+dtype `prepare` made them in (float32 in training, float64 for the
+gradient oracle), inside a `Workspace` of buffers allocated once: each
+layer's input, for a convolution its [H || G H], stays in its buffer for
+the backward pass, and each relu writes straight into the next layer's
+input. Every pass walks the one list `GcnModel.layers`. `prepare` makes a
+subgraph's G and features in the compute dtype once, so a training run
+normalizes each subgraph once, not once per step. Both forwards aggregate
 with `_aggregate`.
 
 Training leaves many relu units dead, negative on every node of a
 subgraph, so that their output column is zero: 94-98% of the columns after
 the second and third convolution of the benchmark's reference model.
+`Workspace.dead_shares` gives each hidden layer's share of units dead on
+every step since it was last read, which `train` logs each epoch.
 Inference carries only the live columns on when at least half are dead.
 Its probabilities are then within 1e-12 absolute of the training forward
 in float64, and they are the same bits when no layer drops columns.
@@ -37,6 +39,7 @@ in float64, and they are the same bits when no layer drops columns.
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -78,44 +81,27 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class GcnLayer:
-    """One graph convolution: weights shaped (2 * d_in) x d_out, no bias.
-    Its `bias` is None, which is how a walk over `GcnModel.layers` tells it
-    from a dense layer."""
+class Layer:
+    """One layer of the model. Without a bias it is a graph convolution:
+    its weights are shaped (2 * d_in) x d_out, for the input [H || G H].
+    With a bias it is a dense layer, weights d_in x d_out. A walk over
+    `GcnModel.layers` tells the two apart by `bias is None`."""
 
     weights: np.ndarray
-    bias = None
+    bias: np.ndarray | None = None
 
     def __post_init__(self):
+        kind = "conv" if self.bias is None else "dense"
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 2 or self.weights.shape[1] < 1:
-            raise DimensionError("conv weights must be 2-d with >= 1 column")
-        if self.weights.shape[0] % 2 != 0:
-            raise DimensionError("conv weights must have an even row count")
-        if not np.all(np.isfinite(self.weights)):
-            raise DimensionError("conv weights must be finite")
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[0] // 2
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[1]
-
-
-@dataclass
-class DenseLayer:
-    """Fully connected layer with bias."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+            raise DimensionError(f"{kind} weights must be 2-d with >= 1 column")
+        if self.bias is None:
+            if self.weights.shape[0] % 2 != 0:
+                raise DimensionError("conv weights must have an even row count")
+            if not np.all(np.isfinite(self.weights)):
+                raise DimensionError("conv weights must be finite")
+            return
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.weights.shape[1] < 1:
-            raise DimensionError("dense weights must be 2-d with >= 1 column")
         if self.bias.shape != (self.weights.shape[1],):
             raise DimensionError("bias length must equal output width")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
@@ -123,7 +109,8 @@ class DenseLayer:
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[0]
+        rows = self.weights.shape[0]
+        return rows // 2 if self.bias is None else rows
 
     @property
     def out_dim(self) -> int:
@@ -131,34 +118,30 @@ class DenseLayer:
 
 
 class GcnModel:
-    """One or more graph convolutions followed by dense layers ending in a
-    single logit, walked in that order as `layers`. Every layer is relu
-    except the last dense layer, which is the identity. Inference only
+    """One or more graph convolutions followed by one or more dense layers
+    ending in a single logit, walked in that order as `layers`. Every
+    layer is relu except the last, which is the identity. Inference only
     reads it. Training updates one flat float64 vector of the parameters
     in place and passes its views to set_parameters after every step, so
     the layers view that vector and the finiteness check runs each step."""
 
-    def __init__(self, conv_layers: Sequence[GcnLayer], fc_layers: Sequence[DenseLayer]):
-        if not conv_layers:
+    def __init__(self, layers: Sequence[Layer]):
+        self.layers = list(layers)
+        conv = [layer.bias is None for layer in self.layers]
+        depth = conv.count(True)
+        if not depth:
             raise DimensionError("model requires at least one graph conv layer")
-        if not fc_layers:
+        if any(conv[depth:]):
+            raise DimensionError("conv layer after a dense layer")
+        if depth == len(conv):
             raise DimensionError("model requires at least one dense layer")
-        if fc_layers[-1].out_dim != 1:
+        if self.layers[-1].out_dim != 1:
             raise DimensionError("final dense layer must output one logit")
-        self.layers = [*conv_layers, *fc_layers]
         width = self.input_dim
         for i, layer in enumerate(self.layers):
             if layer.in_dim != width:
                 raise DimensionError(f"layer {i} expects input {layer.in_dim}, got {width}")
             width = layer.out_dim
-
-    @property
-    def conv_layers(self) -> list[GcnLayer]:
-        return [layer for layer in self.layers if layer.bias is None]
-
-    @property
-    def fc_layers(self) -> list[DenseLayer]:
-        return [layer for layer in self.layers if layer.bias is not None]
 
     @property
     def input_dim(self) -> int:
@@ -176,8 +159,7 @@ class GcnModel:
             raise DimensionError("parameter shape changed")
         # The layer constructors check finiteness; build every layer before
         # replacing any, so a rejected array leaves the model as it was.
-        self.layers = [GcnLayer(w) if b is None else DenseLayer(w, b)
-                       for w, b in _by_layer(self, params)]
+        self.layers = [Layer(w, b) for w, b in _by_layer(self, params)]
 
     def parameter_views(self, flat: np.ndarray) -> list[np.ndarray]:
         """`flat` cut into arrays shaped like parameters(), in that order,
@@ -217,18 +199,17 @@ def init_model(
     def uniform(bound, *shape):
         return rng.uniform(-bound, bound, size=shape)
 
-    conv_layers = []
+    layers = []
     width = input_dim
     for out in conv_widths:
         bound = np.sqrt(6.0 / (2 * width + out))
-        conv_layers.append(GcnLayer(uniform(bound, 2 * width, out)))
+        layers.append(Layer(uniform(bound, 2 * width, out)))
         width = out
-    fc_layers = []
-    for out in list(fc_widths) + [1]:
+    for out in [*fc_widths, 1]:
         bound = np.sqrt(6.0 / (width + out))
-        fc_layers.append(DenseLayer(uniform(bound, width, out), uniform(bound, out)))
+        layers.append(Layer(uniform(bound, width, out), uniform(bound, out)))
         width = out
-    return GcnModel(conv_layers, fc_layers)
+    return GcnModel(layers)
 
 
 def aggregation_matrix(adjacency: np.ndarray) -> np.ndarray:
@@ -374,7 +355,9 @@ class Workspace:
     - one z scratch, two gradient buffers used in turn, and one scratch
       for the blocks of a weight gradient and of G H in a subgraph over
       _MAX_INNER nodes;
-    - the parameters cast to `dtype`, and their gradients.
+    - the parameters cast to `dtype`, and their gradients;
+    - for each hidden layer, its relu output's column sums added up over
+      the steps since `dead_shares` last read them.
 
     A relu's output is kept and its input is not: h > 0 exactly where z > 0,
     so the backward pass masks with the output."""
@@ -395,6 +378,17 @@ class Workspace:
         self.grads = model.parameter_views(self.grad)
         self.grad64 = self.grad if self.grad.dtype == np.float64 else np.empty(size)
         self.grads64 = model.parameter_views(self.grad64)
+        self.ones = np.ones(rows, dtype)
+        self.unit_sums = [np.zeros(layer.out_dim, dtype) for layer in layers[:-1]]
+
+    def dead_shares(self) -> list[float]:
+        """For each hidden layer, the share of its units whose relu output
+        was zero on every node of every step since the last call. The
+        output is nonnegative, so those units' column sums are zero."""
+        shares = [float(np.mean(sums == 0)) for sums in self.unit_sums]
+        for sums in self.unit_sums:
+            sums.fill(0)
+        return shares
 
 
 def _relu_backward(dh: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
@@ -416,7 +410,7 @@ def _forward_batch(batch: Sequence[TrainingSubgraph], model: GcnModel, work: Wor
     there drops columns, and its probabilities within 1e-12 otherwise."""
     for x in batch:
         _check_width(x.features.shape[1], model)
-    ends = np.cumsum([len(x) for x in batch]).tolist()
+    ends = list(accumulate(map(len, batch)))
     blocks = [(x.g, s, e) for x, s, e in zip(batch, [0] + ends[:-1], ends)]
     n = ends[-1]
     if n > work.rows:
@@ -454,10 +448,14 @@ def masked_loss(probs, labels, hop) -> float:
     mask = hop == 1
     if not mask.any():
         raise EmptyLossSet("subgraph has no 1-hop nodes")
-    p = np.clip(probs[mask], PROB_CLAMP, 1.0 - PROB_CLAMP)
-    y = labels[mask].astype(np.float64)
-    terms = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-    return float(terms.mean())
+    return float(_cross_entropy(probs[mask], labels[mask].astype(np.float64)).mean())
+
+
+def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-node sigmoid cross-entropy against 0/1 labels `y` in float64,
+    with the probabilities clamped into [PROB_CLAMP, 1 - PROB_CLAMP]."""
+    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
 @dataclass
@@ -474,39 +472,35 @@ class ModelGradients:
     flat: np.ndarray
 
 
-def backward(batch: Sequence, model: GcnModel, labels: Sequence | None = None,
-             dtype=np.float64, workspace: Workspace | None = None) -> ModelGradients:
+def backward(batch: Sequence[TrainingSubgraph], model: GcnModel,
+             workspace: Workspace | None = None) -> ModelGradients:
     """Exact gradients of the batch's mean masked loss for every weight and
     bias.
 
-    `batch` holds subgraphs (Qes) with one label array each in `labels`,
-    or, with `labels` None, subgraphs `prepare` has already made in
-    `dtype`, as `train` passes them. The batch is stacked row-wise and
-    computed in `dtype`, in `workspace` if one is given (`train` reuses one
-    sized for its largest batch) or else in one sized for this batch: every
-    node's output gradient is scaled by 1 / (m * B), with m its subgraph's
-    1-hop count and B the batch size, so the weight products return the
-    batch mean directly. Losses and probabilities are taken in float64, each
-    subgraph's loss as `masked_loss` takes it. The clamp's flat regions
-    propagate a zero gradient, matching what finite differences see there.
+    `batch` holds subgraphs `prepare` has made, all in one dtype, in which
+    the batch is stacked row-wise and computed: in `workspace` if one is
+    given (`train` reuses one sized for its largest batch) or else in one
+    sized for this batch. Every node's output gradient is scaled by
+    1 / (m * B), with m its subgraph's 1-hop count and B the batch size, so
+    the weight products return the batch mean directly. Losses and
+    probabilities are taken in float64, each subgraph's loss as
+    `masked_loss` takes it. The clamp's flat regions propagate a zero
+    gradient, matching what finite differences see there.
     """
-    if labels is not None:
-        if len(labels) != len(batch):
-            raise DimensionError("need one label array per subgraph")
-        batch = [prepare(qes, y, dtype) for qes, y in zip(batch, labels)]
     if not batch:
         raise DimensionError("cannot take gradients of an empty batch: it holds no subgraph")
     counts = [int(np.count_nonzero(x.hop1)) for x in batch]
     if not all(counts):
         raise EmptyLossSet("subgraph has no 1-hop nodes")
-    work = Workspace(model, sum(map(len, batch)), dtype) if workspace is None else workspace
+    work = workspace or Workspace(model, sum(map(len, batch)), batch[0].features.dtype)
     probs, blocks = _forward_batch(batch, model, work)
     n = len(probs)
+    for h, sums in zip(work.inputs[1:], work.unit_sums):
+        sums += np.matmul(work.ones[:n], h[:n, : len(sums)], out=work.z[: len(sums)])
     hop1 = np.concatenate([x.hop1 for x in batch])
     y = np.concatenate([x.labels for x in batch])
-    p, y1 = np.clip(probs[hop1], PROB_CLAMP, 1.0 - PROB_CLAMP), y[hop1]
-    terms = -(y1 * np.log(p) + (1.0 - y1) * np.log1p(-p))
-    cuts = np.cumsum(counts).tolist()
+    terms = _cross_entropy(probs[hop1], y[hop1])
+    cuts = list(accumulate(counts))
     losses = [float(terms[a:b].mean()) for a, b in zip([0] + cuts[:-1], cuts)]
     live = (probs > PROB_CLAMP) & (probs < 1.0 - PROB_CLAMP)
     scale = np.repeat(np.multiply(counts, len(batch)), list(map(len, batch)))
@@ -577,28 +571,24 @@ def load_model(data: bytes) -> GcnModel:
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(f"unsupported checkpoint version {version}", offset=4)
     (count,) = struct.unpack("<I", take(4))
-    conv_weights: list[np.ndarray] = []
-    fc_params: list[tuple[np.ndarray, np.ndarray]] = []
+    params: list[tuple[np.ndarray, np.ndarray | None]] = []
     for _ in range(count):
         kind, rows, cols, has_bias = struct.unpack("<BIIB", take(10))
         if kind not in (_KIND_CONV, _KIND_FC):
             raise ShapeCorruption(f"unknown layer kind {kind}", offset=offset - 10)
-        if kind == _KIND_CONV and fc_params:
+        # The first convolution out of order follows a dense layer directly.
+        if kind == _KIND_CONV and params and params[-1][1] is not None:
             raise ShapeCorruption("conv layer after a dense layer", offset=offset - 10)
         weights = np.frombuffer(take(8 * rows * cols), dtype="<f8").reshape(rows, cols).copy()
         bias = np.frombuffer(take(8 * cols), dtype="<f8").copy() if has_bias else None
-        if kind == _KIND_CONV:
-            if has_bias:
-                raise ShapeCorruption("conv layer must not carry a bias", offset=offset)
-            conv_weights.append(weights)
-        elif bias is None:
+        if kind == _KIND_CONV and has_bias:
+            raise ShapeCorruption("conv layer must not carry a bias", offset=offset)
+        if kind == _KIND_FC and bias is None:
             raise ShapeCorruption("dense layer missing its bias", offset=offset)
-        else:
-            fc_params.append((weights, bias))
+        params.append((weights, bias))
     if offset != len(data):
         raise ShapeCorruption("trailing bytes after checkpoint", offset=offset)
     try:
-        return GcnModel([GcnLayer(w) for w in conv_weights],
-                        [DenseLayer(w, b) for w, b in fc_params])
+        return GcnModel([Layer(w, b) for w, b in params])
     except DimensionError as exc:
         raise ShapeCorruption(f"inconsistent checkpoint shapes: {exc}") from exc

@@ -33,6 +33,9 @@ from .subgraph import Qes, QesParams, build_qes
 
 log = logging.getLogger(__name__)
 
+ADAM_BETA1 = 0.9  # first-moment decay of the adaptive-moment update
+ADAM_EPS = 1e-8  # added to the root of the second moment
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -97,9 +100,7 @@ def optimizer_step(
     grads: np.ndarray,
     state: AdamState,
     learning_rate: float = 1e-3,
-    beta1: float = 0.9,
     beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One adaptive-moment update with bias correction, in place: `params`
     and the moments in `state` are each one flat vector, updated with
@@ -109,18 +110,18 @@ def optimizer_step(
                              f"state {state.m.shape} shapes differ")
     t = state.step + 1
     m, v, (a, b) = state.m, state.v, state.scratch
-    m *= beta1  # m = beta1 * m + (1 - beta1) * g
-    np.multiply(1.0 - beta1, grads, out=a)
+    m *= ADAM_BETA1  # m = beta1 * m + (1 - beta1) * g
+    np.multiply(1.0 - ADAM_BETA1, grads, out=a)
     m += a
     v *= beta2  # v = beta2 * v + (1 - beta2) * g^2
     np.multiply(grads, grads, out=a)
     np.multiply(1.0 - beta2, a, out=a)
     v += a
-    np.divide(m, 1.0 - beta1**t, out=a)  # lr * m_hat / (sqrt(v_hat) + eps)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=a)  # lr * m_hat / (sqrt(v_hat) + eps)
     np.multiply(learning_rate, a, out=a)
     np.divide(v, 1.0 - beta2**t, out=b)
     np.sqrt(b, out=b)
-    b += eps
+    b += ADAM_EPS
     a /= b
     params -= a
     state.step = t
@@ -219,8 +220,7 @@ def train(
         scores = [None] * len(subgraphs)  # by subgraph: a fixed summation order
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            step = backward([inputs[qi] for qi in batch], model, dtype=np.float32,
-                            workspace=work)
+            step = backward([inputs[qi] for qi in batch], model, work)
             for qi, probs in zip(batch, step.probs):
                 scores[qi] = _hop1_prf(inputs[qi], probs)
             grad_norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in step.grads)))
@@ -240,7 +240,8 @@ def train(
             fmeasure=fmeasure,
         )
         history.append(stats)
+        dead = "/".join(f"{share:.4f}" for share in work.dead_shares())
         log.info("epoch %d: loss %.6f precision %.4f recall %.4f fmeasure %.4f "
-                 "grad_norm %.6g seconds %.3f", stats.epoch, stats.loss, precision, recall,
-                 fmeasure, float(np.mean(grad_norms)), time.perf_counter() - started)
+                 "grad_norm %.6g dead %s seconds %.3f", stats.epoch, stats.loss, precision,
+                 recall, fmeasure, float(np.mean(grad_norms)), dead, time.perf_counter() - started)
     return model, history

@@ -33,15 +33,17 @@ def oracle_forward(features, adjacency, model):
             if adjacency[i][j] and degrees[i] > 0 and degrees[j] > 0:
                 g[i][j] = adjacency[i][j] / (math.sqrt(degrees[i]) * math.sqrt(degrees[j]))
     h = [list(map(float, row)) for row in features]
-    for layer in model.conv_layers:
+    convs = [layer for layer in model.layers if layer.bias is None]
+    dense = [layer for layer in model.layers if layer.bias is not None]
+    for layer in convs:
         gh = _mat_mul(g, h)
         concat = [h[i] + gh[i] for i in range(n)]
         z = _mat_mul(concat, layer.weights.tolist())
         h = [[max(val, 0.0) for val in row] for row in z]
-    for li, layer in enumerate(model.fc_layers):
+    for li, layer in enumerate(dense):
         z = _mat_mul(h, layer.weights.tolist())
         z = [[z[i][j] + float(layer.bias[j]) for j in range(len(layer.bias))] for i in range(n)]
-        if li < len(model.fc_layers) - 1:
+        if li < len(dense) - 1:
             h = [[max(val, 0.0) for val in row] for row in z]
         else:
             h = z
@@ -109,8 +111,10 @@ def cached_forward(batch, model, dtype=np.float64):
     ends = np.cumsum([len(g) for g in gs]).tolist()
     blocks = list(zip(gs, [0] + ends[:-1], ends))
     h = np.concatenate([qes.features for qes in batch]).astype(dtype, copy=False)
+    convs = [layer for layer in model.layers if layer.bias is None]
+    dense = [layer for layer in model.layers if layer.bias is not None]
     conv_cache = []
-    for layer in model.conv_layers:
+    for layer in convs:
         w = layer.weights.astype(dtype, copy=False)
         d = h.shape[1]
         concat = np.empty((len(h), 2 * d), dtype=h.dtype)
@@ -120,9 +124,9 @@ def cached_forward(batch, model, dtype=np.float64):
         z = concat @ w
         conv_cache.append((concat, z, w))
         h = np.maximum(z, 0.0)
-    head = len(model.fc_layers) - 1
+    head = len(dense) - 1
     fc_cache = []
-    for i, layer in enumerate(model.fc_layers):
+    for i, layer in enumerate(dense):
         w = layer.weights.astype(dtype, copy=False)
         z = h @ w + layer.bias.astype(dtype, copy=False)
         fc_cache.append((h, z, w))

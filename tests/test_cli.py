@@ -142,7 +142,8 @@ class TestPipeline:
             "--k1", 6, "--k2", 2, "--u", 3, "--epochs", 2, "--seed", 7,
             "--conv-widths", "16,8", "--fc-widths", "4",
         ) == 0
-        assert len(mg.load_model(model.read_bytes()).conv_layers) == 2
+        layers = mg.load_model(model.read_bytes()).layers
+        assert sum(layer.bias is None for layer in layers) == 2
         assert run(
             "infer", "--embeddings", scene_files["embeddings"], "--model", model,
             "--pairs-out", pairs, "--k1", 6, "--k2", 2, "--u", 3,

@@ -23,9 +23,8 @@ from matchgraph.errors import (
 from matchgraph.gcn import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
-    DenseLayer,
-    GcnLayer,
     GcnModel,
+    Layer,
     aggregation_matrix,
     backward,
     init_model,
@@ -186,7 +185,7 @@ class TestModelForward:
 
         monkeypatch.setattr(gcn, "_forward_batch", refuse)
         with pytest.raises(AssertionError, match="training forward"):
-            backward([qes], model, [np.zeros(len(qes), dtype=bool)])
+            backward([prepare(qes, np.zeros(len(qes), dtype=bool))], model)
         assert np.array_equal(model_forward(qes, model), probs)
         assert gcn_retrieve(model, index, emb, 0, params, prob_threshold=0.0) == result
         assert result.retrieved
@@ -274,6 +273,20 @@ def plant_dead_units(model, layer, units):
     those units' relu inputs at or below zero."""
     w = model.layers[layer].weights
     w[:, units] = -np.abs(w[:, units])
+
+
+def relu_outputs(qes, model):
+    """Each hidden layer's relu output over one subgraph, in float64."""
+    g = aggregation_matrix(qes.adjacency)
+    h, outputs = qes.features, []
+    for layer in model.layers[:-1]:
+        if layer.bias is None:
+            h = np.hstack([h, g @ h]) @ layer.weights
+        else:
+            h = h @ layer.weights + layer.bias
+        h = np.maximum(h, 0.0)
+        outputs.append(h)
+    return outputs
 
 
 def aggregated_widths(monkeypatch):
@@ -377,7 +390,7 @@ class TestBackward:
         params = model.parameters()
         params[-1] = np.array([60.0])
         model.set_parameters(params)
-        grads = backward([qes], model, [[True] * 6])
+        grads = backward([prepare(qes, [True] * 6)], model)
         total = sum(float(np.sum(g * g)) for g in grads.grads)
         assert math.sqrt(total) <= 1e-6
 
@@ -387,7 +400,7 @@ class TestBackward:
         labels = rng.random(7) < 0.5
         model = init_model(3, conv_widths=(5, 4, 4, 3), fc_widths=(2,), seed=3)
         probs = model_forward(qes, model)
-        grads = backward([qes], model, [labels])
+        grads = backward([prepare(qes, labels)], model)
         mask = qes.hop_mask(1)
         expected = np.mean(probs[mask] - labels[mask].astype(float))
         assert abs(grads.grads[-1][0] - expected) <= 1e-12
@@ -399,7 +412,7 @@ class TestBackward:
             qes = random_qes(rng, n, d)
             labels = rng.random(n) < 0.5
             model = init_model(d, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=trial)
-            analytic = backward([qes], model, [labels]).grads
+            analytic = backward([prepare(qes, labels)], model).grads
             numeric = finite_difference_gradients(qes, model, labels)
             assert max_relative_error(analytic, numeric) <= 1e-5
 
@@ -408,7 +421,7 @@ class TestBackward:
         qes = random_qes(rng, 6, 3)
         labels = [True, False, True, False, True, False]
         model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=1)
-        grads = backward([qes], model, [labels])
+        grads = backward([prepare(qes, labels)], model)
         probs = model_forward(qes, model)
         assert np.array_equal(grads.probs[0], probs)
         assert grads.losses[0] == masked_loss(probs, labels, qes.hop)
@@ -449,8 +462,9 @@ class TestBatchBackward:
         model = init_model(5, conv_widths=(8, 8, 6, 6), fc_widths=(4,), seed=4)
         for batch in mixed_batches(rng, 5):
             labels = [rng.random(len(q)) < 0.5 for q in batch]
-            singles = [backward([q], model, [y]) for q, y in zip(batch, labels)]
-            stacked = backward(batch, model, labels)
+            prepared = [prepare(q, y) for q, y in zip(batch, labels)]
+            singles = [backward([x], model) for x in prepared]
+            stacked = backward(prepared, model)
             mean = [sum(arrays[1:], arrays[0].copy()) / len(batch)
                     for arrays in zip(*(g.grads for g in singles))]
             assert relative_to_largest(stacked.grads, mean) <= 1e-12
@@ -463,9 +477,10 @@ class TestBatchBackward:
         model = init_model(8, conv_widths=(32, 32, 16, 16), fc_widths=(8,), seed=5)
         for batch in mixed_batches(rng, 8):
             labels = [rng.random(len(q)) < 0.5 for q in batch]
-            low = backward(batch, model, labels, np.float32)
+            low = backward([prepare(q, y, np.float32) for q, y in zip(batch, labels)], model)
+            high = backward([prepare(q, y) for q, y in zip(batch, labels)], model)
             assert all(g.dtype == np.float64 for g in low.grads)
-            assert relative_to_largest(low.grads, backward(batch, model, labels).grads) <= 1e-4
+            assert relative_to_largest(low.grads, high.grads) <= 1e-4
 
     def test_float32_probabilities_on_criterion_5_subgraphs(self):
         # The criterion-5 scene, its subgraphs, and the model trained on it
@@ -483,7 +498,7 @@ class TestBatchBackward:
         worst = 0.0
         for start in range(0, len(subgraphs), 8):
             batch = subgraphs[start : start + 8]
-            low = backward(batch, model, [q.labels for q in batch], np.float32)
+            low = backward([prepare(q, q.labels, np.float32) for q in batch], model)
             for qes, probs in zip(batch, low.probs):
                 worst = max(worst, float(np.max(np.abs(probs - model_forward(qes, model)))))
         assert worst <= 1e-4
@@ -505,10 +520,10 @@ class TestBatchBackward:
             for widths in ((8, 8, 8, 8), (256, 256, 128, 128)):
                 model = init_model(8, conv_widths=widths, fc_widths=(8,), seed=0)
                 work = gcn.Workspace(model, 1100, np.float32)
-                backward(batch, model, dtype=np.float32, workspace=work)
+                backward(batch, model, work)
                 tracemalloc.start()
                 try:
-                    backward(batch, model, dtype=np.float32, workspace=work)
+                    backward(batch, model, work)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -517,17 +532,29 @@ class TestBatchBackward:
             else:
                 assert max(peaks) <= 1.1 * min(peaks), peaks
 
+    def test_dead_shares_count_units_zero_on_every_node_since_last_read(self):
+        rng = np.random.default_rng(19)
+        model = init_model(5, conv_widths=(8, 8, 6, 6), fc_widths=(4,), seed=6)
+        plant_dead_units(model, 1, np.arange(5))
+        batches = [[random_qes(rng, n, 5) for n in (12, 7)], [random_qes(rng, 9, 5)]]
+        work = gcn.Workspace(model, 19, np.float32)
+
+        def expected(subgraphs):
+            by_layer = zip(*(relu_outputs(q, model) for q in subgraphs))
+            return [float(np.mean(~np.vstack(h).any(axis=0))) for h in by_layer]
+
+        for steps in ([batches[0]], [batches[1]], batches):
+            for batch in steps:
+                backward([prepare(q, rng.random(len(q)) < 0.5, np.float32) for q in batch],
+                         model, work)
+            want = expected([q for batch in steps for q in batch])
+            assert want[1] >= 5 / 8 and min(want) < 1.0
+            assert work.dead_shares() == want
+
     def test_empty_batch_is_refused_by_name(self):
         model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0)
         with pytest.raises(DimensionError, match="empty batch"):
-            backward([], model, [])
-
-    def test_one_label_array_per_subgraph(self):
-        rng = np.random.default_rng(17)
-        qes = random_qes(rng, 5, 3)
-        model = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0)
-        with pytest.raises(DimensionError):
-            backward([qes, qes], model, [[True] * 5])
+            backward([], model)
 
 
 # One subgraph of 400-500 nodes: forward probabilities and the float64 and
@@ -539,7 +566,7 @@ _LARGE_SUBGRAPH_HASH = """
 import hashlib
 import numpy as np
 import matchgraph as mg
-from matchgraph.gcn import backward, init_model, model_forward
+from matchgraph.gcn import backward, init_model, model_forward, prepare
 from matchgraph.subgraph import QesParams, build_qes
 emb = mg.EmbeddingMatrix(range(3000), np.random.default_rng(0).normal(size=(3000, 32)))
 qes = build_qes(mg.build_index(emb), emb, 0, QesParams(100, 5, 10))
@@ -551,9 +578,9 @@ for layer, dead in ((1, 192), (2, 64)):
     w = planted.layers[layer].weights
     w[:, :dead] = -np.abs(w[:, :dead])
 digest.update(model_forward(qes, planted).tobytes())
-labels = [np.arange(len(qes.nodes)) % 2 == 0]
+labels = np.arange(len(qes.nodes)) % 2 == 0
 for dtype in (np.float64, np.float32):
-    for grad in backward([qes], model, labels, dtype).grads:
+    for grad in backward([prepare(qes, labels, dtype)], model).grads:
         digest.update(grad.tobytes())
 print(digest.hexdigest())
 """
@@ -581,11 +608,11 @@ class TestCheckpoints:
     def test_forward_outputs_survive_round_trip(self):
         rng = np.random.default_rng(12)
         w = np.random.default_rng(14).normal
-        built = GcnModel(
-            [GcnLayer(w(size=(8, 5))), GcnLayer(w(size=(10, 5))),
-             GcnLayer(w(size=(10, 4))), GcnLayer(w(size=(8, 4)))],
-            [DenseLayer(w(size=(4, 3)), w(size=3)), DenseLayer(w(size=(3, 1)), w(size=1))],
-        )
+        built = GcnModel([
+            Layer(w(size=(8, 5))), Layer(w(size=(10, 5))),
+            Layer(w(size=(10, 4))), Layer(w(size=(8, 4))),
+            Layer(w(size=(4, 3)), w(size=3)), Layer(w(size=(3, 1)), w(size=1)),
+        ])
         for model in (init_model(4, conv_widths=(5, 5, 4, 4), fc_widths=(3,), seed=13), built):
             clone = load_model(save_model(model))
             for _ in range(10):
@@ -611,7 +638,7 @@ class TestCheckpoints:
             load_model(bytes(data))
 
     def test_zero_width_dense_layer_is_shape_corruption(self):
-        convs = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0).conv_layers
+        convs = init_model(3, conv_widths=(4, 4, 3, 3), fc_widths=(2,), seed=0).layers[:4]
         # conv layers as saved, then a 3x0 dense layer feeding a 0x1 head
         layers = [(0, layer.weights, None) for layer in convs]
         layers += [(1, np.ones((3, 0)), np.ones(0)), (1, np.ones((0, 1)), np.ones(1))]
@@ -650,19 +677,34 @@ class TestCheckpoints:
 
 class TestModelValidation:
     def test_requires_at_least_one_conv_layer(self):
-        head = [DenseLayer(np.ones((2, 1)), np.zeros(1))]
+        head = [Layer(np.ones((2, 1)), np.zeros(1))]
         with pytest.raises(DimensionError, match="at least one graph conv layer"):
-            GcnModel([], head)
+            GcnModel(head)
         with pytest.raises(DimensionError, match="at least one graph conv layer"):
             init_model(3, conv_widths=(), fc_widths=(2,))
         for depth in (1, 2, 3):
-            convs = [GcnLayer(np.ones((4, 2))) for _ in range(depth)]
-            assert len(GcnModel(convs, head).conv_layers) == depth
+            convs = [Layer(np.ones((4, 2))) for _ in range(depth)]
+            assert sum(layer.bias is None for layer in GcnModel(convs + head).layers) == depth
 
     def test_final_width_must_be_one(self):
-        convs = [GcnLayer(np.ones((4, 2))) for _ in range(4)]
+        convs = [Layer(np.ones((4, 2))) for _ in range(4)]
         with pytest.raises(DimensionError):
-            GcnModel(convs, [DenseLayer(np.ones((2, 3)), np.zeros(3))])
+            GcnModel(convs + [Layer(np.ones((2, 3)), np.zeros(3))])
+
+    @pytest.mark.parametrize("order, message", [
+        ("cdc", "conv layer after a dense layer"),
+        ("dcd", "conv layer after a dense layer"),
+        ("cc", "at least one dense layer"),
+        ("ddd", "at least one graph conv layer"),
+    ])
+    def test_layer_order_is_checked(self, order, message):
+        # Every layer maps 2 columns to 2 and the last to one logit, so only
+        # the order of the kinds is wrong.
+        make = {"c": lambda out: Layer(np.ones((4, out))),
+                "d": lambda out: Layer(np.ones((2, out)), np.zeros(out))}
+        layers = [make[kind](2) for kind in order[:-1]] + [make[order[-1]](1)]
+        with pytest.raises(DimensionError, match=message):
+            GcnModel(layers)
 
     @pytest.mark.parametrize("widths", [
         {"fc_widths": (0,)}, {"fc_widths": (2, 0)}, {"fc_widths": (-2,)},
@@ -676,10 +718,10 @@ class TestModelValidation:
 
     def test_default_widths(self):
         model = init_model(32)
-        assert [l.weights.shape for l in model.conv_layers] == [
-            (64, 256), (512, 256), (512, 128), (256, 128)
+        assert [(l.weights.shape, l.bias is None) for l in model.layers] == [
+            ((64, 256), True), ((512, 256), True), ((512, 128), True), ((256, 128), True),
+            ((128, 64), False), ((64, 1), False),
         ]
-        assert [l.weights.shape for l in model.fc_layers] == [(128, 64), (64, 1)]
 
     @pytest.mark.parametrize("position", [0, -1])
     def test_set_parameters_rejects_non_finite_and_keeps_model(self, position):

@@ -233,7 +233,8 @@ class TestTrain:
             head = (f"epoch {row.epoch}: loss {row.loss:.6f} precision {row.precision:.4f} "
                     f"recall {row.recall:.4f} fmeasure {row.fmeasure:.4f} grad_norm ")
             assert line.startswith(head)
-            assert re.fullmatch(r"\S+ seconds \d+\.\d{3}", line[len(head):])
+            assert re.fullmatch(r"\S+ dead \d\.\d{4}(/\d\.\d{4}){4} seconds \d+\.\d{3}",
+                                line[len(head):])
 
     def test_epoch_log_line_gives_mean_batch_gradient_norm(self, monkeypatch, caplog):
         scene = small_scene()
@@ -256,6 +257,33 @@ class TestTrain:
             logged = float(re.search(r" grad_norm (\S+) ", line).group(1))
             want = np.mean(norms[epoch * steps : (epoch + 1) * steps])
             assert logged > 0 and logged == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("learning_rate", [1e-3, 1e-1])
+    def test_epoch_log_line_gives_dead_unit_shares(self, learning_rate, caplog):
+        # The 96-image ring at 16,16,8,8 / 8. At learning rate 0.1 every
+        # unit of conv2 to conv4 dies and the loss goes flat near 0.5227; a
+        # share reads 1 once every batch of an epoch finds the layer dead,
+        # from epoch 12 on here. At 1e-3 no layer dies.
+        scene = mg.generate_scene(mg.SceneConfig(
+            n_images=96, symmetry_s=4, overlap_angle=math.pi / 12,
+            noise_sigma=0.05, dim=8, seed=7,
+        ))
+        cfg = TrainConfig(tau_mo=0.25, tau_ct=0.15, qes_params=QesParams(20, 3, 5),
+                          learning_rate=learning_rate, epochs=20, batch_size=8,
+                          beta2=0.99, seed=1)
+        with caplog.at_level(logging.INFO, logger="matchgraph.trainer"):
+            train(scene.embeddings, scene.overlaps, list(range(0, 96, 4)), cfg,
+                  conv_widths=(16, 16, 8, 8), fc_widths=(8,))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
+        shares = [[float(x) for x in re.search(r" dead (\S+) ", line).group(1).split("/")]
+                  for line in lines]
+        assert len(shares) == 20 and all(len(row) == 5 for row in shares)
+        assert all(0.0 <= x <= 1.0 for row in shares for x in row)
+        if learning_rate == 1e-1:
+            assert max(shares[0]) < 1.0
+            assert all(row[1:4] == [1.0, 1.0, 1.0] for row in shares[11:])
+        else:
+            assert max(max(row) for row in shares) < 1.0
 
     def test_build_training_set_logs_the_knn_table_counts(self, caplog):
         scene = small_scene()
