@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import evaluation, overlaps, retrieval, synthetic, trainer
-from .embeddings import load_embeddings, save_embeddings
+from .embeddings import ID_END, load_embeddings, save_embeddings
 from .errors import InvalidRecord, MatchgraphError, ParseError
 from .gcn import load_model, save_model
 from .knn import build_index
@@ -114,15 +114,22 @@ def _fraction(text: str) -> float:
 
 
 def _read_queries(path: str) -> list[int]:
+    """One image id per line; a line that is not an integer in [0, 2^64)
+    is refused with its byte offset."""
     queries = []
-    with open(path, "r", encoding="utf-8") as fp:
+    offset = 0
+    with open(path, "r", encoding="utf-8", newline="") as fp:
         for line in fp:
             stripped = line.strip()
             if stripped:
                 try:
-                    queries.append(int(stripped))
+                    query = int(stripped)
                 except ValueError:
-                    raise InvalidRecord(f"bad query id {stripped!r}")
+                    raise InvalidRecord(f"bad query id {stripped!r}", offset=offset)
+                if not 0 <= query < ID_END:
+                    raise InvalidRecord(f"query id {query} outside [0, 2^64)", offset=offset)
+                queries.append(query)
+            offset += len(line.encode("utf-8"))
     return queries
 
 

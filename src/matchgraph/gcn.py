@@ -336,7 +336,7 @@ def prepare(qes: Qes, labels, dtype=np.float64) -> TrainingSubgraph:
     return TrainingSubgraph(
         _normalize(qes.adjacency).astype(dtype, copy=False),
         qes.features.astype(dtype, copy=False),
-        qes.hop_mask(1),
+        qes.hop == 1,
         labels.astype(np.float64),
     )
 
@@ -434,23 +434,6 @@ def _forward_batch(batch: Sequence[TrainingSubgraph], model: GcnModel, work: Wor
     return sigmoid(z[:, 0]), blocks
 
 
-def masked_loss(probs, labels, hop) -> float:
-    """Mean sigmoid cross-entropy over 1-hop nodes only.
-
-    Probabilities are clamped away from {0, 1} so the loss stays finite;
-    2-hop nodes contribute exactly zero.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=bool)
-    hop = np.asarray(hop)
-    if not (probs.shape == labels.shape == hop.shape):
-        raise DimensionError("probs, labels, and hop tags must align")
-    mask = hop == 1
-    if not mask.any():
-        raise EmptyLossSet("subgraph has no 1-hop nodes")
-    return float(_cross_entropy(probs[mask], labels[mask].astype(np.float64)).mean())
-
-
 def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-node sigmoid cross-entropy against 0/1 labels `y` in float64,
     with the probabilities clamped into [PROB_CLAMP, 1 - PROB_CLAMP]."""
@@ -483,9 +466,11 @@ def backward(batch: Sequence[TrainingSubgraph], model: GcnModel,
     sized for this batch. Every node's output gradient is scaled by
     1 / (m * B), with m its subgraph's 1-hop count and B the batch size, so
     the weight products return the batch mean directly. Losses and
-    probabilities are taken in float64, each subgraph's loss as
-    `masked_loss` takes it. The clamp's flat regions propagate a zero
-    gradient, matching what finite differences see there.
+    probabilities are taken in float64: each subgraph's loss is the mean
+    `_cross_entropy` of its 1-hop nodes, and 2-hop nodes add nothing. A
+    subgraph with no 1-hop node raises `EmptyLossSet`. The clamp's flat
+    regions propagate a zero gradient, matching what finite differences
+    see there.
     """
     if not batch:
         raise DimensionError("cannot take gradients of an empty batch: it holds no subgraph")

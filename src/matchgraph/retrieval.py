@@ -59,6 +59,14 @@ class RetrievalResult:
         return len(self.retrieved)
 
 
+def _by_id(query_id: int, ids: np.ndarray, scores: np.ndarray) -> RetrievalResult:
+    """A route's hits as a result in ascending id: ids are unique, so this
+    is the order of the sorted (id, score) pairs."""
+    order = np.argsort(ids)
+    return RetrievalResult._built(query_id, tuple(zip(ids[order].tolist(),
+                                                      scores[order].tolist())))
+
+
 def gcn_retrieve(
     model: GcnModel,
     index: Index,
@@ -73,11 +81,9 @@ def gcn_retrieve(
     if not 0.0 <= prob_threshold < 1.0:
         raise ValueError(f"prob_threshold must be a number in [0, 1), got {prob_threshold!r}")
     qes = build_qes(index, emb, query_id, params)
-    probs = model_forward(qes, model).tolist()
-    retrieved = [
-        (v, p) for v, h, p in zip(qes.nodes, qes.hop, probs) if h == 1 and p > prob_threshold
-    ]
-    return RetrievalResult._built(query_id, tuple(sorted(retrieved)))
+    probs = model_forward(qes, model)
+    hit = (qes.hop == 1) & (probs > prob_threshold)
+    return _by_id(query_id, qes.nodes[hit], probs[hit])
 
 
 def _distance_score(d: float) -> float:
@@ -96,10 +102,8 @@ def topk_retrieve(index: Index, query_id: int, k: int) -> RetrievalResult:
 def threshold_retrieve(index: Index, query_id: int, tau: float) -> RetrievalResult:
     """Everything within distance tau (>= 0) of the query."""
     pos, dist = index.within(index.emb.position(query_id), tau)
-    ids = index.ids[pos]
-    order = np.argsort(ids)  # ids are unique, so this is the order of sorted pairs
-    scores = np.maximum(1.0 - dist[order] / 2.0, 0.0)  # `_distance_score` of each
-    return RetrievalResult._built(query_id, tuple(zip(ids[order].tolist(), scores.tolist())))
+    scores = np.maximum(1.0 - dist / 2.0, 0.0)  # `_distance_score` of each
+    return _by_id(query_id, index.ids[pos], scores)
 
 
 def collapse_pairs(results: Iterable[RetrievalResult]) -> list[tuple[int, int, float]]:

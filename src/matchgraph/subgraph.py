@@ -6,14 +6,16 @@ proximity over the entire collection), and compute query-relative node
 features (raw descriptor differences). The query itself is never a node.
 The stages work on row positions of the index; `build_qes` maps the query
 id to its row and the node rows to ids once, where it assembles the `Qes`.
+A `Qes` holds its ids, hop tags, adjacency and features as read-only
+arrays and carries no labels: training labels its nodes with
+`trainer.label_qes` and keeps only the prepared float32 copy.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
+from .embeddings import ID_END, EmbeddingMatrix
 from .errors import DimensionError, InvalidAdjacency, InvalidRecord
 from .knn import Index
 
@@ -49,25 +51,25 @@ def check_adjacency(a: np.ndarray) -> None:
 
 
 class Qes:
-    """A query enclosing subgraph.
+    """A query enclosing subgraph, held in read-only arrays.
 
-    nodes:     image ids, 1-hop nodes first (nearest-neighbor rank order),
-               then 2-hop nodes in ascending id
+    nodes:     image ids (uint64), 1-hop nodes first (nearest-neighbor rank
+               order), then 2-hop nodes in ascending id
     hop:       per-node tag, 1 or 2; a node reachable both ways keeps tag 1
     adjacency: symmetric 0/1 matrix with zero diagonal
     features:  per-node descriptor minus the query descriptor
-    labels:    optional per-node matchability, aligned with nodes
     """
 
-    def __init__(self, query_id, nodes, hop, adjacency, features, labels=None):
-        nodes = tuple(int(v) for v in nodes)
-        hop = tuple(int(h) for h in hop)
+    def __init__(self, query_id, nodes, hop, adjacency, features):
+        query_id, ids, hop = int(query_id), [int(v) for v in nodes], [int(h) for h in hop]
         adjacency = np.array(adjacency, dtype=np.float64, copy=True)
         features = np.array(features, dtype=np.float64, copy=True)
-        n = len(nodes)
-        if len(set(nodes)) != n:
+        n = len(ids)
+        if not all(0 <= v < ID_END for v in (query_id, *ids)):
+            raise InvalidRecord("image ids must lie in [0, 2^64)")
+        if len(set(ids)) != n:
             raise InvalidRecord("subgraph nodes must be unique")
-        if int(query_id) in nodes:
+        if query_id in ids:
             raise InvalidRecord("query id must not appear among subgraph nodes")
         if len(hop) != n:
             raise DimensionError("hop tags must align with nodes")
@@ -78,8 +80,8 @@ class Qes:
         check_adjacency(adjacency)
         if features.ndim != 2 or features.shape[0] != n:
             raise DimensionError("features must have one row per node")
-        self._hold(int(query_id), nodes, hop, adjacency, features)
-        self.labels = None if labels is None else self._checked_labels(labels)
+        self._hold(query_id, np.array(ids, dtype=np.uint64), np.array(hop, dtype=int),
+                   adjacency, features)
 
     @classmethod
     def _built(cls, query_id, nodes, hop, adjacency, features) -> "Qes":
@@ -90,10 +92,10 @@ class Qes:
         return qes
 
     def _hold(self, query_id, nodes, hop, adjacency, features) -> None:
-        adjacency.setflags(write=False)
-        features.setflags(write=False)
+        for a in (nodes, hop, adjacency, features):
+            a.setflags(write=False)
         self.query_id, self.nodes, self.hop = query_id, nodes, hop
-        self.adjacency, self.features, self.labels = adjacency, features, None
+        self.adjacency, self.features = adjacency, features
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -102,32 +104,15 @@ class Qes:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def hop_mask(self, which: int) -> np.ndarray:
-        return np.array([h == which for h in self.hop], dtype=bool)
-
-    def _checked_labels(self, labels) -> tuple[bool, ...]:
-        labels = tuple(bool(b) for b in labels)
-        if len(labels) != len(self.nodes):
-            raise DimensionError("labels must align with nodes")
-        return labels
-
-    def with_labels(self, labels) -> "Qes":
-        """A copy with new labels, sharing the read-only arrays this one
-        already checked."""
-        labeled = copy.copy(self)
-        labeled.labels = self._checked_labels(labels)
-        return labeled
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Qes):
             return NotImplemented
         return (
             self.query_id == other.query_id
-            and self.nodes == other.nodes
-            and self.hop == other.hop
+            and np.array_equal(self.nodes, other.nodes)
+            and np.array_equal(self.hop, other.hop)
             and np.array_equal(self.adjacency, other.adjacency)
             and np.array_equal(self.features, other.features)
-            and self.labels == other.labels
         )
 
 
@@ -180,5 +165,4 @@ def build_qes(index: Index, emb: EmbeddingMatrix, query_id: int, params: QesPara
     rows, hop = discover_nodes(index, qrow, params.k1, params.k2)
     adjacency = append_edges(index, rows, params.u)
     features = compute_features(emb, qrow, rows)
-    return Qes._built(int(query_id), tuple(index.ids[rows].tolist()), tuple(hop.tolist()),
-                      adjacency, features)
+    return Qes._built(int(query_id), index.ids[rows], hop, adjacency, features)

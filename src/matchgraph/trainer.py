@@ -1,13 +1,15 @@
 """Supervision labeling and seeded training of the subgraph classifier.
 
 Each subgraph node is labeled against its query by `overlaps.label_pair`;
-a pair with no observed overlap record is non-matchable. Training
-iterates epochs over shuffled queries, takes each batch's mean gradient in
-one float32 pass over its subgraphs stacked row-wise, and applies one
-adaptive-moment update per batch to float64 parameters. Each subgraph is
-prepared in float32 once per run, every step computes in buffers allocated
-once per run, and the update works in place on one flat vector. Given a
-seed the whole procedure is bit-reproducible.
+a pair with no observed overlap record is non-matchable. `label_qes`
+returns one bool per node. `build_training_set` builds, labels and
+`prepare`s each query's subgraph in float32 once per run and keeps only
+that prepared copy, so training holds no `Qes`. Training iterates epochs
+over shuffled queries, takes each batch's mean gradient in one float32
+pass over its subgraphs stacked row-wise, and applies one adaptive-moment
+update per batch to float64 parameters. Every step computes in buffers
+allocated once per run, and the update works in place on one flat vector.
+Given a seed the whole procedure is bit-reproducible.
 """
 
 import logging
@@ -68,11 +70,11 @@ class TrainConfig:
             raise ValueError("beta2 must lie in [0, 1)")
 
 
-def label_qes(qes: Qes, store: OverlapStore, config: TrainConfig) -> Qes:
-    """Label every node against the query; unobserved pairs are negative."""
+def label_qes(qes: Qes, store: OverlapStore, config: TrainConfig) -> np.ndarray:
+    """Whether each node is matchable with the query, one bool per node;
+    unobserved pairs are negative."""
     partners = store.partners(qes.query_id)
-    matchable = set(partners.ids[label_pair(partners, config.tau_mo, config.tau_ct)].tolist())
-    return qes.with_labels([v in matchable for v in qes.nodes])
+    return np.isin(qes.nodes, partners.ids[label_pair(partners, config.tau_mo, config.tau_ct)])
 
 
 @dataclass
@@ -159,16 +161,17 @@ def build_training_set(
     records: OverlapStore,
     queries: Sequence[int],
     config: TrainConfig,
-) -> list[Qes]:
-    """Construct one labeled subgraph per query, skipping unusable ones."""
+) -> list[TrainingSubgraph]:
+    """One labeled subgraph per query, prepared in float32, skipping those
+    with no 1-hop node. Each `Qes` is dropped once it is prepared."""
     index = build_index(emb)
     subgraphs = []
     for q in queries:
-        qes = label_qes(build_qes(index, emb, q, config.qes_params), records, config)
-        if not any(h == 1 for h in qes.hop):
+        qes = build_qes(index, emb, q, config.qes_params)
+        if not np.any(qes.hop == 1):
             log.warning("query %d has no 1-hop nodes; skipping", q)
             continue
-        subgraphs.append(qes)
+        subgraphs.append(prepare(qes, label_qes(qes, records, config), np.float32))
     if not subgraphs:
         raise NoTrainingData("no query produced a trainable subgraph")
     log.info("knn table: %s", index.counts())
@@ -202,11 +205,10 @@ def train(
     if not queries:
         raise NoTrainingData("no training queries given")
     model = init_model(emb.dim, conv_widths, fc_widths, seed=[config.seed, 0])
-    subgraphs = build_training_set(emb, records, queries, config)
     # float32 compute; the parameters and Adam state stay float64. Neither a
     # subgraph's G nor its features change between epochs.
-    inputs = [prepare(qes, qes.labels, np.float32) for qes in subgraphs]
-    largest = sorted(map(len, subgraphs))[-config.batch_size:]
+    inputs = build_training_set(emb, records, queries, config)
+    largest = sorted(map(len, inputs))[-config.batch_size:]
     work = Workspace(model, sum(largest), np.float32)
     params = np.concatenate([p.ravel() for p in model.parameters()])
     views = model.parameter_views(params)
@@ -214,10 +216,10 @@ def train(
     history: list[EpochStats] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
-        order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(subgraphs))
+        order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(inputs))
         losses: list[float] = []
         grad_norms: list[float] = []
-        scores = [None] * len(subgraphs)  # by subgraph: a fixed summation order
+        scores = [None] * len(inputs)  # by subgraph: a fixed summation order
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             step = backward([inputs[qi] for qi in batch], model, work)

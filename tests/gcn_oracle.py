@@ -1,9 +1,10 @@
 """Independent reference implementations used as oracles in GCN tests.
 
-Forward pass in pure-python loops (no shared code with the library), a
-central finite-difference gradient of the masked loss, and the training
-step as it ran before its buffers were reused (`oracle_train`), whose bits
-`trainer.train` must give.
+Forward pass in pure-python loops (no shared code with the library), the
+masked loss of one subgraph and its central finite-difference gradient,
+and the training step as it ran before its buffers were reused
+(`oracle_train`, on the labeled subgraphs of `labeled_subgraphs`), whose
+bits `trainer.train` must give.
 """
 
 import math
@@ -58,9 +59,29 @@ def oracle_forward(features, adjacency, model):
     return probs
 
 
+def masked_loss(probs, labels, hop) -> float:
+    """Mean sigmoid cross-entropy over 1-hop nodes only.
+
+    Probabilities are clamped away from {0, 1} so the loss stays finite;
+    2-hop nodes contribute exactly zero.
+    """
+    from matchgraph.errors import DimensionError, EmptyLossSet
+    from matchgraph.gcn import _cross_entropy
+
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    hop = np.asarray(hop)
+    if not (probs.shape == labels.shape == hop.shape):
+        raise DimensionError("probs, labels, and hop tags must align")
+    mask = hop == 1
+    if not mask.any():
+        raise EmptyLossSet("subgraph has no 1-hop nodes")
+    return float(_cross_entropy(probs[mask], labels[mask].astype(np.float64)).mean())
+
+
 def finite_difference_gradients(qes, model, labels, step=1e-6):
     """Central differences of the masked loss for every parameter."""
-    from matchgraph.gcn import masked_loss, model_forward
+    from matchgraph.gcn import model_forward
 
     grads = []
     for param in model.parameters():
@@ -137,7 +158,7 @@ def cached_forward(batch, model, dtype=np.float64):
 def cached_backward(batch, model, labels, dtype=np.float64):
     """(float64 gradients per parameter, per-subgraph losses, per-subgraph
     probabilities) of the batch's mean masked loss, on `cached_forward`."""
-    from matchgraph.gcn import PROB_CLAMP, _inner_sum, masked_loss
+    from matchgraph.gcn import PROB_CLAMP, _inner_sum
 
     probs, blocks, conv_cache, fc_cache = cached_forward(batch, model, dtype)
     losses, per_probs = [], []
@@ -188,24 +209,35 @@ def adam_step(params, grads, m, v, t, learning_rate=1e-3, beta1=0.9, beta2=0.999
     return new_params, new_m, new_v
 
 
+def labeled_subgraphs(emb, records, queries, config):
+    """(subgraph, labels) for each query whose subgraph has a 1-hop node,
+    in query order: what `trainer.build_training_set` prepares."""
+    from matchgraph.knn import build_index
+    from matchgraph.subgraph import build_qes
+    from matchgraph.trainer import label_qes
+
+    index = build_index(emb)
+    built = (build_qes(index, emb, q, config.qes_params) for q in queries)
+    return [(qes, label_qes(qes, records, config)) for qes in built if 1 in qes.hop]
+
+
 def oracle_train(emb, records, queries, config, conv_widths, fc_widths):
     """`trainer.train` on `cached_backward` and `adam_step`: the same
     seeds, order, scores and stats rows."""
     from matchgraph import evaluation
     from matchgraph.gcn import init_model
     from matchgraph.gcn import PROB_THRESHOLD
-    from matchgraph.trainer import EpochStats, build_training_set
+    from matchgraph.trainer import EpochStats
 
-    def hop1_prf(qes, probs):
-        # the 1-hop mask and the labels from the subgraph's tuples
-        hop1 = qes.hop_mask(1)
+    def hop1_prf(qes, labels, probs):
+        hop1 = qes.hop == 1
         predicted = hop1 & (probs > PROB_THRESHOLD)
-        relevant = hop1 & np.asarray(qes.labels, dtype=bool)
+        relevant = hop1 & labels
         counts = (int(np.count_nonzero(m)) for m in (predicted & relevant, predicted, relevant))
         return evaluation.prf_counts(*counts)
 
     model = init_model(emb.dim, conv_widths, fc_widths, seed=[config.seed, 0])
-    subgraphs = build_training_set(emb, records, queries, config)
+    subgraphs = labeled_subgraphs(emb, records, queries, config)
     m = [np.zeros_like(p) for p in model.parameters()]
     v = [np.zeros_like(p) for p in model.parameters()]
     t = 0
@@ -216,9 +248,9 @@ def oracle_train(emb, records, queries, config, conv_widths, fc_widths):
         for start in range(0, len(order), config.batch_size):
             batch = [subgraphs[qi] for qi in order[start : start + config.batch_size]]
             grads, batch_losses, probs = cached_backward(
-                batch, model, [q.labels for q in batch], np.float32)
-            for qi, qes, p in zip(order[start : start + config.batch_size], batch, probs):
-                scores[qi] = hop1_prf(qes, p)
+                [qes for qes, _ in batch], model, [y for _, y in batch], np.float32)
+            for qi, (qes, y), p in zip(order[start : start + config.batch_size], batch, probs):
+                scores[qi] = hop1_prf(qes, y, p)
             t += 1
             params, m, v = adam_step(model.parameters(), grads, m, v, t,
                                      learning_rate=config.learning_rate, beta2=config.beta2)

@@ -21,7 +21,6 @@ from matchgraph.gcn import (
     backward,
     init_model,
     load_model,
-    masked_loss,
     model_forward,
     prepare,
     save_model,
@@ -34,7 +33,7 @@ from matchgraph.retrieval import (
 from matchgraph.subgraph import Qes, QesParams
 from matchgraph.trainer import TrainConfig
 
-from gcn_oracle import finite_difference_gradients, max_relative_error
+from gcn_oracle import finite_difference_gradients, masked_loss, max_relative_error
 from qes_oracle import edges_of_qes, oracle_build
 from retrieval_oracle import truncate_result
 
@@ -120,8 +119,8 @@ def test_criterion_2_qes_oracle_equivalence():
             o_nodes, o_hops, o_edges, o_features = oracle_build(
                 ids, emb.vectors, q, k1, k2, u
             )
-            assert qes.nodes == tuple(o_nodes)
-            assert qes.hop == tuple(o_hops)
+            assert qes.nodes.tolist() == o_nodes
+            assert qes.hop.tolist() == o_hops
             assert edges_of_qes(qes) == o_edges
             assert np.array_equal(qes.features, o_features)
         assert time.time() - start < 60.0

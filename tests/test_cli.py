@@ -735,6 +735,47 @@ class TestExitCodes:
         assert run("eval", *(x for kv in files.items() for x in kv)) == 3
         assert f"pair id {bad_id} outside [0, 2^64) (byte offset 30)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, offset, message", [
+        ("0\n1\n-1\n", 4, "query id -1 outside [0, 2^64)"),
+        (f"0\n1\n{2**64}\n", 4, f"query id {2**64} outside [0, 2^64)"),
+        ("0\n1\n99999999999999999999999\n", 4,
+         "query id 99999999999999999999999 outside [0, 2^64)"),
+        ("0\r\n\r\n1\r\nseven\r\n", 8, "bad query id 'seven'"),
+    ], ids=["-1", "2^64", "23 digits", "not an integer, CRLF"])
+    @pytest.mark.parametrize("command", ["train", "infer", "baseline", "eval"])
+    def test_query_id_outside_u64_is_parse_error(self, scene_files, tmp_path, capsys, command,
+                                                 text, offset, message):
+        queries = tmp_path / "q.txt"
+        queries.write_bytes(text.encode())
+        assert self._with_queries(command, queries, scene_files, tmp_path) == 3
+        assert f"{message} (byte offset {offset})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "infer", "baseline"])
+    def test_unknown_query_id_in_range_is_compute_error(self, scene_files, tmp_path, capsys,
+                                                        command):
+        queries = tmp_path / "q.txt"
+        queries.write_text(f"0\n{2**64 - 1}\n")
+        assert self._with_queries(command, queries, scene_files, tmp_path) == 4
+        assert "compute error" in capsys.readouterr().err
+
+    @staticmethod
+    def _with_queries(command, queries, files, tmp_path):
+        """Run `command` on the scene with `--queries`, writing to tmp_path/out."""
+        out, model, pairs = tmp_path / "out", tmp_path / "model.ckpt", tmp_path / "p.txt"
+        model.write_bytes(mg.save_model(mg.init_model(8, (6, 6, 4, 4), (3,), seed=0)))
+        pairs.write_text("# matchgraph pairs v1\n0 1 0.5\n")
+        emb, ov = files["embeddings"], files["overlaps"]
+        small = ["--k1", 4, "--k2", 2, "--u", 3]
+        argv = {
+            "train": ["--embeddings", emb, "--overlaps", ov, "--model", out, "--epochs", 1,
+                      "--conv-widths", "6,6,4,4", "--fc-widths", "3", *small],
+            "infer": ["--embeddings", emb, "--model", model, "--pairs-out", out, *small],
+            "baseline": ["--embeddings", emb, "--topk", 3, "--pairs-out", out],
+            "eval": ["--pairs", pairs, "--overlaps", ov, "--report-out", out],
+        }[command]
+        return run(command, *argv, "--queries", queries)
+
     @pytest.mark.parametrize("knn_out", [False, True])
     def test_index_k_below_one_is_compute_error(self, scene_files, tmp_path, capsys, knn_out):
         out = ["--knn-out", tmp_path / "knn.txt"] if knn_out else []

@@ -29,17 +29,18 @@ from matchgraph.gcn import (
     backward,
     init_model,
     load_model,
-    masked_loss,
     model_forward,
     prepare,
     save_model,
 )
 from matchgraph.retrieval import gcn_retrieve
 from matchgraph.subgraph import Qes, QesParams, build_qes
-from matchgraph.trainer import TrainConfig, build_training_set, train
+from matchgraph.trainer import TrainConfig, train
 
 from gcn_oracle import (
     finite_difference_gradients,
+    labeled_subgraphs,
+    masked_loss,
     max_relative_error,
     oracle_forward,
 )
@@ -52,16 +53,14 @@ def random_graph(rng, n):
     return a + a.T
 
 
-def random_qes(rng, n, d, with_labels=False):
+def random_qes(rng, n, d):
     hop = [1] * max(1, n // 2) + [2] * (n - max(1, n // 2))
-    labels = rng.random(n) < 0.5 if with_labels else None
     return Qes(
         query_id=10_000,
         nodes=list(range(n)),
         hop=hop,
         adjacency=random_graph(rng, n),
         features=rng.normal(size=(n, d)),
-        labels=labels,
     )
 
 
@@ -401,7 +400,7 @@ class TestBackward:
         model = init_model(3, conv_widths=(5, 4, 4, 3), fc_widths=(2,), seed=3)
         probs = model_forward(qes, model)
         grads = backward([prepare(qes, labels)], model)
-        mask = qes.hop_mask(1)
+        mask = qes.hop == 1
         expected = np.mean(probs[mask] - labels[mask].astype(float))
         assert abs(grads.grads[-1][0] - expected) <= 1e-12
 
@@ -425,6 +424,14 @@ class TestBackward:
         probs = model_forward(qes, model)
         assert np.array_equal(grads.probs[0], probs)
         assert grads.losses[0] == masked_loss(probs, labels, qes.hop)
+
+    def test_no_first_hop_nodes(self):
+        qes = Qes(9, [0, 1], [2, 2], [[0, 1], [1, 0]], np.ones((2, 3)))
+        other = random_qes(np.random.default_rng(11), 4, 3)
+        model = init_model(3, conv_widths=(4, 3), fc_widths=(2,), seed=2)
+        for batch in ([qes], [other, qes]):
+            with pytest.raises(EmptyLossSet):
+                backward([prepare(q, [True] * len(q)) for q in batch], model)
 
 
 def isolated_qes(rng, n, d, isolated):
@@ -491,15 +498,15 @@ class TestBatchBackward:
             noise_sigma=0.05, dim=32, seed=42,
         ))
         config = TrainConfig(tau_mo=0.25, tau_ct=0.15, qes_params=QesParams(100, 5, 10))
-        subgraphs = build_training_set(
+        subgraphs = labeled_subgraphs(
             scene.embeddings, scene.overlaps, list(scene.embeddings.ids), config)
         ckpt = Path(__file__).resolve().parents[1] / "bench" / "reference_model.ckpt"
         model = load_model(ckpt.read_bytes())
         worst = 0.0
         for start in range(0, len(subgraphs), 8):
             batch = subgraphs[start : start + 8]
-            low = backward([prepare(q, q.labels, np.float32) for q in batch], model)
-            for qes, probs in zip(batch, low.probs):
+            low = backward([prepare(q, y, np.float32) for q, y in batch], model)
+            for (qes, _), probs in zip(batch, low.probs):
                 worst = max(worst, float(np.max(np.abs(probs - model_forward(qes, model)))))
         assert worst <= 1e-4
 

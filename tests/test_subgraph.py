@@ -6,7 +6,7 @@ import pytest
 
 from matchgraph import knn
 from matchgraph.embeddings import EmbeddingMatrix
-from matchgraph.errors import DimensionError, InvalidAdjacency, InvalidRecord, UnknownImage
+from matchgraph.errors import InvalidAdjacency, InvalidRecord, UnknownImage
 from matchgraph.knn import build_index
 from matchgraph.synthetic import SceneConfig, generate_scene
 from matchgraph.subgraph import (
@@ -179,15 +179,15 @@ class TestBuildQes:
         qes = build_qes(index, emb, 4, params)
         qrow = emb.position(4)
         rows, hops = discover_nodes(index, qrow, 3, 2)
-        assert qes.nodes == tuple(index.ids[rows].tolist())
-        assert qes.hop == tuple(hops.tolist())
+        assert qes.nodes.tolist() == index.ids[rows].tolist()
+        assert qes.hop.tolist() == hops.tolist()
         assert np.array_equal(qes.adjacency, append_edges(index, rows, 2))
         assert np.array_equal(qes.features, compute_features(emb, qrow, rows))
 
     def test_lone_image_gets_an_empty_subgraph(self):
         emb, index = ring_scene(1)
         qes = build_qes(index, emb, 0, QesParams(3, 2, 2))
-        assert len(qes) == 0 and qes.hop == ()
+        assert len(qes) == 0 and qes.hop.tolist() == []
         assert qes.adjacency.shape == (0, 0) and qes.features.shape == (0, 2)
 
     def test_unknown_query(self):
@@ -215,8 +215,8 @@ class TestBuildQes:
         o_nodes, o_hops, o_edges, o_features = oracle_build(
             list(emb.ids), emb.vectors, 5, 3, 2, 2
         )
-        assert qes.nodes == tuple(o_nodes)
-        assert qes.hop == tuple(o_hops)
+        assert qes.nodes.tolist() == o_nodes
+        assert qes.hop.tolist() == o_hops
         assert edges_of_qes(qes) == o_edges
         assert np.array_equal(qes.features, o_features)
 
@@ -234,8 +234,8 @@ class TestBuildQes:
             o_nodes, o_hops, o_edges, o_features = oracle_build(
                 list(emb.ids), emb.vectors, q, 12, 3, 5
             )
-            assert qes.nodes == tuple(o_nodes)
-            assert qes.hop == tuple(o_hops)
+            assert qes.nodes.tolist() == o_nodes
+            assert qes.hop.tolist() == o_hops
             assert edges_of_qes(qes) == o_edges
             assert np.array_equal(qes.features, o_features)
 
@@ -256,8 +256,8 @@ class TestBuildQes:
                 o_nodes, o_hops, o_edges, o_features = oracle_build(
                     list(emb.ids), emb.vectors, q, params.k1, params.k2, params.u
                 )
-                assert qes.nodes == tuple(o_nodes)
-                assert qes.hop == tuple(o_hops)
+                assert qes.nodes.tolist() == o_nodes
+                assert qes.hop.tolist() == o_hops
                 assert edges_of_qes(qes) == o_edges
                 assert np.array_equal(qes.features, o_features)
 
@@ -280,10 +280,10 @@ class TestBuildQes:
             assert sum(1 for h in qes.hop if h == 1) == min(params.k1, n - 1)
             # The builder skips the checks of `Qes(...)`; its output must pass them.
             assert Qes(q, qes.nodes, qes.hop, qes.adjacency, qes.features) == qes
-            assert not qes.adjacency.flags.writeable and not qes.features.flags.writeable
-            assert type(qes.query_id) is int and qes.labels is None
-            for tags in (qes.nodes, qes.hop):
-                assert type(tags) is tuple and all(type(v) is int for v in tags)
+            for a in (qes.nodes, qes.hop, qes.adjacency, qes.features):
+                assert not a.flags.writeable
+            assert type(qes.query_id) is int and not hasattr(qes, "labels")
+            assert qes.nodes.dtype == np.uint64 and qes.hop.dtype.kind == "i"
 
     def test_ranking_around_the_query_changes_no_bit(self, monkeypatch):
         # `build_qes` ranks node rows against pools around the query. Over
@@ -296,8 +296,8 @@ class TestBuildQes:
         def build():
             index = build_index(emb)
             built = [build_qes(index, emb, q, QesParams()) for q in queries]
-            return index, [(g.nodes, g.hop, g.adjacency.tobytes(), g.features.tobytes())
-                           for g in built]
+            return index, [(g.nodes.tobytes(), g.hop.tobytes(), g.adjacency.tobytes(),
+                            g.features.tobytes()) for g in built]
 
         pooled_index, pooled = build()
         table = knn.Index.table
@@ -340,10 +340,31 @@ class TestQesValidation:
         with pytest.raises(InvalidAdjacency):
             Qes(0, [1, 2], [1, 1], [[0, 0.5], [0.5, 0]], np.zeros((2, 2)))
 
-    def test_with_labels_shares_arrays_and_checks_length(self):
-        qes = Qes(0, [1, 2], [1, 2], [[0, 1], [1, 0]], np.ones((2, 3)))
-        labeled = qes.with_labels([1, 0])
-        assert labeled.labels == (True, False) and qes.labels is None
-        assert labeled.adjacency is qes.adjacency and labeled.features is qes.features
-        with pytest.raises(DimensionError):
-            qes.with_labels([True])
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_rejects_an_id_outside_u64(self, bad):
+        for query_id, nodes in ((0, [1, bad]), (bad, [1, 2])):
+            with pytest.raises(InvalidRecord, match=r"\[0, 2\^64\)"):
+                Qes(query_id, nodes, [1, 1], np.zeros((2, 2)), np.zeros((2, 2)))
+
+    def test_accepts_the_largest_u64_id(self):
+        top = 2**64 - 1
+        qes = Qes(top - 1, [top, 0], [1, 2], np.zeros((2, 2)), np.zeros((2, 2)))
+        assert qes.nodes.tolist() == [top, 0] and qes.query_id == top - 1
+
+    def test_shuffled_copy_equals_the_permuted_build(self):
+        # Built as the benchmark's equivariance check builds it: lists of
+        # np.uint64 ids and of ints, adjacency and features permuted.
+        emb, index = ring_scene(30, dim=5, seed=12, shuffled=True)
+        qes = build_qes(index, emb, emb.ids[3], QesParams(6, 2, 3))
+        perm = np.random.default_rng(12).permutation(len(qes))
+        shuffled = Qes(qes.query_id, [qes.nodes[i] for i in perm], [qes.hop[i] for i in perm],
+                       qes.adjacency[np.ix_(perm, perm)], qes.features[perm])
+        assert shuffled.nodes.tolist() == qes.nodes[perm].tolist()
+        assert shuffled.hop.tolist() == qes.hop[perm].tolist()
+        assert shuffled == Qes._built(qes.query_id, qes.nodes[perm], qes.hop[perm],
+                                      qes.adjacency[np.ix_(perm, perm)], qes.features[perm])
+        assert shuffled.nodes.dtype == np.uint64
+        for a in (shuffled.nodes, shuffled.hop, shuffled.adjacency, shuffled.features):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]

@@ -9,7 +9,7 @@ import pytest
 import matchgraph as mg
 from matchgraph import evaluation, gcn, trainer
 from matchgraph.errors import NoTrainingData
-from matchgraph.gcn import masked_loss, prepare, save_model
+from matchgraph.gcn import prepare, save_model
 from matchgraph.overlaps import OverlapRecord, OverlapStore
 from matchgraph.subgraph import QesParams
 from matchgraph.trainer import (
@@ -21,7 +21,7 @@ from matchgraph.trainer import (
     train,
 )
 
-from gcn_oracle import adam_step, oracle_train
+from gcn_oracle import adam_step, labeled_subgraphs, masked_loss, oracle_train
 
 
 # The settings each config class needs besides the one under test.
@@ -50,16 +50,16 @@ class TestLabelQes:
         scene = small_scene()
         index = mg.build_index(scene.embeddings)
         qes = mg.build_qes(index, scene.embeddings, 0, QesParams(4, 2, 3))
-        labeled = label_qes(qes, OverlapStore(), TrainConfig())
-        assert labeled.labels == tuple([False] * len(qes))
+        labels = label_qes(qes, OverlapStore(), TrainConfig())
+        assert labels.dtype == bool and labels.tolist() == [False] * len(qes)
 
     def test_full_overlap_labels_true(self):
         scene = small_scene()
         index = mg.build_index(scene.embeddings)
         qes = mg.build_qes(index, scene.embeddings, 0, QesParams(4, 2, 3))
-        store = OverlapStore([OverlapRecord(0, qes.nodes[0], 1.0, 1.0)])
-        labeled = label_qes(qes, store, TrainConfig())
-        assert labeled.labels[0] is True
+        store = OverlapStore([OverlapRecord(0, int(qes.nodes[0]), 1.0, 1.0)])
+        labels = label_qes(qes, store, TrainConfig())
+        assert labels.tolist()[0] is True
 
     def test_labels_match_generator_truth(self):
         scene = small_scene(n=20, s=2)
@@ -67,10 +67,10 @@ class TestLabelQes:
         index = mg.build_index(scene.embeddings)
         n, window = 20, math.pi / 6
         for q in (0, 7, 13):
-            qes = label_qes(
-                mg.build_qes(index, scene.embeddings, q, cfg.qes_params), scene.overlaps, cfg
-            )
-            for v, got in zip(qes.nodes, qes.labels):
+            qes = mg.build_qes(index, scene.embeddings, q, cfg.qes_params)
+            labels = label_qes(qes, scene.overlaps, cfg)
+            assert labels.shape == (len(qes),)
+            for v, got in zip(qes.nodes.tolist(), labels.tolist()):
                 steps = min(abs(q - v), n - abs(q - v))
                 circ = steps * 2 * math.pi / n
                 if circ <= window:
@@ -83,6 +83,51 @@ class TestLabelQes:
 
 def flat(*arrays):
     return np.concatenate([np.asarray(a, dtype=float).ravel() for a in arrays])
+
+
+class TestBuildTrainingSet:
+    def test_prepares_each_fresh_subgraph_in_float32(self):
+        scene = small_scene(n=20)
+        cfg = TrainConfig(qes_params=QesParams(5, 2, 3))
+        queries = [0, 3, 11, 19]
+        subgraphs = build_training_set(scene.embeddings, scene.overlaps, queries, cfg)
+        assert len(subgraphs) == len(queries)
+        index = mg.build_index(scene.embeddings)
+        for sub, q in zip(subgraphs, queries):
+            qes = mg.build_qes(index, scene.embeddings, q, cfg.qes_params)
+            labels = label_qes(qes, scene.overlaps, cfg)
+            assert isinstance(sub, gcn.TrainingSubgraph)
+            assert sub.g.dtype == sub.features.dtype == np.float32
+            assert np.array_equal(sub.hop1, qes.hop == 1)
+            assert np.array_equal(sub.labels, labels) and sub.labels.dtype == np.float64
+            want = prepare(qes, labels, np.float32)
+            assert sub.g.tobytes() == want.g.tobytes()
+            assert sub.features.tobytes() == want.features.tobytes()
+
+    def test_skips_a_query_with_no_1_hop_node(self, monkeypatch, caplog):
+        scene = small_scene()
+        cfg = TrainConfig(qes_params=QesParams(4, 2, 3))
+        build = trainer.build_qes
+
+        def second_hop_only(index, emb, q, params):
+            qes = build(index, emb, q, params)
+            if q != 1:
+                return qes
+            return mg.Qes(q, qes.nodes, np.full(len(qes), 2), qes.adjacency, qes.features)
+
+        monkeypatch.setattr(trainer, "build_qes", second_hop_only)
+        with caplog.at_level(logging.WARNING, logger="matchgraph.trainer"):
+            subgraphs = build_training_set(scene.embeddings, scene.overlaps, [0, 1, 2], cfg)
+        assert len(subgraphs) == 2
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            "query 1 has no 1-hop nodes; skipping"]
+
+    def test_lone_image_is_skipped_then_refused(self, caplog):
+        emb = mg.EmbeddingMatrix([5], [[1.0, 0.0]])
+        with caplog.at_level(logging.WARNING, logger="matchgraph.trainer"):
+            with pytest.raises(NoTrainingData):
+                build_training_set(emb, OverlapStore(), [5], TrainConfig())
+        assert "query 5 has no 1-hop nodes; skipping" in caplog.messages
 
 
 class TestOptimizerStep:
@@ -193,12 +238,11 @@ class TestTrain:
         _, history = train(scene.embeddings, scene.overlaps, ids, cfg, **widths)
         model = mg.init_model(8, seed=[7, 0], **widths)
         triples = []
-        for qes in build_training_set(scene.embeddings, scene.overlaps, ids, cfg):
+        for qes, labels in labeled_subgraphs(scene.embeddings, scene.overlaps, ids, cfg):
             probs = mg.model_forward(qes, model)
-            nodes = np.asarray(qes.nodes)
-            hop1 = qes.hop_mask(1)
-            predicted = set(nodes[hop1 & (probs > 0.5)].tolist())
-            relevant = set(nodes[hop1 & np.asarray(qes.labels)].tolist())
+            hop1 = qes.hop == 1
+            predicted = set(qes.nodes[hop1 & (probs > 0.5)].tolist())
+            relevant = set(qes.nodes[hop1 & labels].tolist())
             triples.append(evaluation.per_query_prf(predicted, relevant))
         row = history[0]
         assert (row.precision, row.recall, row.fmeasure) == evaluation.macro_average(triples)
@@ -348,8 +392,9 @@ class TestTrainEqualsOracle:
 
         monkeypatch.setattr(gcn, "_normalize", counted)
         train(scene.embeddings, scene.overlaps, ids, cfg, conv_widths=(6, 6, 4, 4), fc_widths=(3,))
+        during_train = len(calls)
         n = len(build_training_set(scene.embeddings, scene.overlaps, ids, cfg))
-        assert len(calls) == n
+        assert during_train == n
 
     def test_second_run_repeats_the_first_and_leaves_its_model(self, monkeypatch):
         scene = small_scene()
@@ -384,7 +429,7 @@ class TestHop1Prf:
         hop = np.where(rng.random(n) < 0.7, 1, 2)
         labels = rng.random(n) < rng.choice([0.0, 0.1, 0.5, 1.0])
         probs = rng.random(n) * rng.choice([0.4, 1.0, 2.0])
-        qes = mg.Qes(0, nodes, hop, np.zeros((n, n)), np.zeros((n, 2))).with_labels(labels)
+        qes = mg.Qes(0, nodes, hop, np.zeros((n, n)), np.zeros((n, 2)))
         hop1 = hop == 1
         predicted = set(nodes[hop1 & (probs > 0.5)].tolist())
         relevant = set(nodes[hop1 & labels].tolist())
@@ -393,9 +438,8 @@ class TestHop1Prf:
         assert all(type(v) is float for v in got)
 
     def test_empty_sets_follow_the_conventions(self):
-        qes = mg.Qes(0, [1, 2], [1, 2], np.zeros((2, 2)), np.zeros((2, 2))).with_labels(
-            [False, True])
-        sub = prepare(qes, qes.labels)
+        qes = mg.Qes(0, [1, 2], [1, 2], np.zeros((2, 2)), np.zeros((2, 2)))
+        sub = prepare(qes, [False, True])
         assert trainer._hop1_prf(sub, np.array([0.1, 0.9])) == (1.0, 1.0, 1.0)
         assert trainer._hop1_prf(sub, np.array([0.9, 0.9])) == (0.0, 1.0, 0.0)
         labeled = prepare(qes, [True, False])
@@ -406,15 +450,15 @@ class TestHopTwoInfluence:
     def test_second_hop_labels_never_reach_loss(self):
         scene = small_scene()
         cfg = TrainConfig(qes_params=QesParams(4, 2, 3))
-        subgraphs = build_training_set(
+        subgraphs = labeled_subgraphs(
             scene.embeddings, scene.overlaps, list(scene.embeddings.ids), cfg
         )
         model = mg.init_model(8, conv_widths=(6, 6, 4, 4), fc_widths=(3,), seed=0)
         flipped_any = False
-        for qes in subgraphs:
+        for qes, labels in subgraphs:
             probs = mg.model_forward(qes, model)
-            base = masked_loss(probs, qes.labels, qes.hop)
-            labels = list(qes.labels)
+            base = masked_loss(probs, labels, qes.hop)
+            labels = labels.tolist()
             for i, h in enumerate(qes.hop):
                 if h == 2:
                     labels[i] = not labels[i]
