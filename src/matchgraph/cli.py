@@ -14,12 +14,14 @@ Exit codes: 0 success, 2 usage error, 3 parse/read error, 4 compute error.
 """
 
 import argparse
+import io
 import logging
 import os
 import sys
+import time
 
 from . import evaluation, overlaps, retrieval, synthetic, trainer
-from .embeddings import ID_END, load_embeddings, save_embeddings
+from .embeddings import ID_END, decode_text, load_embeddings, save_embeddings
 from .errors import InvalidRecord, MatchgraphError, ParseError
 from .gcn import load_model, save_model
 from .knn import build_index
@@ -46,17 +48,23 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of an input file: its bytes, decoded once as UTF-8."""
+    with open(path, "rb") as fp:
+        return decode_text(fp.read(), what)
+
+
 def _read_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise InvalidRecord(f"config line {lineno} is not key=value: {stripped!r}")
-            key, _, value = stripped.partition("=")
-            cfg[key.strip().replace("-", "_")] = value.strip()
+    lines = io.StringIO(_read_text(path, "config file"), newline=None)
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise InvalidRecord(f"config line {lineno} is not key=value: {stripped!r}")
+        key, _, value = stripped.partition("=")
+        cfg[key.strip().replace("-", "_")] = value.strip()
     return cfg
 
 
@@ -118,24 +126,35 @@ def _read_queries(path: str) -> list[int]:
     is refused with its byte offset."""
     queries = []
     offset = 0
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        for line in fp:
-            stripped = line.strip()
-            if stripped:
-                try:
-                    query = int(stripped)
-                except ValueError:
-                    raise InvalidRecord(f"bad query id {stripped!r}", offset=offset)
-                if not 0 <= query < ID_END:
-                    raise InvalidRecord(f"query id {query} outside [0, 2^64)", offset=offset)
-                queries.append(query)
-            offset += len(line.encode("utf-8"))
+    for line in io.StringIO(_read_text(path, "query file"), newline=""):
+        stripped = line.strip()
+        if stripped:
+            try:
+                query = int(stripped)
+            except ValueError:
+                raise InvalidRecord(f"bad query id {stripped!r}", offset=offset)
+            if not 0 <= query < ID_END:
+                raise InvalidRecord(f"query id {query} outside [0, 2^64)", offset=offset)
+            queries.append(query)
+        offset += len(line.encode("utf-8"))
     return queries
 
 
 def _load_embeddings_file(path: str):
     with open(path, "rb") as fp:
         return load_embeddings(fp)
+
+
+def _load_overlaps_file(path: str) -> overlaps.OverlapStore:
+    """The store of a binary or text overlap file, logged with its record
+    count, format and load seconds."""
+    start = time.perf_counter()
+    with open(path, "rb") as fp:
+        data = fp.read()
+    store = overlaps.load_overlaps(data)
+    log.info("overlaps %s: %d records, %s, %.4f s", path, len(store),
+             "binary" if data[:4] == overlaps.MAGIC else "text", time.perf_counter() - start)
+    return store
 
 
 def _qes_params(args, cfg) -> QesParams:
@@ -169,14 +188,13 @@ def cmd_synth(args, cfg) -> int:
     scene = synthetic.generate_scene(synthetic.SceneConfig(**{"n_images": 360, **settings}))
     # every output is built before any file is opened, so a refused scene
     # writes nothing
-    embeddings = save_embeddings(scene.embeddings)
-    texts = [(args.overlaps, overlaps.save_overlaps(scene.overlaps))]
+    files = [(args.embeddings, save_embeddings(scene.embeddings)),
+             (args.overlaps, overlaps.save_overlaps(scene.overlaps))]
     if args.classes:
-        texts.append((args.classes, synthetic.save_classes(scene.classes)))
-    with open(args.embeddings, "wb") as fp:
-        fp.write(embeddings)
-    for path, text in texts:
-        _write_text(path, text)
+        files.append((args.classes, synthetic.save_classes(scene.classes).encode("utf-8")))
+    for path, data in files:
+        with open(path, "wb") as fp:
+            fp.write(data)
     return EXIT_OK
 
 
@@ -203,8 +221,7 @@ def cmd_index(args, cfg) -> int:
 
 def cmd_train(args, cfg) -> int:
     emb = _load_embeddings_file(args.embeddings)
-    with open(args.overlaps, "r", encoding="utf-8") as fp:
-        records = overlaps.load_overlaps(fp.read())
+    records = _load_overlaps_file(args.overlaps)
     queries = _read_queries(args.queries) if args.queries else sorted(emb.ids)
     config = trainer.TrainConfig(
         qes_params=_qes_params(args, cfg),
@@ -267,12 +284,10 @@ def cmd_baseline(args, cfg) -> int:
 
 def _load_truth(args, cfg) -> evaluation.GroundTruth:
     if args.truth_pairs:
-        with open(args.truth_pairs, "r", encoding="utf-8") as fp:
-            pairs = retrieval.read_pair_file(fp.read())
+        pairs = retrieval.read_pair_file(_read_text(args.truth_pairs, "truth pair file"))
         return evaluation.GroundTruth.from_pairs([(a, b) for a, b, _ in pairs])
     if args.overlaps:
-        with open(args.overlaps, "r", encoding="utf-8") as fp:
-            store = overlaps.load_overlaps(fp.read())
+        store = _load_overlaps_file(args.overlaps)
         return evaluation.GroundTruth.from_columns(
             *store.columns(), **_given(args, cfg, tau_mo=_fraction, tau_ct=_fraction))
     raise InvalidRecord("ground truth requires --truth-pairs or --overlaps")
@@ -282,8 +297,7 @@ def cmd_eval(args, cfg) -> int:
     if args.queries and args.embeddings:
         sys.stderr.write("matchgraph: error: give at most one of --queries / --embeddings\n")
         return EXIT_USAGE
-    with open(args.pairs, "r", encoding="utf-8") as fp:
-        predicted_pairs = retrieval.read_pair_file(fp.read())
+    predicted_pairs = retrieval.read_pair_file(_read_text(args.pairs, "pair file"))
     truth = _load_truth(args, cfg)
     predicted = retrieval.pairs_to_query_sets(predicted_pairs)
     if args.queries:
@@ -301,13 +315,11 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_stats(args, cfg) -> int:
-    with open(args.pairs, "r", encoding="utf-8") as fp:
-        pairs = retrieval.read_pair_file(fp.read())
+    pairs = retrieval.read_pair_file(_read_text(args.pairs, "pair file"))
     truth = _load_truth(args, cfg)
     classes = None
     if args.classes:
-        with open(args.classes, "r", encoding="utf-8") as fp:
-            classes = synthetic.load_classes(fp.read())
+        classes = synthetic.load_classes(_read_text(args.classes, "class file"))
     # the pair file was checked as it was read: a < b, ids in [0, 2^64), scores in [0, 1]
     results = [retrieval.RetrievalResult._built(a, ((b, score),)) for a, b, score in pairs]
     stats = evaluation.view_graph_stats(results, truth, classes)

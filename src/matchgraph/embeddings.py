@@ -30,6 +30,25 @@ ID_END = 2**64  # image ids are u64; overlap and pair files share the type
 _SPACE_TO_NUMPY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
+def decode_text(data: bytes, what: str) -> str:
+    """`data` decoded as UTF-8; bytes that are not UTF-8 are refused with
+    the byte offset of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidRecord(f"{what} is not valid UTF-8", offset=exc.start) from None
+
+
+def check_size(data: bytes, expected: int) -> None:
+    """Refuse a binary file shorter or longer than its header promises."""
+    if len(data) < expected:
+        raise TruncatedPayload(
+            f"expected {expected} bytes, file has {len(data)}", offset=len(data)
+        )
+    if len(data) > expected:
+        raise InvalidRecord("trailing bytes after payload", offset=expected)
+
+
 def read_rows(text: str, row: np.dtype) -> np.ndarray | None:
     """The whitespace-separated rows of `text` as an array of `row`, parsed
     in one call of numpy's text reader, or None for blank text, for a line
@@ -152,12 +171,7 @@ def _load_binary(data: bytes) -> EmbeddingMatrix:
     ids_start = _HEADER.size
     payload_start = ids_start + 8 * n
     expected = payload_start + 4 * n * dim
-    if len(data) < expected:
-        raise TruncatedPayload(
-            f"expected {expected} bytes, file has {len(data)}", offset=len(data)
-        )
-    if len(data) > expected:
-        raise InvalidRecord("trailing bytes after payload", offset=expected)
+    check_size(data, expected)
     ids = np.frombuffer(data, dtype="<u8", count=n, offset=ids_start)
     seen: set[int] = set()
     for k, image_id in enumerate(ids):
@@ -177,10 +191,7 @@ def _load_binary(data: bytes) -> EmbeddingMatrix:
 
 
 def _load_text(data: bytes) -> EmbeddingMatrix:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidRecord("embedding text is not valid UTF-8", offset=exc.start)
+    text = decode_text(data, "embedding text")
     ids: list[int] = []
     rows: list[list[float]] = []
     seen: set[int] = set()

@@ -9,12 +9,13 @@ it.
 """
 
 import math
+import struct
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .embeddings import ID_END, read_rows
-from .errors import InvalidRecord, NonFiniteValue, ParseError
+from .embeddings import ID_END, check_size, decode_text, read_rows
+from .errors import InvalidRecord, MalformedHeader, NonFiniteValue, ParseError, VersionMismatch
 
 # Labeling thresholds of the balanced operating point.
 TAU_MO = 0.25
@@ -178,12 +179,8 @@ class OverlapStore:
         ids = np.concatenate([self._j[start:stop], self._i[self._by_j[left:right]]])
         return Partners(ids, self._mo[rows], self._ct[rows])
 
-    def _rows(self) -> Iterable[tuple[int, int, float, float]]:
-        """`(i, j, mo, ct)` tuples of Python numbers, in store order."""
-        return zip(self._i.tolist(), self._j.tolist(), self._mo.tolist(), self._ct.tolist())
-
     def records(self) -> list[OverlapRecord]:
-        return list(map(OverlapRecord._make, self._rows()))
+        return list(map(OverlapRecord._make, zip(*(c.tolist() for c in self.columns()))))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The read-only `(i, j, mo, ct)` columns in store order."""
@@ -205,16 +202,26 @@ def _store(columns: tuple[np.ndarray, ...]) -> OverlapStore:
     return store
 
 
-_OVERLAP_ROW = np.dtype([("i", "u8"), ("j", "u8"), ("mo", "f8"), ("ct", "f8")])
+MAGIC = b"MGOV"
+FORMAT_VERSION = 1
+_HEADER = struct.Struct("<4sIQ")  # magic, version, record count
+_OVERLAP_ROW = np.dtype([("i", "<u8"), ("j", "<u8"), ("mo", "<f8"), ("ct", "<f8")])
 
 
-def load_overlaps(text: str) -> OverlapStore:
-    """Parse `i j mo ct` lines into a store.
+def load_overlaps(source: str | bytes) -> OverlapStore:
+    """Read an overlap file into a store: binary when its bytes start with
+    the magic, otherwise `i j mo ct` lines of UTF-8 text.
 
     numpy's text reader parses the whole text at once; text that it
     refuses, or whose rows fail the store's check, goes to the per-line
     parser, which accepts the same texts and reports the earliest fault.
     """
+    if isinstance(source, str):
+        text = source
+    elif source[:4] == MAGIC:
+        return _load_binary(source)
+    else:
+        text = decode_text(source, "overlap text")
     rows = read_rows(text, _OVERLAP_ROW)
     if rows is not None:
         columns, fault = _check(rows["i"], rows["j"], rows["mo"], rows["ct"])
@@ -257,5 +264,29 @@ def _load_overlaps_by_line(text: str) -> OverlapStore:
     return _store(columns)
 
 
-def save_overlaps(store: OverlapStore) -> str:
-    return "".join([f"{i} {j} {mo!r} {ct!r}\n" for i, j, mo, ct in store._rows()])
+def _load_binary(data: bytes) -> OverlapStore:
+    """The store of a binary overlap file. Its rows pass the same check as
+    text rows; a faulty row is reported at its byte offset."""
+    if len(data) < _HEADER.size:
+        raise MalformedHeader("incomplete overlap header", offset=len(data))
+    _, version, n = _HEADER.unpack_from(data)
+    if version != FORMAT_VERSION:
+        raise VersionMismatch(f"unsupported overlap version {version}", offset=4)
+    expected = _HEADER.size + _OVERLAP_ROW.itemsize * n
+    check_size(data, expected)
+    rows = np.frombuffer(data, dtype=_OVERLAP_ROW, count=n, offset=_HEADER.size)
+    columns, fault = _check(rows["i"], rows["j"], rows["mo"], rows["ct"])
+    if fault is not None:
+        r, error = fault
+        raise type(error)(str(error), offset=_HEADER.size + _OVERLAP_ROW.itemsize * r)
+    return _store(columns)
+
+
+def save_overlaps(store: OverlapStore) -> bytes:
+    """The binary overlap file (little-endian): magic, version u32, record
+    count u64, then one `(i u64, j u64, mo f64, ct f64)` row per record in
+    store order."""
+    rows = np.empty(len(store), dtype=_OVERLAP_ROW)
+    for name, column in zip(_OVERLAP_ROW.names, store.columns()):
+        rows[name] = column
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, len(rows)) + rows.tobytes()

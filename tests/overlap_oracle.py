@@ -5,6 +5,8 @@ to a dict keyed by unordered pair: a repeat with identical scores replaces
 the stored record, a repeat with other scores is a conflict. The first
 faulty line raises, with its byte offset. `overlaps.load_overlaps` must give
 the same records and the same errors.
+
+`overlap_text` writes a store as the text format, one line per record.
 """
 
 from matchgraph.errors import InvalidRecord, NonFiniteValue
@@ -48,3 +50,8 @@ def parse_overlaps(text: str) -> list[OverlapRecord]:
                 raise type(exc)(str(exc), offset=offset) from None
         offset += len(line.encode("utf-8"))
     return [pairs[key] for key in sorted(pairs)]
+
+
+def overlap_text(store) -> str:
+    """The `i j mo ct` text of a store, one line per record in store order."""
+    return "".join(f"{r.i} {r.j} {r.mo!r} {r.ct!r}\n" for r in store.records())

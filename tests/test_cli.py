@@ -20,6 +20,7 @@ from matchgraph.retrieval import pairs_to_query_sets, read_pair_file, write_pair
 from matchgraph.synthetic import SceneConfig, generate_scene
 from matchgraph.trainer import TrainConfig
 
+from overlap_oracle import overlap_text
 from retrieval_oracle import brute_force_knn
 from test_retrieval import antipodal_embeddings
 
@@ -53,7 +54,7 @@ class TestSynth:
         with open(scene_files["embeddings"], "rb") as fp:
             emb = mg.load_embeddings(fp)
         assert len(emb) == 24
-        store = load_overlaps(scene_files["overlaps"].read_text())
+        store = load_overlaps(scene_files["overlaps"].read_bytes())
         assert len(store) > 0
 
     def test_rerun_is_byte_identical(self, scene_files, tmp_path):
@@ -248,14 +249,14 @@ class TestEval:
     def test_embeddings_make_every_image_a_query(self, scene_files, tmp_path):
         # images 0-3 have no overlap record and appear in no predicted pair:
         # without --embeddings the CLI leaves them out of its macro average
-        store = load_overlaps(scene_files["overlaps"].read_text())
+        store = load_overlaps(scene_files["overlaps"].read_bytes())
         kept = [r for r in store.records() if r.i > 3 and r.j > 3]
         overlaps = tmp_path / "partial.ov"
-        overlaps.write_text(save_overlaps(OverlapStore(kept)))
+        overlaps.write_bytes(save_overlaps(OverlapStore(kept)))
         pairs = tmp_path / "pairs.txt"
         with open(pairs, "w", encoding="utf-8") as fp:
             write_pair_file([(a, a + d, 0.5) for a in range(4, 20) for d in (1, 2)], fp)
-        truth = GroundTruth.from_columns(*load_overlaps(overlaps.read_text()).columns())
+        truth = GroundTruth.from_columns(*load_overlaps(overlaps.read_bytes()).columns())
         predicted = pairs_to_query_sets(read_pair_file(pairs.read_text()))
         want = macro_average([per_query_prf(predicted.get(q, set()), truth.relevant(q))
                               for q in range(24)])
@@ -281,6 +282,51 @@ class TestEval:
         assert not report.exists()
 
 
+class TestOverlapFiles:
+    def test_binary_and_text_give_identical_outputs(self, scene_files, tmp_path):
+        binary = scene_files["overlaps"]
+        scene = generate_scene(SceneConfig(n_images=24, symmetry_s=2, overlap_angle=math.pi / 6,
+                                           noise_sigma=0.05, dim=8, seed=3))
+        assert binary.read_bytes() == save_overlaps(scene.overlaps)
+        text = tmp_path / "scene.txt"
+        text.write_text(overlap_text(scene.overlaps))
+        pairs = tmp_path / "pairs.txt"
+        assert run("baseline", "--embeddings", scene_files["embeddings"], "--topk", 4,
+                   "--pairs-out", pairs) == 0
+        outputs = []
+        for overlaps in (binary, text):
+            out = tmp_path / f"from-{overlaps.name}"
+            out.mkdir()
+            assert run("train", "--embeddings", scene_files["embeddings"], "--overlaps", overlaps,
+                       "--model", out / "model.ckpt", "--history-out", out / "history.csv",
+                       "--k1", 6, "--k2", 2, "--u", 3, "--epochs", 2, "--seed", 7,
+                       "--conv-widths", "8,8,6,6", "--fc-widths", "4") == 0
+            assert run("eval", "--pairs", pairs, "--overlaps", overlaps,
+                       "--report-out", out / "report.csv") == 0
+            assert run("stats", "--pairs", pairs, "--overlaps", overlaps, "--classes",
+                       scene_files["classes"], "--report-out", out / "stats.csv") == 0
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert sorted(outputs[0]) == ["history.csv", "model.ckpt", "report.csv", "stats.csv"]
+        assert outputs[0] == outputs[1]
+
+    def test_loader_logs_one_line_per_file(self, scene_files, tmp_path, caplog):
+        binary = scene_files["overlaps"]
+        n = len(load_overlaps(binary.read_bytes()))
+        text = tmp_path / "scene.txt"
+        text.write_text(overlap_text(load_overlaps(binary.read_bytes())))
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("# matchgraph pairs v1\n0 1 0.5\n")
+        with caplog.at_level(logging.INFO, logger="matchgraph.cli"):
+            for overlaps in (binary, text):
+                assert run("eval", "--pairs", pairs, "--overlaps", overlaps,
+                           "--report-out", tmp_path / "report.csv") == 0
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("overlaps ")]
+        assert len(lines) == 2
+        for line, path, kind in zip(lines, (binary, text), ("binary", "text")):
+            assert re.fullmatch(rf"overlaps {re.escape(str(path))}: {n} records, {kind}, "
+                                r"\d+\.\d{4} s", line)
+
+
 class TestBaseline:
     def test_topk_equals_library_computation(self, scene_files, tmp_path):
         pairs = tmp_path / "pairs.txt"
@@ -293,7 +339,7 @@ class TestBaseline:
         with open(scene_files["embeddings"], "rb") as fp:
             emb = mg.load_embeddings(fp)
         index = mg.build_index(emb)
-        store = load_overlaps(scene_files["overlaps"].read_text())
+        store = load_overlaps(scene_files["overlaps"].read_bytes())
         truth = GroundTruth.from_records(store.records(), 0.25, 0.15)
         results = [mg.topk_retrieve(index, q, 5) for q in sorted(emb.ids)]
         predicted = pairs_to_query_sets(
@@ -415,7 +461,7 @@ class TestLibraryDefaults:
         assert run("synth", "--embeddings", emb, "--overlaps", ov) == 0
         scene = generate_scene(SceneConfig(n_images=360))
         assert emb.read_bytes() == mg.save_embeddings(scene.embeddings)
-        assert ov.read_text() == save_overlaps(scene.overlaps)
+        assert ov.read_bytes() == save_overlaps(scene.overlaps)
 
     def test_synth_symmetry_from_config_equals_flag(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -722,6 +768,55 @@ class TestExitCodes:
         bad.write_text("0 1 0.5 0.5\n-1 2 0.5 0.5\n")
         assert run("eval", "--pairs", pairs, "--overlaps", bad) == 3
         assert "overlap id -1 outside [0, 2^64) (byte offset 12)" in capsys.readouterr().err
+
+    # Each input starts with valid text, then blank lines, so that the bad
+    # byte lies past the first 8 KiB a text-mode reader decodes at once.
+    NOT_UTF8 = {
+        "query file": b"0\n1\n",
+        "config file": b"k1=4\n# comment\n",
+        "pair file": b"# matchgraph pairs v1\n0 1 0.5\n",
+        "truth pair file": b"# matchgraph pairs v1\n0 2 0.5\n",
+        "class file": b"0 0\n1 1\n",
+        "overlap text": b"0 1 0.5 0.5\n",
+    }
+
+    @pytest.mark.parametrize("what", list(NOT_UTF8))
+    def test_text_input_that_is_not_utf8_is_parse_error(self, scene_files, tmp_path, capsys,
+                                                        what):
+        head = self.NOT_UTF8[what]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(head + b"\n" * 9000 + b"\xff\n")
+        pairs, out = tmp_path / "p.txt", tmp_path / "out"
+        pairs.write_text("# matchgraph pairs v1\n0 1 0.5\n")
+        truth = ["--overlaps", scene_files["overlaps"]]
+        argv = {
+            "query file": ["eval", "--pairs", pairs, *truth, "--queries", bad],
+            "config file": ["eval", "--pairs", pairs, *truth, "--config", bad],
+            "pair file": ["eval", "--pairs", bad, *truth],
+            "truth pair file": ["eval", "--pairs", pairs, "--truth-pairs", bad],
+            "class file": ["stats", "--pairs", pairs, *truth, "--classes", bad],
+            "overlap text": ["eval", "--pairs", pairs, "--overlaps", bad],
+        }[what]
+        assert run(*argv, "--report-out", out) == 3
+        offset = len(head) + 9000
+        assert f"parse error: {what} is not valid UTF-8 (byte offset {offset})" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what", ["pair file", "class file"])
+    def test_crlf_text_input_reports_the_file_byte_offset(self, tmp_path, capsys, what):
+        pairs, bad = tmp_path / "p.txt", tmp_path / "bad.txt"
+        pairs.write_text("# matchgraph pairs v1\n0 1 0.5\n")
+        if what == "pair file":
+            bad.write_bytes(b"# matchgraph pairs v1\r\n0 1 0.5\r\n3 2 0.5\r\n")
+            argv = ["eval", "--pairs", bad, "--truth-pairs", pairs]
+            want = "pair ids must ascend within a line (byte offset 32)"
+        else:
+            bad.write_bytes(b"0 0\r\n1 x\r\n")
+            argv = ["stats", "--pairs", pairs, "--truth-pairs", pairs, "--classes", bad]
+            want = "bad class line '1 x' (byte offset 5)"
+        assert run(*argv) == 3
+        assert want in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_id", [-5, 2**70])
     @pytest.mark.parametrize("flag", ["--pairs", "--truth-pairs"])

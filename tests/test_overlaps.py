@@ -1,10 +1,18 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from matchgraph import overlaps, trainer
-from matchgraph.errors import InvalidRecord, NonFiniteValue
+from matchgraph.errors import (
+    InvalidRecord,
+    MalformedHeader,
+    NonFiniteValue,
+    TruncatedPayload,
+    VersionMismatch,
+)
 from matchgraph.overlaps import (
     OverlapRecord,
     OverlapStore,
@@ -13,7 +21,7 @@ from matchgraph.overlaps import (
     save_overlaps,
 )
 
-from overlap_oracle import parse_overlaps
+from overlap_oracle import overlap_text, parse_overlaps
 
 
 class TestOverlapRecord:
@@ -89,7 +97,12 @@ class TestOverlapIdRange:
         top = 2**64 - 1
         store = load_overlaps(f"{top} 0 0.5 0.25\n")
         assert store.get(0, top) == (0, top, 0.5, 0.25)
-        assert save_overlaps(store) == f"0 {top} 0.5 0.25\n"
+        assert store.columns()[1].tolist() == [top]
+        data = save_overlaps(store)
+        assert data[24:32] == top.to_bytes(8, "little")
+        again = load_overlaps(data)
+        assert again == store and again.columns()[1].tolist() == [top]
+        assert overlap_text(again) == f"0 {top} 0.5 0.25\n"
         with pytest.raises(InvalidRecord):
             OverlapRecord(-1, 2, 0.5, 0.5)
 
@@ -233,9 +246,130 @@ class TestOverlapNumpyRoute:
         ids += [0, 2**64 - 1, 2**53, 2**53 + 1]
         scores = [0.0, 1.0, 5e-324, 1 - 2**-53] + rng.random(len(ids) - 4).tolist()
         store = OverlapStore.from_columns(ids[0::2], ids[1::2], scores[0::2], scores[1::2])
-        text = save_overlaps(store)
+        text = overlap_text(store)
         monkeypatch.setattr(overlaps, "_load_overlaps_by_line", refuse)
         assert load_overlaps(text) == store
+
+
+# The binary layout, written out independently of the library.
+ROW = np.dtype([("i", "<u8"), ("j", "<u8"), ("mo", "<f8"), ("ct", "<f8")])
+
+
+def binary(rows, version=1, count=None):
+    """A binary overlap file holding `rows` as they are, faulty ones included."""
+    head = b"MGOV" + struct.pack("<IQ", version, len(rows) if count is None else count)
+    return head + np.array([tuple(r) for r in rows], dtype=ROW).tobytes()
+
+
+def numeric(tokens):
+    a, b, mo, ct = tokens
+    return int(a), int(b), float(mo), float(ct)
+
+
+def text_of(rows):
+    return "".join(f"{a} {b} {mo!r} {ct!r}\n" for a, b, mo, ct in rows)
+
+
+# Faults a u64 row can hold; an id outside [0, 2^64) cannot be written.
+BINARY_FAULTS = ["self-pair", "nan", "inf", "out of range", "conflict", "self-pair and nan"]
+
+
+class TestBinaryOverlaps:
+    @pytest.mark.parametrize("records", [
+        [],
+        [(2**64 - 1, 0, 0.5, 0.25)],
+        [(1, 2, 0.0, 1.0), (4, 3, 1.0, 0.0)],
+        [(1, 2, 5e-324, 2.0**-1030)],
+    ], ids=["empty", "largest id", "scores 0 and 1", "subnormal"])
+    def test_round_trip_keeps_every_bit(self, records):
+        store = OverlapStore([OverlapRecord(*r) for r in records])
+        data = save_overlaps(store)
+        assert len(data) == 16 + 32 * len(records)
+        again = load_overlaps(data)
+        assert again == store
+        assert [c.tobytes() for c in again.columns()] == [c.tobytes() for c in store.columns()]
+
+    def test_golden_bytes(self):
+        store = OverlapStore([OverlapRecord(5, 2, 0.25, 0.125), OverlapRecord(7, 9, 1.0, 0.0)])
+        assert save_overlaps(store) == bytes.fromhex(
+            "4d474f56" "01000000" "0200000000000000"
+            "0200000000000000" "0500000000000000" "000000000000d03f" "000000000000c03f"
+            "0700000000000000" "0900000000000000" "000000000000f03f" "0000000000000000"
+        )
+
+    def test_valid_rows_give_the_oracle_records(self):
+        rng = np.random.default_rng(104)
+        for _ in range(100):
+            rows = [numeric(r) for r in with_repeats(rng, valid_rows(rng, int(rng.integers(0, 40))))]
+            assert load_overlaps(binary(rows)).records() == parse_overlaps(text_of(rows))
+
+    def test_identical_repeat_is_kept_once(self):
+        store = load_overlaps(binary([(1, 2, 0.5, 0.25), (2, 1, 0.5, 0.25)]))
+        assert store.records() == [(1, 2, 0.5, 0.25)]
+
+    @pytest.mark.parametrize("first", BINARY_FAULTS)
+    def test_earliest_faulty_row_raises_the_text_error_at_its_offset(self, first):
+        rng = np.random.default_rng([105, BINARY_FAULTS.index(first)])
+        for second in BINARY_FAULTS:
+            for _ in range(3):
+                rows = [numeric(r) for r in valid_rows(rng, int(rng.integers(1, 30)))]
+                at = int(rng.integers(1, len(rows) + 1))
+                later = int(rng.integers(at, len(rows) + 1))
+                rows = (rows[:at] + [numeric(fault_line(first, rng, rows[:at]))] + rows[at:later]
+                        + [numeric(fault_line(second, rng, rows[:at]))] + rows[later:])
+                kind, message, line_offset = outcome(parse_overlaps, text_of(rows))
+                starts = np.cumsum([0] + [len(line) for line in text_of(rows).splitlines(True)])
+                offset = 16 + 32 * starts.tolist().index(line_offset)
+                assert offset == 16 + 32 * at
+                message = message.replace(f"(byte offset {line_offset})", f"(byte offset {offset})")
+                got = outcome(lambda d: load_overlaps(d).records(), binary(rows))
+                assert got == (kind, message, offset)
+
+    @pytest.mark.parametrize("row, error, message", [
+        ((4, 4, 0.5, 0.5), InvalidRecord, "overlap record needs two distinct images"),
+        ((4, 5, float("nan"), 0.5), NonFiniteValue, "mo score must be finite"),
+        ((4, 5, 0.5, 1.5), InvalidRecord, "ct score 1.5 outside [0, 1]"),
+        ((2, 1, 0.5, 0.375), InvalidRecord,
+         "conflicting overlap scores for pair (1, 2): (0.5, 0.25) vs (0.5, 0.375)"),
+    ], ids=["i == j", "nan", "1.5", "conflicting repeat"])
+    def test_faulty_row_is_reported_at_its_offset(self, row, error, message):
+        rows = [(1, 2, 0.5, 0.25), (0, 3, 0.0, 1.0), row, (7, 8, 0.5, 0.5)]
+        with pytest.raises(error) as info:
+            load_overlaps(binary(rows))
+        assert info.value.offset == 16 + 32 * 2
+        assert str(info.value) == f"{message} (byte offset 80)"
+
+    def test_header_and_length_faults(self):
+        data = save_overlaps(OverlapStore([OverlapRecord(1, 2, 0.5, 0.25)]))
+        cases = [
+            (data[:4], MalformedHeader, 4),
+            (data[:15], MalformedHeader, 15),
+            (data[:4] + struct.pack("<I", 2) + data[8:], VersionMismatch, 4),
+            (data[:-1], TruncatedPayload, 47),
+            (data[:16], TruncatedPayload, 16),
+            (binary([], count=2**64 - 1), TruncatedPayload, 16),
+            (data + b"\0", InvalidRecord, 48),
+        ]
+        for bad, error, offset in cases:
+            with pytest.raises(error) as info:
+                load_overlaps(bad)
+            assert type(info.value) is error and info.value.offset == offset
+
+    def test_text_bytes_that_are_not_utf8_are_refused_at_their_offset(self):
+        with pytest.raises(InvalidRecord) as info:
+            load_overlaps(b"0 1 0.5 0.5\n2 \xff 0.5 0.5\n")
+        assert info.value.offset == 14
+        assert str(info.value) == "overlap text is not valid UTF-8 (byte offset 14)"
+
+    def test_text_bytes_and_binary_give_the_text_store(self):
+        rng = np.random.default_rng(106)
+        for _ in range(100):
+            text = compose(rng, with_repeats(rng, valid_rows(rng, int(rng.integers(0, 40)))))
+            want = outcome(lambda t: load_overlaps(t).records(), text)
+            assert outcome(lambda d: load_overlaps(d).records(), text.encode()) == want
+            if not isinstance(want, tuple):  # compose may break a line inside a record
+                store = load_overlaps(text)
+                assert load_overlaps(text.encode()) == store == load_overlaps(save_overlaps(store))
 
 
 class TestLabelPair:

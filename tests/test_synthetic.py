@@ -6,7 +6,7 @@ import pytest
 import matchgraph as mg
 from matchgraph.embeddings import save_embeddings
 from matchgraph.evaluation import GroundTruth, macro_average, per_query_prf
-from matchgraph.overlaps import OverlapRecord, save_overlaps
+from matchgraph.overlaps import OverlapRecord, load_overlaps, save_overlaps
 from matchgraph.synthetic import SceneConfig, generate_scene, load_classes, save_classes
 
 from overlap_oracle import add
@@ -30,7 +30,7 @@ def pairwise_overlap_text(config):
 def test_overlap_columns_equal_the_pairwise_build(n):
     for angle in (math.pi / 12, 3.0) if n <= 24 else (math.pi / 12,):
         config = SceneConfig(n_images=n, symmetry_s=4, overlap_angle=angle)
-        assert save_overlaps(generate_scene(config).overlaps) == pairwise_overlap_text(config)
+        assert generate_scene(config).overlaps == load_overlaps(pairwise_overlap_text(config))
 
 
 class TestConfigValidation:
