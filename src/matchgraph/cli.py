@@ -20,8 +20,10 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import evaluation, overlaps, retrieval, synthetic, trainer
-from .embeddings import ID_END, decode_text, load_embeddings, save_embeddings
+from .embeddings import decode_text, load_embeddings, raise_earliest, read_rows, save_embeddings
 from .errors import InvalidRecord, MatchgraphError, ParseError
 from .gcn import load_model, save_model
 from .knn import build_index
@@ -124,20 +126,10 @@ def _fraction(text: str) -> float:
 def _read_queries(path: str) -> list[int]:
     """One image id per line; a line that is not an integer in [0, 2^64)
     is refused with its byte offset."""
-    queries = []
-    offset = 0
-    for line in io.StringIO(_read_text(path, "query file"), newline=""):
-        stripped = line.strip()
-        if stripped:
-            try:
-                query = int(stripped)
-            except ValueError:
-                raise InvalidRecord(f"bad query id {stripped!r}", offset=offset)
-            if not 0 <= query < ID_END:
-                raise InvalidRecord(f"query id {query} outside [0, 2^64)", offset=offset)
-            queries.append(query)
-        offset += len(line.encode("utf-8"))
-    return queries
+    text = _read_text(path, "query file")
+    rows, fault = read_rows(text, np.dtype([("id", "u8")]), "query")
+    raise_earliest(text, fault)
+    return rows["id"].tolist()
 
 
 def _load_embeddings_file(path: str):

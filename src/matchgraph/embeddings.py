@@ -1,14 +1,21 @@
-"""Image embedding storage and file I/O.
+"""Image embedding storage, file I/O, and the reader of every text table.
 
 Embeddings are consumed precomputed: each image contributes one global
 descriptor row. Distances are measured between L2-normalized rows (see
 `knn`), but the rows themselves are stored raw so that consumers needing
 unnormalized descriptors (e.g. query-relative node features) still have them.
+
+`read_rows` parses the five text formats the package reads (embedding
+text, overlap text, pair files, query files and class files) into numpy
+rows; each caller then checks those rows in bulk and maps a faulty row to
+its line with `raise_earliest`.
 """
 
 import io
+import itertools
+import re
 import struct
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -18,6 +25,7 @@ from .errors import (
     InvalidRecord,
     MalformedHeader,
     NonFiniteValue,
+    ParseError,
     TruncatedPayload,
     UnknownImage,
     VersionMismatch,
@@ -26,8 +34,12 @@ from .errors import (
 MAGIC = b"MGEB"
 FORMAT_VERSION = 1
 ID_END = 2**64  # image ids are u64; overlap and pair files share the type
-# Line breaks of str.splitlines that numpy's text reader reads as spaces.
+# The line breaks of str.splitlines, and those that numpy's text reader reads as spaces.
+_LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 _SPACE_TO_NUMPY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# The integer field types of a text row, with their ranges as messages state them.
+_INT_RANGES = {np.dtype("u8"): (0, ID_END, "[0, 2^64)"),
+               np.dtype("i8"): (-2**63, 2**63, "[-2^63, 2^63)")}
 
 
 def decode_text(data: bytes, what: str) -> str:
@@ -49,22 +61,92 @@ def check_size(data: bytes, expected: int) -> None:
         raise InvalidRecord("trailing bytes after payload", offset=expected)
 
 
-def read_rows(text: str, row: np.dtype) -> np.ndarray | None:
-    """The whitespace-separated rows of `text` as an array of `row`, parsed
-    in one call of numpy's text reader, or None for blank text, for a line
-    break that the reader would not see, and for any text it refuses.
+def first_line(text: str) -> str:
+    """The first line of `text` as str.splitlines cuts it, with its break."""
+    end = _LINE_BREAK.search(text)
+    return text if end is None else text[:end.end()]
 
-    The reader refuses spellings that int() and float() accept (`1_0`,
-    `-0`, non-ASCII digits, a lone carriage return inside a line) and
-    cannot say where a fault is, so a None sends the caller to its line
-    parser. Every value it accepts parses to the same number.
+
+def first_repeat(values: np.ndarray) -> int | None:
+    """The first row whose value equals an earlier row's, or None."""
+    order = np.argsort(values, kind="stable")  # stable: a repeat sorts after its first
+    ordered = values[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    return int(repeats.min()) if repeats.size else None
+
+
+def read_rows(text: str, row: np.dtype, what: str,
+              skip: int = 0) -> tuple[np.ndarray, ParseError | None]:
+    """The whitespace-separated rows of `text[skip:]` as an array of `row`,
+    and the error of the first line that does not parse, or None.
+
+    numpy's text reader parses the text in one call. It refuses spellings
+    that int() and float() accept (`1_0`, `-0`, non-ASCII digits, a lone
+    carriage return inside a line), reads some line breaks of
+    str.splitlines as spaces, and cannot say where a fault is; such text,
+    and any text it refuses, goes to the line parser. That parser converts
+    each token with int() for a u8 or i8 field and float() for an f8 field,
+    and stops at the first line with a wrong token count, a token that does
+    not convert, or an integer outside its field's range. The rows are
+    those before that line; its error (InvalidRecord) carries the line's
+    byte offset. Every value numpy accepts parses to the same number.
     """
-    if not text.strip() or any(c in text for c in _SPACE_TO_NUMPY):
-        return None
-    try:
-        return np.loadtxt(io.StringIO(text), dtype=row, comments=None, ndmin=1)
-    except ValueError:
-        return None
+    body = text[skip:]
+    if body.strip() and not any(c in body for c in _SPACE_TO_NUMPY):
+        try:
+            return np.loadtxt(io.StringIO(body), dtype=row, comments=None, ndmin=1), None
+        except ValueError:
+            pass
+    fields = [("id" if row[name].base == np.dtype("u8") else name, row[name].base)
+              for name in row.names for _ in np.ndindex(row[name].shape)]
+    parsed, fault = [], None
+    for offset, tokens in _lines(text, skip):
+        try:
+            parsed.append(_parse_line(tokens, fields, what))
+        except InvalidRecord as error:
+            fault = InvalidRecord(str(error), offset=offset)
+            break
+    flat = np.dtype([(f"f{k}", base) for k, (_, base) in enumerate(fields)])  # row's layout
+    return np.array(parsed, dtype=flat).view(row), fault
+
+
+def _parse_line(tokens: list[str], fields: list, what: str) -> tuple:
+    if len(tokens) != len(fields):
+        raise InvalidRecord(f"{what} line has {len(tokens)} fields, expected {len(fields)}")
+    values = []
+    for token, (label, base) in zip(tokens, fields):
+        try:
+            values.append(float(token) if base.kind == "f" else int(token))
+        except ValueError:
+            raise InvalidRecord(f"bad {what} {label} {token!r}") from None
+    for value, (label, base) in zip(values, fields):
+        if base.kind != "f":
+            low, end, span = _INT_RANGES[base]
+            if not low <= value < end:
+                raise InvalidRecord(f"{what} {label} {value} outside {span}")
+    return tuple(values)
+
+
+def _lines(text: str, skip: int) -> Iterator[tuple[int, list[str]]]:
+    """The byte offset and tokens of each non-blank line of `text[skip:]`."""
+    offset = len(text[:skip].encode("utf-8"))
+    for line in text[skip:].splitlines(keepends=True):
+        tokens = line.split()
+        if tokens:
+            yield offset, tokens
+        offset += len(line.encode("utf-8"))
+
+
+def raise_earliest(text: str, fault: ParseError | None, bad: tuple | None = None,
+                   skip: int = 0) -> None:
+    """Raise the earliest fault of `read_rows(text, ..., skip)`: `bad`, a
+    bulk check's `(row, error)`, at the byte offset of that row's line,
+    else the reader's own `fault`, which lies past every row read."""
+    if bad is not None:
+        offset, _ = next(itertools.islice(_lines(text, skip), bad[0], None))
+        raise type(bad[1])(str(bad[1]), offset=offset)
+    if fault is not None:
+        raise fault
 
 
 _HEADER = struct.Struct("<4sIQI")  # magic, version, N, d
@@ -90,10 +172,14 @@ class EmbeddingMatrix:
         ids = tuple(int(i) for i in ids)
         if not all(0 <= i < ID_END for i in ids):
             raise InvalidRecord("image ids must lie in [0, 2^64)")
-        if len(set(ids)) != len(ids):
-            raise DuplicateId("image ids must be unique")
-        if not np.all(np.isfinite(vectors)):
-            raise NonFiniteValue("embedding vectors must be finite")
+        # no positions here: every fault ties, so a repeated id comes first
+        fault = _check(np.array(ids, dtype=np.uint64), vectors, lambda r: 0, lambda k: 0)
+        if fault is not None:
+            raise fault[1]
+        self._adopt(ids, vectors)
+
+    def _adopt(self, ids: tuple[int, ...], vectors: np.ndarray) -> None:
+        """Take ids and a float64 matrix that `_check` passed."""
         vectors.setflags(write=False)
         self._ids = ids
         self._vectors = vectors
@@ -132,6 +218,28 @@ class EmbeddingMatrix:
 
     def row(self, image_id: int) -> np.ndarray:
         return self._vectors[self.position(image_id)]
+
+
+def _check(ids: np.ndarray, vectors: np.ndarray, id_at, value_at) -> tuple | None:
+    """Check the rows of an embedding in bulk. Of a repeated id (the first
+    row that repeats an earlier row's) and a value that is not finite (the
+    first by flat index), the one that `id_at(row)` and `value_at(index)`
+    place first, with its error, or None; at a tie, the repeated id."""
+    faults = []
+    r = first_repeat(ids)
+    if r is not None:
+        faults.append((id_at(r), DuplicateId(f"image id {int(ids[r])} repeated")))
+    bad = np.flatnonzero(~np.isfinite(vectors))
+    if bad.size:
+        faults.append((value_at(int(bad[0])), NonFiniteValue("non-finite embedding entry")))
+    return min(faults, key=lambda fault: fault[0], default=None)
+
+
+def _matrix(ids: np.ndarray, vectors: np.ndarray) -> EmbeddingMatrix:
+    """The matrix of u64 ids and float64 rows that `_check` passed."""
+    emb = EmbeddingMatrix.__new__(EmbeddingMatrix)
+    emb._adopt(tuple(ids.tolist()), vectors)
+    return emb
 
 
 def load_embeddings(source: bytes | BinaryIO) -> EmbeddingMatrix:
@@ -173,60 +281,25 @@ def _load_binary(data: bytes) -> EmbeddingMatrix:
     expected = payload_start + 4 * n * dim
     check_size(data, expected)
     ids = np.frombuffer(data, dtype="<u8", count=n, offset=ids_start)
-    seen: set[int] = set()
-    for k, image_id in enumerate(ids):
-        if int(image_id) in seen:
-            raise DuplicateId(
-                f"image id {int(image_id)} repeated", offset=ids_start + 8 * k
-            )
-        seen.add(int(image_id))
     floats = np.frombuffer(data, dtype="<f4", count=n * dim, offset=payload_start)
-    bad = np.flatnonzero(~np.isfinite(floats))
-    if bad.size:
-        raise NonFiniteValue(
-            "non-finite embedding entry", offset=payload_start + 4 * int(bad[0])
-        )
     vectors = floats.astype(np.float64).reshape(n, dim)
-    return EmbeddingMatrix([int(i) for i in ids], vectors)
+    fault = _check(ids, vectors, lambda r: ids_start + 8 * r, lambda k: payload_start + 4 * k)
+    if fault is not None:
+        raise type(fault[1])(str(fault[1]), offset=fault[0])
+    return _matrix(ids, vectors)
 
 
 def _load_text(data: bytes) -> EmbeddingMatrix:
+    """`id v1 ... vd` lines, with d set by the first non-blank line. The
+    earliest faulty line is reported; within a line, a token fault comes
+    first, then a repeated id, then a value that is not finite."""
     text = decode_text(data, "embedding text")
-    ids: list[int] = []
-    rows: list[list[float]] = []
-    seen: set[int] = set()
-    dim: int | None = None
-    offset = 0
-    for line in text.splitlines(keepends=True):
-        stripped = line.strip()
-        if stripped:
-            tokens = stripped.split()
-            if len(tokens) < 2:
-                raise InvalidRecord("embedding line needs an id and values", offset=offset)
-            try:
-                image_id = int(tokens[0])
-            except ValueError:
-                raise InvalidRecord(f"bad image id {tokens[0]!r}", offset=offset)
-            if not 0 <= image_id < ID_END:
-                raise InvalidRecord(f"image id {image_id} outside [0, 2^64)", offset=offset)
-            if image_id in seen:
-                raise DuplicateId(f"image id {image_id} repeated", offset=offset)
-            seen.add(image_id)
-            try:
-                values = [float(t) for t in tokens[1:]]
-            except ValueError:
-                raise InvalidRecord("bad embedding value", offset=offset)
-            if not all(np.isfinite(values)):
-                raise NonFiniteValue("non-finite embedding entry", offset=offset)
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise InvalidRecord(
-                    f"row has {len(values)} values, expected {dim}", offset=offset
-                )
-            ids.append(image_id)
-            rows.append(values)
-        offset += len(line.encode("utf-8"))
-    if dim is None:
+    width = len(first_line(text.lstrip()).split())
+    if not width:
         raise InvalidRecord("embedding text contains no rows", offset=0)
-    return EmbeddingMatrix(ids, np.array(rows, dtype=np.float64))
+    row = np.dtype([("id", "u8"), ("value", "f8", (max(width - 1, 1),))])
+    rows, fault = read_rows(text, row, "image")
+    vectors = np.array(rows["value"], dtype=np.float64)
+    raise_earliest(text, fault, _check(rows["id"], vectors, lambda r: r,
+                                       lambda k: k // vectors.shape[1]))
+    return _matrix(rows["id"], vectors)

@@ -6,6 +6,10 @@ unordered image pair. A pair is matchable when either score reaches its
 threshold; a pair with no record is non-matchable. Training labels
 subgraph nodes with this rule and evaluation builds its ground truth with
 it.
+
+Overlap text is parsed by `embeddings.read_rows`, the reader of every text
+format, and binary files by one `np.frombuffer`; the rows of both, and of
+`OverlapStore.from_columns`, pass the one bulk check `_check`.
 """
 
 import math
@@ -14,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .embeddings import ID_END, check_size, decode_text, read_rows
+from .embeddings import ID_END, check_size, decode_text, raise_earliest, read_rows
 from .errors import InvalidRecord, MalformedHeader, NonFiniteValue, ParseError, VersionMismatch
 
 # Labeling thresholds of the balanced operating point.
@@ -210,57 +214,18 @@ _OVERLAP_ROW = np.dtype([("i", "<u8"), ("j", "<u8"), ("mo", "<f8"), ("ct", "<f8"
 
 def load_overlaps(source: str | bytes) -> OverlapStore:
     """Read an overlap file into a store: binary when its bytes start with
-    the magic, otherwise `i j mo ct` lines of UTF-8 text.
-
-    numpy's text reader parses the whole text at once; text that it
-    refuses, or whose rows fail the store's check, goes to the per-line
-    parser, which accepts the same texts and reports the earliest fault.
-    """
+    the magic, otherwise `i j mo ct` lines of UTF-8 text, which `read_rows`
+    parses. The rows pass `_check`; the earliest faulty line is reported
+    with its byte offset."""
     if isinstance(source, str):
         text = source
     elif source[:4] == MAGIC:
         return _load_binary(source)
     else:
         text = decode_text(source, "overlap text")
-    rows = read_rows(text, _OVERLAP_ROW)
-    if rows is not None:
-        columns, fault = _check(rows["i"], rows["j"], rows["mo"], rows["ct"])
-        if fault is None:
-            return _store(columns)
-    return _load_overlaps_by_line(text)
-
-
-def _load_overlaps_by_line(text: str) -> OverlapStore:
-    """Parse `i j mo ct` lines into a store, one line at a time.
-
-    The loop stops at the first line that fails to parse or fails
-    OverlapRecord's check; the store's check then looks for a conflicting
-    repeat among the rows before it. The earliest faulty line is reported
-    with its byte offset.
-    """
-    rows, starts, fault, offset = [], [], None, 0
-    for line in text.splitlines(keepends=True):
-        tokens = line.split()
-        if tokens:
-            if len(tokens) != 4:
-                fault = InvalidRecord(f"overlap line needs `i j mo ct`, got {line.strip()!r}")
-                break
-            try:
-                row = (int(tokens[0]), int(tokens[1]), float(tokens[2]), float(tokens[3]))
-            except ValueError:
-                fault = InvalidRecord(f"bad overlap line {line.strip()!r}")
-                break
-            fault = _record_fault(*row)
-            if fault is not None:
-                break
-            rows.append(row)
-            starts.append(offset)
-        offset += len(line.encode("utf-8"))
-    columns, conflict = _check(*_columns(*(list(zip(*rows)) or [()] * 4)))
-    if conflict is not None:
-        fault, offset = conflict[1], starts[conflict[0]]
-    if fault is not None:
-        raise type(fault)(str(fault), offset=offset)
+    rows, fault = read_rows(text, _OVERLAP_ROW, "overlap")
+    columns, bad = _check(rows["i"], rows["j"], rows["mo"], rows["ct"])
+    raise_earliest(text, fault, bad)
     return _store(columns)
 
 

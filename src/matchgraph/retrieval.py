@@ -3,7 +3,9 @@ baselines it is compared against.
 
 The classifier route returns every 1-hop node whose matchability
 probability clears the decision threshold, so its cardinality adapts to
-the query instead of being a fixed k.
+the query instead of being a fixed k. Results are exported as a pair file,
+which `read_pair_file` reads back through `embeddings.read_rows`, the
+reader of every text format, and checks in bulk.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .embeddings import ID_END, EmbeddingMatrix, read_rows
+from .embeddings import ID_END, EmbeddingMatrix, first_line, raise_earliest, read_rows
 from .errors import InvalidRecord, MalformedHeader
 from .gcn import PROB_THRESHOLD, GcnModel, model_forward
 from .knn import Index
@@ -148,48 +150,21 @@ def export_pairs(results: Iterable[RetrievalResult],
 
 
 def read_pair_file(text: str) -> list[tuple[int, int, float]]:
-    """The `(id_a, id_b, score)` lines under the pair-file header.
-
-    numpy's text reader parses the lines at once; text that it refuses, or
-    whose rows fail the checks, goes to the line parser, which accepts the
-    same texts and reports the first fault.
-    """
-    head, _, body = text.partition("\n")
-    if head.rstrip() == PAIR_FILE_HEADER:
-        rows = read_rows(body, _PAIR_ROW)
-        if rows is not None:
-            a, b, score = rows["a"], rows["b"], rows["score"]
-            if np.all(a < b) and np.all((score >= 0.0) & (score <= 1.0)):
-                return list(zip(a.tolist(), b.tolist(), score.tolist()))
-    return _read_pair_file_by_line(text)
-
-
-def _read_pair_file_by_line(text: str) -> list[tuple[int, int, float]]:
-    lines = text.splitlines(keepends=True)
-    if not lines or lines[0].strip() != PAIR_FILE_HEADER:
+    """The `(id_a, id_b, score)` lines under the pair-file header, which
+    `read_rows` parses; the first faulty line is reported with its byte
+    offset."""
+    head = first_line(text)
+    if head.strip() != PAIR_FILE_HEADER:
         raise MalformedHeader("missing pair-file header", offset=0)
-    pairs = []
-    offset = len(lines[0].encode("utf-8"))
-    for line in lines[1:]:
-        stripped = line.strip()
-        if stripped:
-            tokens = stripped.split()
-            if len(tokens) != 3:
-                raise InvalidRecord(f"bad pair line {stripped!r}", offset=offset)
-            try:
-                a, b, score = int(tokens[0]), int(tokens[1]), float(tokens[2])
-            except ValueError:
-                raise InvalidRecord(f"bad pair line {stripped!r}", offset=offset)
-            for v in (a, b):
-                if not 0 <= v < ID_END:
-                    raise InvalidRecord(f"pair id {v} outside [0, 2^64)", offset=offset)
-            if a >= b:
-                raise InvalidRecord(f"pair ids must ascend within a line", offset=offset)
-            if not 0.0 <= score <= 1.0 or not np.isfinite(score):
-                raise InvalidRecord(f"pair score {score} outside [0, 1]", offset=offset)
-            pairs.append((a, b, score))
-        offset += len(line.encode("utf-8"))
-    return pairs
+    rows, fault = read_rows(text, _PAIR_ROW, "pair", skip=len(head))
+    a, b, score = rows["a"], rows["b"], rows["score"]
+    faulty, bad = np.flatnonzero((a >= b) | ~((score >= 0.0) & (score <= 1.0))), None
+    if faulty.size:
+        r = int(faulty[0])
+        bad = (r, InvalidRecord("pair ids must ascend within a line") if a[r] >= b[r]
+               else InvalidRecord(f"pair score {float(score[r])} outside [0, 1]"))
+    raise_earliest(text, fault, bad, skip=len(head))
+    return list(zip(a.tolist(), b.tolist(), score.tolist()))
 
 
 def pairs_to_query_sets(pairs: Iterable[tuple[int, int, float]]) -> dict[int, set[int]]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, first_repeat, raise_earliest, read_rows
 from .errors import InvalidRecord
 from .overlaps import OverlapStore
 
@@ -110,21 +110,10 @@ def save_classes(classes: dict[int, int]) -> str:
 
 
 def load_classes(text: str) -> dict[int, int]:
-    classes: dict[int, int] = {}
-    offset = 0
-    for line in text.splitlines(keepends=True):
-        stripped = line.strip()
-        if stripped:
-            tokens = stripped.split()
-            if len(tokens) != 2:
-                raise InvalidRecord(f"class line needs `id class`, got {stripped!r}",
-                                    offset=offset)
-            try:
-                image_id, cls = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise InvalidRecord(f"bad class line {stripped!r}", offset=offset)
-            if image_id in classes:
-                raise InvalidRecord(f"image id {image_id} repeated", offset=offset)
-            classes[image_id] = cls
-        offset += len(line.encode("utf-8"))
-    return classes
+    """The `id class` lines of a class file, which `read_rows` parses: ids
+    in [0, 2^64), each once, and classes in [-2^63, 2^63)."""
+    rows, fault = read_rows(text, np.dtype([("id", "u8"), ("label", "i8")]), "class")
+    r = first_repeat(rows["id"])
+    raise_earliest(text, fault, None if r is None else
+                   (r, InvalidRecord(f"image id {int(rows['id'][r])} repeated")))
+    return dict(zip(rows["id"].tolist(), rows["label"].tolist()))

@@ -1,10 +1,12 @@
 """Reference parser for overlap files, one line at a time.
 
-Each line's record is checked by the `OverlapRecord` constructor and added
-to a dict keyed by unordered pair: a repeat with identical scores replaces
-the stored record, a repeat with other scores is a conflict. The first
-faulty line raises, with its byte offset. `overlaps.load_overlaps` must give
-the same records and the same errors.
+Each line holds `i j mo ct`: a wrong token count is refused first, then a
+token that int() or float() refuses. The line's record is then checked by
+the `OverlapRecord` constructor and added to a dict keyed by unordered
+pair: a repeat with identical scores replaces the stored record, a repeat
+with other scores is a conflict. The first faulty line raises, with its
+byte offset. `overlaps.load_overlaps` must give the same records and the
+same errors.
 
 `overlap_text` writes a store as the text format, one line per record.
 """
@@ -32,18 +34,20 @@ def parse_overlaps(text: str) -> list[OverlapRecord]:
     pairs: dict = {}
     offset = 0
     for line in text.splitlines(keepends=True):
-        stripped = line.strip()
-        if stripped:
-            tokens = stripped.split()
+        tokens = line.split()
+        if tokens:
             if len(tokens) != 4:
                 raise InvalidRecord(
-                    f"overlap line needs `i j mo ct`, got {stripped!r}", offset=offset
+                    f"overlap line has {len(tokens)} fields, expected 4", offset=offset
                 )
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-                mo, ct = float(tokens[2]), float(tokens[3])
-            except ValueError:
-                raise InvalidRecord(f"bad overlap line {stripped!r}", offset=offset)
+            casts = (int, int, float, float)
+            for token, label, cast in zip(tokens, ("id", "id", "mo", "ct"), casts):
+                try:
+                    cast(token)
+                except ValueError:
+                    raise InvalidRecord(f"bad overlap {label} {token!r}", offset=offset) from None
+            i, j = int(tokens[0]), int(tokens[1])
+            mo, ct = float(tokens[2]), float(tokens[3])
             try:
                 add(pairs, OverlapRecord(i, j, mo, ct))
             except (InvalidRecord, NonFiniteValue) as exc:

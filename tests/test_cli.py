@@ -814,9 +814,19 @@ class TestExitCodes:
         else:
             bad.write_bytes(b"0 0\r\n1 x\r\n")
             argv = ["stats", "--pairs", pairs, "--truth-pairs", pairs, "--classes", bad]
-            want = "bad class line '1 x' (byte offset 5)"
+            want = "bad class label 'x' (byte offset 5)"
         assert run(*argv) == 3
         assert want in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_id", [-1, 2**64])
+    def test_class_id_outside_u64_is_parse_error(self, tmp_path, capsys, bad_id):
+        pairs, classes, out = tmp_path / "p.txt", tmp_path / "c.txt", tmp_path / "out"
+        pairs.write_text("# matchgraph pairs v1\n0 1 0.5\n")
+        classes.write_text(f"0 0\n{bad_id} 0\n1 1\n")
+        assert run("stats", "--pairs", pairs, "--truth-pairs", pairs, "--classes", classes,
+                   "--report-out", out) == 3
+        assert f"class id {bad_id} outside [0, 2^64) (byte offset 4)" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad_id", [-5, 2**70])
     @pytest.mark.parametrize("flag", ["--pairs", "--truth-pairs"])

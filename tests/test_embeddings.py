@@ -191,6 +191,13 @@ class TestBinaryFormat:
             load_embeddings(data)
         assert err.value.offset == 20 + 16 + 4
 
+    def test_repeated_id_comes_before_a_non_finite_value_of_an_earlier_row(self):
+        # the ids lie before the payload in the file
+        data = make_file([4, 5, 4], [[float("nan")], [1.0], [2.0]])
+        with pytest.raises(DuplicateId) as err:
+            load_embeddings(data)
+        assert err.value.offset == 20 + 16
+
     def test_trailing_bytes_rejected(self):
         data = make_file([1], [[1.0]]) + b"x"
         with pytest.raises(InvalidRecord):
@@ -230,6 +237,19 @@ class TestTextFormat:
     def test_non_finite(self):
         with pytest.raises(NonFiniteValue):
             load_embeddings(b"1 nan\n")
+
+    @pytest.mark.parametrize("line, error", [
+        ("1 0.5 inf", NonFiniteValue),
+        ("0 nan 0.5", DuplicateId),  # a repeated id comes before a non-finite value
+        ("0 nan", InvalidRecord),  # a token fault comes before both
+        ("0 nan x", InvalidRecord),
+    ])
+    def test_earliest_fault_of_a_line_at_its_offset(self, line, error):
+        head = "0 1.0 2.0\r\n\r\n"
+        with pytest.raises(error) as err:
+            load_embeddings((head + line + "\r\n2 nan nan\r\n0 1 1\r\n").encode())
+        assert type(err.value) is error
+        assert err.value.offset == len(head)
 
     def test_negative_id(self):
         with pytest.raises(InvalidRecord):

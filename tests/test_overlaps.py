@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matchgraph import overlaps, trainer
+from matchgraph import embeddings, overlaps, trainer
 from matchgraph.errors import (
     InvalidRecord,
     MalformedHeader,
@@ -238,7 +238,7 @@ class TestLoadOverlapsMatchesOracle:
 
 class TestOverlapNumpyRoute:
     def test_saved_overlaps_are_read_without_the_line_parser(self, monkeypatch):
-        def refuse(text):
+        def refuse(*args):
             raise AssertionError("line parser called")
 
         rng = np.random.default_rng(103)
@@ -247,7 +247,7 @@ class TestOverlapNumpyRoute:
         scores = [0.0, 1.0, 5e-324, 1 - 2**-53] + rng.random(len(ids) - 4).tolist()
         store = OverlapStore.from_columns(ids[0::2], ids[1::2], scores[0::2], scores[1::2])
         text = overlap_text(store)
-        monkeypatch.setattr(overlaps, "_load_overlaps_by_line", refuse)
+        monkeypatch.setattr(embeddings, "_lines", refuse)
         assert load_overlaps(text) == store
 
 

@@ -6,14 +6,13 @@ import pytest
 import matchgraph as mg
 from matchgraph.embeddings import EmbeddingMatrix
 from matchgraph.errors import InvalidRecord, MalformedHeader, UnknownImage
-from matchgraph import cli, retrieval
+from matchgraph import cli, embeddings, retrieval
 from matchgraph.retrieval import (
     PAIR_FILE_HEADER,
     RetrievalResult,
     collapse_pairs,
     export_pairs,
     gcn_retrieve,
-    _read_pair_file_by_line,
     read_pair_file,
     threshold_retrieve,
     topk_retrieve,
@@ -22,6 +21,7 @@ from matchgraph.retrieval import (
 from matchgraph.subgraph import QesParams
 from matchgraph.synthetic import SceneConfig, generate_scene
 
+from pair_oracle import parse_pairs
 from retrieval_oracle import brute_force_knn, distance, truncate_result
 from retrieval_oracle import collapse_pairs as oracle_collapse_pairs
 from test_knn import duplicate_scene, near_tie_scene, random_scene as noisy_scene
@@ -328,7 +328,7 @@ class TestReadPairFileMatchesLineParser:
         for _ in range(300):
             text = pair_text(rng, pair_rows(rng, int(rng.integers(0, 40))))
             assert pair_outcome(read_pair_file, text) == \
-                pair_outcome(_read_pair_file_by_line, text)
+                pair_outcome(parse_pairs, text)
 
     def test_headers_give_the_line_parser_outcome(self):
         rng = np.random.default_rng(202)
@@ -336,7 +336,7 @@ class TestReadPairFileMatchesLineParser:
             for _ in range(20):
                 text = pair_text(rng, pair_rows(rng, int(rng.integers(0, 10))), header)
                 assert pair_outcome(read_pair_file, text) == \
-                    pair_outcome(_read_pair_file_by_line, text)
+                    pair_outcome(parse_pairs, text)
 
     @pytest.mark.parametrize("first", list(PAIR_FAULTS))
     def test_earliest_fault_wins_with_the_line_parser_error(self, first):
@@ -349,14 +349,14 @@ class TestReadPairFileMatchesLineParser:
                 rows = (rows[:at] + [PAIR_FAULTS[first]] + rows[at:later]
                         + [PAIR_FAULTS[second]] + rows[later:])
                 text = pair_text(rng, rows)
-                want = pair_outcome(_read_pair_file_by_line, text)
+                want = pair_outcome(parse_pairs, text)
                 assert isinstance(want, tuple)
                 assert pair_outcome(read_pair_file, text) == want
 
 
 class TestPairFileNumpyRoute:
     def test_written_pairs_are_read_without_the_line_parser(self, monkeypatch):
-        def refuse(text):
+        def refuse(*args):
             raise AssertionError("line parser called")
 
         rng = np.random.default_rng(204)
@@ -366,7 +366,7 @@ class TestPairFileNumpyRoute:
         pairs = [(min(a, b), max(a, b), s) for a, b, s in zip(ids[0::2], ids[1::2], scores)]
         sink = io.StringIO()
         write_pair_file(pairs, sink)
-        monkeypatch.setattr(retrieval, "_read_pair_file_by_line", refuse)
+        monkeypatch.setattr(embeddings, "_lines", refuse)
         assert repr(read_pair_file(sink.getvalue())) == repr(sorted(pairs))
 
 

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import matchgraph as mg
 from matchgraph.embeddings import save_embeddings
+from matchgraph.errors import InvalidRecord
 from matchgraph.evaluation import GroundTruth, macro_average, per_query_prf
 from matchgraph.overlaps import OverlapRecord, load_overlaps, save_overlaps
 from matchgraph.synthetic import SceneConfig, generate_scene, load_classes, save_classes
@@ -144,3 +146,15 @@ class TestClassFile:
 
         with pytest.raises(InvalidRecord):
             load_classes("1 0\n1 1\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("-1 0", "class id -1 outside [0, 2^64)"),
+        (f"{2**64} 0", f"class id {2**64} outside [0, 2^64)"),
+        (f"2 {2**63}", f"class label {2**63} outside [-2^63, 2^63)"),
+        (f"2 {-2**63 - 1}", f"class label {-2**63 - 1} outside [-2^63, 2^63)"),
+    ])
+    def test_value_outside_its_type_rejected_at_its_line(self, line, message):
+        with pytest.raises(InvalidRecord, match=re.escape(f"{message} (byte offset 4)")):
+            load_classes(f"0 0\n{line}\n")
+        top = {2**64 - 1: 2**63 - 1, 0: -2**63}
+        assert load_classes(save_classes(top)) == top
