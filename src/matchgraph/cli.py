@@ -5,15 +5,21 @@ command is a deterministic function of its inputs; synth and train also
 take --seed. infer and baseline answer their queries one after another
 in one thread: a neighbor index is not shared between threads. They
 still accept --threads (an integer, also as a config key) and ignore it,
-so that existing command lines keep working. A --config file of
-key=value lines, keyed by long flag name with _ for -, supplies settings;
-explicit flags win. A setting given nowhere takes the library's default;
-the only defaults stated here are synth's 360 images and index's k of 10.
+so that existing command lines keep working.
+
+build_parser declares options that several commands share once, on
+parent parsers. A --config file of key=value lines, keyed by long flag
+name with _ for -, supplies every option whose value is not a file path;
+main reads it through each option's own type before the command runs,
+and explicit flags win. A setting given nowhere takes the library's
+default; the only defaults stated here are synth's 360 images and
+index's k of 10.
 
 Exit codes: 0 success, 2 usage error, 3 parse/read error, 4 compute error.
 """
 
 import argparse
+import functools
 import io
 import logging
 import os
@@ -24,7 +30,7 @@ import numpy as np
 
 from . import evaluation, overlaps, retrieval, synthetic, trainer
 from .embeddings import decode_text, load_embeddings, raise_earliest, read_rows, save_embeddings
-from .errors import InvalidRecord, MatchgraphError, ParseError
+from .errors import InvalidRecord, MatchgraphError, ParseError, UnknownImage
 from .gcn import load_model, save_model
 from .knn import build_index
 from .subgraph import QesParams
@@ -74,24 +80,26 @@ def _read_config(path: str) -> dict[str, str]:
 _FLAGS = {"learning_rate": "lr", "symmetry_s": "symmetry"}
 
 
-def _given(args, cfg, **casts) -> dict:
-    """The settings named in `casts` that were given, by library name: the
-    flag's value, else the config value parsed by its cast. Settings given
-    nowhere are left out."""
-    given = {}
-    for name, cast in casts.items():
-        key = _FLAGS.get(name, name)
-        value = getattr(args, key)
-        if value is None and key in cfg:
-            raw = cfg[key]
-            try:
-                value = cast(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                kind = cast.__name__.lstrip("_")
-                raise InvalidRecord(f"config value {key}={raw!r} is not a valid {kind}: {exc}")
-        if value is not None:
-            given[name] = value
-    return given
+def _given(args, *names) -> dict:
+    """The settings in `names` that were given, as a flag or in --config,
+    by library name. Settings given nowhere are left out."""
+    values = {name: getattr(args, _FLAGS.get(name, name)) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _read_config_into(args, actions) -> None:
+    """Fill each typed option among `actions` that the command line left
+    unset from the --config file, read by the option's own type."""
+    cfg = _read_config(args.config) if args.config else {}
+    for action in actions:
+        raw = cfg.get(action.dest)
+        if action.type is None or raw is None or getattr(args, action.dest) is not None:
+            continue
+        try:
+            setattr(args, action.dest, action.type(raw))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            kind = action.type.__name__.lstrip("_")
+            raise InvalidRecord(f"config value {action.dest}={raw!r} is not a valid {kind}: {exc}")
 
 
 def _widths(text: str) -> tuple[int, ...]:
@@ -132,6 +140,11 @@ def _read_queries(path: str) -> list[int]:
     return rows["id"].tolist()
 
 
+def _queries(args, emb) -> list[int]:
+    """The ids of --queries, else every image of `emb` in ascending id."""
+    return _read_queries(args.queries) if args.queries else sorted(emb.ids)
+
+
 def _load_embeddings_file(path: str):
     with open(path, "rb") as fp:
         return load_embeddings(fp)
@@ -149,8 +162,8 @@ def _load_overlaps_file(path: str) -> overlaps.OverlapStore:
     return store
 
 
-def _qes_params(args, cfg) -> QesParams:
-    return QesParams(**_given(args, cfg, k1=int, k2=int, u=int))
+def _qes_params(args) -> QesParams:
+    return QesParams(**_given(args, "k1", "k2", "u"))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -174,9 +187,9 @@ def _write_results(args, results) -> int:
     return len(pairs)
 
 
-def cmd_synth(args, cfg) -> int:
-    settings = _given(args, cfg, n_images=int, symmetry_s=int, overlap_angle=float,
-                      noise_sigma=float, dim=int, seed=int)
+def cmd_synth(args) -> int:
+    settings = _given(args, "n_images", "symmetry_s", "overlap_angle", "noise_sigma", "dim",
+                      "seed")
     scene = synthetic.generate_scene(synthetic.SceneConfig(**{"n_images": 360, **settings}))
     # every output is built before any file is opened, so a refused scene
     # writes nothing
@@ -190,9 +203,9 @@ def cmd_synth(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_index(args, cfg) -> int:
+def cmd_index(args) -> int:
     emb = _load_embeddings_file(args.embeddings)
-    k = _given(args, cfg, k=int).get("k", 10)
+    k = 10 if args.k is None else args.k
     if k < 1:
         raise ValueError("k must be >= 1")
     index = build_index(emb)
@@ -211,16 +224,16 @@ def cmd_index(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_train(args, cfg) -> int:
+def cmd_train(args) -> int:
     emb = _load_embeddings_file(args.embeddings)
     records = _load_overlaps_file(args.overlaps)
-    queries = _read_queries(args.queries) if args.queries else sorted(emb.ids)
+    queries = _queries(args, emb)
     config = trainer.TrainConfig(
-        qes_params=_qes_params(args, cfg),
-        **_given(args, cfg, tau_mo=float, tau_ct=float, learning_rate=float, epochs=int,
-                 batch_size=int, seed=int, beta2=float),
+        qes_params=_qes_params(args),
+        **_given(args, "tau_mo", "tau_ct", "learning_rate", "epochs", "batch_size", "seed",
+                 "beta2"),
     )
-    widths = _given(args, cfg, conv_widths=_widths, fc_widths=_widths)
+    widths = _given(args, "conv_widths", "fc_widths")
     log.info("training on %d queries, %d overlap records", len(queries), len(records))
     model, history = trainer.train(emb, records, queries, config, **widths)
     if history:
@@ -237,15 +250,14 @@ def cmd_train(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_infer(args, cfg) -> int:
+def cmd_infer(args) -> int:
     emb = _load_embeddings_file(args.embeddings)
     with open(args.model, "rb") as fp:
         model = load_model(fp.read())
     index = build_index(emb)
-    params = _qes_params(args, cfg)
-    threshold = _given(args, cfg, prob_threshold=_probability)
-    queries = _read_queries(args.queries) if args.queries else sorted(emb.ids)
-    _given(args, cfg, threads=int)  # checked, then ignored (see the module docstring)
+    params = _qes_params(args)
+    threshold = _given(args, "prob_threshold")
+    queries = _queries(args, emb)
     results = [retrieval.gcn_retrieve(model, index, emb, q, params, **threshold)
                for q in queries]
     log.info("retrieved %d pairs for %d queries", _write_results(args, results), len(queries))
@@ -253,47 +265,49 @@ def cmd_infer(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(args, cfg) -> int:
-    mode = _given(args, cfg, topk=int, tau_dist=_distance)
-    _given(args, cfg, threads=int)  # checked, then ignored (see the module docstring)
-    if len(mode) != 1:
+def cmd_baseline(args) -> int:
+    if (args.topk is None) == (args.tau_dist is None):
         sys.stderr.write("matchgraph: error: give exactly one of --topk / --tau-dist\n")
         return EXIT_USAGE
-    topk, tau = mode.get("topk"), mode.get("tau_dist")
     emb = _load_embeddings_file(args.embeddings)
     index = build_index(emb)
-    queries = _read_queries(args.queries) if args.queries else sorted(emb.ids)
-    if topk is not None:
+    queries = _queries(args, emb)
+    if args.topk is not None:
         # rank all query rows in blocks up front; each query then reads the table
-        index.table([emb.position(q) for q in queries], topk)
-        results = [retrieval.topk_retrieve(index, q, topk) for q in queries]
+        index.table([emb.position(q) for q in queries], args.topk)
+        results = [retrieval.topk_retrieve(index, q, args.topk) for q in queries]
     else:
-        results = [retrieval.threshold_retrieve(index, q, tau) for q in queries]
+        results = [retrieval.threshold_retrieve(index, q, args.tau_dist) for q in queries]
     log.info("knn table: %s", index.counts())
     _write_results(args, results)
     return EXIT_OK
 
 
-def _load_truth(args, cfg) -> evaluation.GroundTruth:
+def _load_truth(args) -> evaluation.GroundTruth:
     if args.truth_pairs:
         pairs = retrieval.read_pair_file(_read_text(args.truth_pairs, "truth pair file"))
         return evaluation.GroundTruth.from_pairs([(a, b) for a, b, _ in pairs])
     if args.overlaps:
         store = _load_overlaps_file(args.overlaps)
-        return evaluation.GroundTruth.from_columns(
-            *store.columns(), **_given(args, cfg, tau_mo=_fraction, tau_ct=_fraction))
+        return evaluation.GroundTruth.from_columns(*store.columns(),
+                                                   **_given(args, "tau_mo", "tau_ct"))
     raise InvalidRecord("ground truth requires --truth-pairs or --overlaps")
 
 
-def cmd_eval(args, cfg) -> int:
+def cmd_eval(args) -> int:
     if args.queries and args.embeddings:
         sys.stderr.write("matchgraph: error: give at most one of --queries / --embeddings\n")
         return EXIT_USAGE
     predicted_pairs = retrieval.read_pair_file(_read_text(args.pairs, "pair file"))
-    truth = _load_truth(args, cfg)
+    truth = _load_truth(args)
     predicted = retrieval.pairs_to_query_sets(predicted_pairs)
     if args.queries:
         queries = _read_queries(args.queries)
+        for q in queries:
+            if q not in predicted and q not in truth.universe:
+                raise UnknownImage(
+                    f"query id {q} is in neither the pair file nor the ground truth; "
+                    "to score images that have no pair, give --embeddings instead")
     elif args.embeddings:
         queries = sorted(_load_embeddings_file(args.embeddings).ids)
     else:
@@ -306,9 +320,9 @@ def cmd_eval(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args, cfg) -> int:
+def cmd_stats(args) -> int:
     pairs = retrieval.read_pair_file(_read_text(args.pairs, "pair file"))
-    truth = _load_truth(args, cfg)
+    truth = _load_truth(args)
     classes = None
     if args.classes:
         classes = synthetic.load_classes(_read_text(args.classes, "class file"))
@@ -332,105 +346,83 @@ def build_parser() -> argparse.ArgumentParser:
         description="Matchable image pair retrieval for structure-from-motion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # parent parsers, each holding options that several commands share
+    shared = functools.partial(argparse.ArgumentParser, add_help=False)
+    config = shared()
+    config.add_argument("--config", help="key=value defaults; flags win")
+    seed = shared()
+    seed.add_argument("--seed", type=int, help="random seed")
+    embeddings = shared()
+    embeddings.add_argument("--embeddings", required=True, help="embedding file")
+    qes = shared()
+    for flag in ("--k1", "--k2", "--u"):
+        qes.add_argument(flag, type=int)
+    thresholds = shared()
+    for flag in ("--tau-mo", "--tau-ct"):
+        thresholds.add_argument(flag, type=_fraction, help="a number in [0, 1]")
+    queries = shared()
+    queries.add_argument("--queries", help="file of query ids, one per line")
+    retrieve = shared()
+    retrieve.add_argument("--threads", type=int, help="accepted and ignored")
+    retrieve.add_argument("--pairs-out", required=True, help="output pair file")
+    retrieve.add_argument("--results-out", help="output CSV of retrieved ids and scores")
+    truth = shared()
+    truth.add_argument("--pairs", required=True, help="predicted pair file")
+    truth.add_argument("--overlaps", help="overlap record file")
+    truth.add_argument("--truth-pairs", help="pair file as ground truth")
+    truth.add_argument("--report-out", help="output report; stdout if not given")
 
-    def common(p):
-        p.add_argument("--config", default=None, help="key=value defaults; flags win")
-
-    p = sub.add_parser("synth", help="generate a synthetic ring scene")
-    common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--embeddings", required=True, help="output embedding file")
-    p.add_argument("--overlaps", required=True, help="output overlap records")
-    p.add_argument("--classes", default=None, help="output symmetry-class file")
-    p.add_argument("--n-images", dest="n_images", type=int, default=None)
-    p.add_argument("--symmetry", type=int, default=None)
-    p.add_argument("--overlap-angle", dest="overlap_angle", type=float, default=None)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
+    p = sub.add_parser("synth", parents=[config, seed, embeddings],
+                       help="generate a synthetic ring scene: embeddings, overlaps, classes")
+    p.add_argument("--overlaps", required=True, help="overlap record file")
+    p.add_argument("--classes", help="symmetry-class file")
+    p.add_argument("--n-images", type=int)
+    p.add_argument("--symmetry", type=int)
+    p.add_argument("--overlap-angle", type=float)
+    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--dim", type=int)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("index", help="validate embeddings, optionally dump neighbor lists")
-    common(p)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--knn-out", dest="knn_out", default=None)
+    p = sub.add_parser("index", parents=[config, embeddings],
+                       help="validate embeddings, optionally dump neighbor lists")
+    p.add_argument("--k", type=int)
+    p.add_argument("--knn-out")
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("train", help="train the subgraph classifier")
-    common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--overlaps", required=True)
-    p.add_argument("--model", required=True, help="output checkpoint path")
-    p.add_argument("--queries", default=None, help="file of training query ids")
-    p.add_argument("--history-out", dest="history_out", default=None)
-    p.add_argument("--k1", type=int, default=None)
-    p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--u", type=int, default=None)
-    p.add_argument("--tau-mo", dest="tau_mo", type=float, default=None)
-    p.add_argument("--tau-ct", dest="tau_ct", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--beta2", type=float, default=None)
-    p.add_argument("--conv-widths", dest="conv_widths", type=_widths, default=None)
-    p.add_argument("--fc-widths", dest="fc_widths", type=_widths, default=None)
+    p = sub.add_parser("train", parents=[config, seed, embeddings, qes, thresholds, queries],
+                       help="train the subgraph classifier")
+    p.add_argument("--overlaps", required=True, help="overlap record file")
+    p.add_argument("--model", required=True, help="model checkpoint")
+    p.add_argument("--history-out")
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--beta2", type=float)
+    p.add_argument("--conv-widths", type=_widths)
+    p.add_argument("--fc-widths", type=_widths)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", help="classify subgraphs and export matchable pairs")
-    common(p)
-    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--pairs-out", dest="pairs_out", required=True)
-    p.add_argument("--results-out", dest="results_out", default=None)
-    p.add_argument("--queries", default=None)
-    p.add_argument("--k1", type=int, default=None)
-    p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--u", type=int, default=None)
-    p.add_argument("--prob-threshold", dest="prob_threshold", type=_probability, default=None,
-                   help="a number in [0, 1)")
+    p = sub.add_parser("infer", parents=[config, embeddings, retrieve, queries, qes],
+                       help="classify subgraphs and export matchable pairs")
+    p.add_argument("--model", required=True, help="model checkpoint")
+    p.add_argument("--prob-threshold", type=_probability, help="a number in [0, 1)")
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("baseline", help="top-k or distance-threshold retrieval")
-    common(p)
-    p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--pairs-out", dest="pairs_out", required=True)
-    p.add_argument("--results-out", dest="results_out", default=None)
-    p.add_argument("--queries", default=None)
-    p.add_argument("--topk", type=int, default=None)
-    p.add_argument("--tau-dist", dest="tau_dist", type=_distance, default=None,
-                   help="a number >= 0, or inf")
+    p = sub.add_parser("baseline", parents=[config, embeddings, retrieve, queries],
+                       help="top-k or distance-threshold retrieval")
+    p.add_argument("--topk", type=int)
+    p.add_argument("--tau-dist", type=_distance, help="a number >= 0, or inf")
     p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("eval", help="score a pair file against ground truth")
-    common(p)
-    p.add_argument("--pairs", required=True, help="predicted pair file")
-    p.add_argument("--overlaps", default=None, help="overlap records as ground truth")
-    p.add_argument("--truth-pairs", dest="truth_pairs", default=None,
-                   help="pair file as ground truth")
-    p.add_argument("--tau-mo", dest="tau_mo", type=_fraction, default=None,
-                   help="a number in [0, 1]")
-    p.add_argument("--tau-ct", dest="tau_ct", type=_fraction, default=None,
-                   help="a number in [0, 1]")
-    p.add_argument("--queries", default=None)
-    p.add_argument("--embeddings", default=None,
-                   help="score every image of this embedding file as a query")
-    p.add_argument("--report-out", dest="report_out", default=None)
+    p = sub.add_parser("eval", parents=[config, truth, thresholds, queries],
+                       help="score a pair file against ground truth; with --embeddings, "
+                            "every image of the collection is a query")
+    p.add_argument("--embeddings", help="embedding file")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("stats", help="view-graph diagnostics of a pair file")
-    common(p)
-    p.add_argument("--pairs", required=True)
-    p.add_argument("--overlaps", default=None)
-    p.add_argument("--truth-pairs", dest="truth_pairs", default=None)
-    p.add_argument("--tau-mo", dest="tau_mo", type=_fraction, default=None,
-                   help="a number in [0, 1]")
-    p.add_argument("--tau-ct", dest="tau_ct", type=_fraction, default=None,
-                   help="a number in [0, 1]")
-    p.add_argument("--classes", default=None)
-    p.add_argument("--report-out", dest="report_out", default=None)
+    p = sub.add_parser("stats", parents=[config, truth, thresholds],
+                       help="view-graph diagnostics of a pair file")
+    p.add_argument("--classes", help="symmetry-class file")
     p.set_defaults(func=cmd_stats)
 
     return parser
@@ -443,13 +435,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     try:
-        cfg = _read_config(args.config) if args.config else {}
-        return args.func(args, cfg)
-    except ParseError as exc:
-        sys.stderr.write(f"matchgraph: parse error: {exc}\n")
-        return EXIT_PARSE
-    except OSError as exc:
+        _read_config_into(args, commands.choices[args.command]._actions)
+        return args.func(args)
+    except (ParseError, OSError) as exc:
         sys.stderr.write(f"matchgraph: parse error: {exc}\n")
         return EXIT_PARSE
     except (MatchgraphError, ValueError) as exc:

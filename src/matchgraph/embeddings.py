@@ -13,6 +13,7 @@ its line with `raise_earliest`.
 
 import io
 import itertools
+import operator
 import re
 import struct
 from typing import BinaryIO, Iterator, Sequence
@@ -40,6 +41,18 @@ _SPACE_TO_NUMPY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u
 # The integer field types of a text row, with their ranges as messages state them.
 _INT_RANGES = {np.dtype("u8"): (0, ID_END, "[0, 2^64)"),
                np.dtype("i8"): (-2**63, 2**63, "[-2^63, 2^63)")}
+
+
+def image_id(value, what: str = "image id") -> int:
+    """`value` as an image id: an integer, Python's or numpy's, in [0, 2^64).
+    A float or any other type is refused, not truncated."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidRecord(f"{what} {value!r} is not an integer") from None
+    if not 0 <= value < ID_END:
+        raise InvalidRecord(f"{what} {value} outside [0, 2^64)")
+    return value
 
 
 def decode_text(data: bytes, what: str) -> str:
@@ -169,9 +182,7 @@ class EmbeddingMatrix:
             raise DimensionError(
                 f"{len(ids)} ids for {vectors.shape[0]} rows"
             )
-        ids = tuple(int(i) for i in ids)
-        if not all(0 <= i < ID_END for i in ids):
-            raise InvalidRecord("image ids must lie in [0, 2^64)")
+        ids = tuple(image_id(i) for i in ids)
         # no positions here: every fault ties, so a repeated id comes first
         fault = _check(np.array(ids, dtype=np.uint64), vectors, lambda r: 0, lambda k: 0)
         if fault is not None:

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .embeddings import ID_END, check_size, decode_text, raise_earliest, read_rows
+from .embeddings import ID_END, check_size, decode_text, image_id, raise_earliest, read_rows
 from .errors import InvalidRecord, MalformedHeader, NonFiniteValue, ParseError, VersionMismatch
 
 # Labeling thresholds of the balanced operating point.
@@ -33,10 +33,8 @@ def label_pair(record, tau_mo: float, tau_ct: float):
 
 
 def _record_fault(i: int, j: int, mo: float, ct: float) -> ParseError | None:
-    """The error that rejects one overlap record, or None if it is valid."""
-    for v in (i, j):
-        if not 0 <= v < ID_END:
-            return InvalidRecord(f"overlap id {v} outside [0, 2^64)")
+    """The error that rejects one overlap record with ids in [0, 2^64), or
+    None if it is valid."""
     if i == j:
         return InvalidRecord("overlap record needs two distinct images")
     for name, score in (("mo", mo), ("ct", ct)):
@@ -63,7 +61,8 @@ class OverlapRecord(_Fields):
     __slots__ = ()
 
     def __new__(cls, i, j, mo, ct):
-        i, j, mo, ct = int(i), int(j), float(mo), float(ct)
+        i, j = (image_id(v, "overlap id") for v in (i, j))
+        mo, ct = float(mo), float(ct)
         fault = _record_fault(i, j, mo, ct)
         if fault is not None:
             raise fault

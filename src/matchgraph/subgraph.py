@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import ID_END, EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, image_id
 from .errors import DimensionError, InvalidAdjacency, InvalidRecord
 from .knn import Index
 
@@ -61,12 +61,11 @@ class Qes:
     """
 
     def __init__(self, query_id, nodes, hop, adjacency, features):
-        query_id, ids, hop = int(query_id), [int(v) for v in nodes], [int(h) for h in hop]
+        query_id, *ids = (image_id(v) for v in (query_id, *nodes))
+        hop = list(hop)
         adjacency = np.array(adjacency, dtype=np.float64, copy=True)
         features = np.array(features, dtype=np.float64, copy=True)
         n = len(ids)
-        if not all(0 <= v < ID_END for v in (query_id, *ids)):
-            raise InvalidRecord("image ids must lie in [0, 2^64)")
         if len(set(ids)) != n:
             raise InvalidRecord("subgraph nodes must be unique")
         if query_id in ids:

@@ -281,6 +281,24 @@ class TestEval:
         assert "at most one of --queries / --embeddings" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_query_in_neither_pairs_nor_truth_is_compute_error(self, tmp_path, capsys):
+        truth, pairs, queries = (tmp_path / name for name in ("truth.txt", "pairs.txt", "q.txt"))
+        truth.write_text("# matchgraph pairs v1\n0 1 1.0\n")
+        pairs.write_text("# matchgraph pairs v1\n0 2 0.5\n")
+        report = tmp_path / "report.csv"
+        argv = ["eval", "--pairs", pairs, "--truth-pairs", truth, "--queries", queries,
+                "--report-out", report]
+        queries.write_text("0\n")
+        assert run(*argv) == 0
+        assert report.read_text().splitlines()[-1] == "MACRO,0.0,0.0,0.0"
+        report.unlink()
+        queries.write_text("0\n777\n")
+        assert run(*argv) == 4
+        err = capsys.readouterr().err
+        assert "query id 777 is in neither the pair file nor the ground truth" in err
+        assert "--embeddings" in err
+        assert not report.exists()
+
 
 class TestOverlapFiles:
     def test_binary_and_text_give_identical_outputs(self, scene_files, tmp_path):
@@ -518,6 +536,18 @@ def guard_inputs(tmp_path_factory):
     return files
 
 
+class TestSharedOptions:
+    def test_an_option_of_several_commands_has_one_type_and_help(self):
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        declared = {}
+        for sub in commands.choices.values():
+            for action in sub._actions:
+                for flag in action.option_strings:
+                    declared.setdefault(flag, set()).add((action.type, action.help))
+        assert {flag: kinds for flag, kinds in declared.items() if len(kinds) > 1} == {}
+
+
 class TestEveryOptionReadsConfig:
     """An option added to the parser but not read from --config fails here."""
 
@@ -553,6 +583,8 @@ BAD_THRESHOLDS = [
     ("eval", "tau_ct", "nan", "a number in [0, 1]"),
     ("stats", "tau_mo", "5", "a number in [0, 1]"),
     ("stats", "tau_ct", "-0.1", "a number in [0, 1]"),
+    ("train", "tau_mo", "1.5", "a number in [0, 1]"),
+    ("train", "tau_ct", "nan", "a number in [0, 1]"),
 ]
 
 
@@ -563,6 +595,11 @@ class TestBadThresholds:
     def argv(command, files, out):
         if command in ("eval", "stats"):
             return ["--pairs", files["p"], "--overlaps", files["o"], "--report-out", out / "r"]
+        if command == "train":
+            # the checkpoint goes to "p", the output test_range_ends_accepted looks for
+            return ["--embeddings", files["e"], "--overlaps", files["o"], "--model", out / "p",
+                    "--history-out", out / "r", "--epochs", 1, "--conv-widths", "4,4,4,4",
+                    "--fc-widths", 3, "--k1", 4, "--k2", 2, "--u", 3]
         model = ["--model", files["m"]] if command == "infer" else []
         return ["--embeddings", files["e"], *model, "--pairs-out", out / "p",
                 "--results-out", out / "r"]
@@ -589,7 +626,8 @@ class TestBadThresholds:
     @pytest.mark.parametrize("command,dest,value", [
         ("baseline", "tau_dist", "inf"), ("baseline", "tau_dist", "0"),
         ("infer", "prob_threshold", "0"), ("eval", "tau_mo", "0"), ("eval", "tau_ct", "1"),
-        ("stats", "tau_mo", "1"), ("stats", "tau_ct", "0")])
+        ("stats", "tau_mo", "1"), ("stats", "tau_ct", "0"),
+        ("train", "tau_mo", "0"), ("train", "tau_ct", "1")])
     def test_range_ends_accepted(self, command, dest, value, guard_inputs, tmp_path):
         flag = "--" + dest.replace("_", "-")
         assert run(command, *self.argv(command, guard_inputs, tmp_path), flag, value) == 0

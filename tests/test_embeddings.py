@@ -130,6 +130,12 @@ class TestEmbeddingMatrix:
             EmbeddingMatrix([0, bad_id], [[1.0], [2.0]])
         assert EmbeddingMatrix([2**64 - 1], [[1.0]]).ids == (2**64 - 1,)
 
+    def test_non_integer_id_rejected_not_truncated(self):
+        with pytest.raises(InvalidRecord, match=r"image id 1\.5 is not an integer"):
+            EmbeddingMatrix([1.5, 2.9], [[1.0], [2.0]])
+        ids = np.array([7, 3], dtype=np.uint64)
+        assert EmbeddingMatrix(ids, [[1.0], [2.0]]).ids == (7, 3)
+
     def test_vectors_read_only(self):
         emb = EmbeddingMatrix([1], [[1.0, 2.0]])
         with pytest.raises(ValueError):

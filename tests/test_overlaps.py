@@ -106,6 +106,11 @@ class TestOverlapIdRange:
         with pytest.raises(InvalidRecord):
             OverlapRecord(-1, 2, 0.5, 0.5)
 
+    def test_non_integer_id_rejected_not_truncated(self):
+        with pytest.raises(InvalidRecord, match=r"overlap id 1\.7 is not an integer"):
+            OverlapRecord(1.7, 2.2, 0.5, 0.5)
+        record = OverlapRecord(np.uint64(1), np.int64(2), 0.5, 0.5)
+        assert record == (1, 2, 0.5, 0.5) and type(record.i) is int
 
     def test_lookups_are_exact_above_2_to_53(self):
         # 2^53 and 2^53 + 1 are one float64; lookups must not round them

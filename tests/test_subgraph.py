@@ -346,6 +346,19 @@ class TestQesValidation:
             with pytest.raises(InvalidRecord, match=r"\[0, 2\^64\)"):
                 Qes(query_id, nodes, [1, 1], np.zeros((2, 2)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("query_id, nodes, hop, message", [
+        (0.9, [1, 2], [1, 2], r"image id 0\.9 is not an integer"),
+        (0, [1.5, 2.2], [1, 2], r"image id 1\.5 is not an integer"),
+        (0, [1, 2], [1.7, 2.0], "hop tags must be 1 or 2"),
+    ])
+    def test_rejects_a_non_integer_instead_of_truncating(self, query_id, nodes, hop, message):
+        with pytest.raises(InvalidRecord, match=message):
+            Qes(query_id, nodes, hop, np.zeros((2, 2)), np.zeros((2, 2)))
+        nodes = np.array([1, 2], dtype=np.uint64)
+        qes = Qes(np.uint64(0), list(nodes), list(np.array([1, 2])), np.zeros((2, 2)),
+                  np.zeros((2, 2)))
+        assert qes.query_id == 0 and qes.nodes.tolist() == [1, 2] and qes.hop.tolist() == [1, 2]
+
     def test_accepts_the_largest_u64_id(self):
         top = 2**64 - 1
         qes = Qes(top - 1, [top, 0], [1, 2], np.zeros((2, 2)), np.zeros((2, 2)))
