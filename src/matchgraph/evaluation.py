@@ -12,9 +12,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import ID_END
-from .errors import InvalidRecord, UnknownImage
-from .overlaps import TAU_CT, TAU_MO, label_pair
+from .embeddings import image_id
+from .errors import UnknownImage
+from .overlaps import TAU_CT, TAU_MO, check_thresholds, label_pair
 
 
 class GroundTruth:
@@ -42,10 +42,7 @@ class GroundTruth:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], universe: Iterable[int] = ()):
-        pairs = [(int(a), int(b)) for a, b in pairs]
-        for v in (v for pair in pairs for v in pair):
-            if not 0 <= v < ID_END:
-                raise InvalidRecord(f"pair id {v} outside [0, 2^64)")
+        pairs = [(image_id(a, "pair id"), image_id(b, "pair id")) for a, b in pairs]
         columns = np.array(pairs, dtype=np.uint64).reshape(-1, 2)
         return cls(columns[:, 0], columns[:, 1], universe)
 
@@ -68,6 +65,7 @@ class GroundTruth:
                      universe: Iterable[int] = ()):
         """Threshold overlap columns (u64 ids, float64 scores) into the
         matchable relation."""
+        check_thresholds(tau_mo, tau_ct)
         keep = label_pair(SimpleNamespace(mo=mo, ct=ct), tau_mo, tau_ct)
         return cls(i[keep], j[keep], universe)
 

@@ -34,16 +34,6 @@ from .errors import DegenerateVector
 # subgraph's k2 = 5 and u = 10, so a node row asked at both is ranked once.
 _MIN_WIDTH = 16
 
-# While more than one ranking in this many re-ranked a row, rows are ranked
-# at the table's capacity instead: the caller keeps asking wide for rows it
-# asked narrow before. Building the subgraph of every query of a 360-image
-# ring (each row is asked at k1 after it was ranked for its neighbors)
-# re-ranks one row in two under the floor alone; with this rule it
-# re-ranks 267 of 627 and took about a tenth less time. The 48 queries of
-# a 2000-image ring re-rank 1.6% and the 96 of a 720-image ring 12%, below
-# the share, so they keep the floor.
-_RERANK_SHARE = 8
-
 # A block has about this many (row, column) entries: it ranks
 # max(1, _BLOCK_ENTRIES // N) rows, and its exact pass takes the candidates
 # in chunks of as many entries, so no scratch array exceeds 512 KiB. Blocks
@@ -173,14 +163,14 @@ class Index:
 
     Holds unit-normalized rows and their squared norms, the image id of
     each row in `ids`, and the neighbor table. `table` ranks each row it is
-    asked about whose ranking is missing or narrower than k, at k but at
-    least `_MIN_WIDTH` (see `_RERANK_SHARE` for when it ranks wider): one
-    row by a matrix-vector pass, several in blocks of max(1, 2^16 // N)
-    rows by a GEMM pass (N: the pool's size when they are ranked around a
-    pivot). The pass gives approximate squared distances; every column
-    within `_candidate_margin` of a row's w-th smallest approximate value
-    is a candidate, and the candidates are ranked by (distance, id) with
-    the difference formula.
+    asked about whose ranking is missing or narrower than k, min(max(k,
+    `_MIN_WIDTH`), N-1) wide, whatever was asked before: one row by a
+    matrix-vector pass, several in blocks of max(1, 2^16 // N) rows by a
+    GEMM pass (N: the pool's size when they are ranked around a pivot).
+    The pass gives approximate squared distances; every column within
+    `_candidate_margin` of a row's w-th smallest approximate value is a
+    candidate, and the candidates are ranked by (distance, id) with the
+    difference formula. `counts()` reports the work; no width reads it.
     The table only caches exact answers, so it never changes results. A
     ranking wider than the table's capacity swaps in a wider copy of the
     table. An index must not be shared between threads: asking it anything
@@ -274,12 +264,8 @@ class Index:
         return approx
 
     def _width(self, take: int) -> int:
-        """The width to rank a row asked at `take`. The counts only steer
-        the width, never the result."""
-        floor = _MIN_WIDTH
-        if self._reranks * _RERANK_SHARE > self._rankings:
-            floor = max(floor, self._table.capacity)
-        return min(max(take, floor), len(self) - 1)
+        """The width to rank a row asked at `take`, from the request alone."""
+        return min(max(take, _MIN_WIDTH), len(self) - 1)
 
     def within(self, row: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """Positions and distances of every other row at distance <= `tau`

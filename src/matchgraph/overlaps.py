@@ -26,6 +26,14 @@ TAU_MO = 0.25
 TAU_CT = 0.15
 
 
+def check_thresholds(tau_mo: float, tau_ct: float) -> None:
+    """Refuse labeling thresholds outside [0, 1], NaN included: every
+    score in [0, 1] reaches such a threshold or none does, so `label_pair`
+    would label every pair matchable or by the other score alone."""
+    if not (0.0 <= tau_mo <= 1.0 and 0.0 <= tau_ct <= 1.0):
+        raise ValueError("thresholds must lie in [0, 1]")
+
+
 def label_pair(record, tau_mo: float, tau_ct: float):
     """Matchable when either score reaches its threshold (inclusive). Takes
     one record, or columns of scores as arrays and gives a boolean array."""

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .embeddings import ID_END, EmbeddingMatrix, first_line, raise_earliest, read_rows
+from .embeddings import EmbeddingMatrix, first_line, image_id, raise_earliest, read_rows
 from .errors import InvalidRecord, MalformedHeader
 from .gcn import PROB_THRESHOLD, GcnModel, model_forward
 from .knn import Index
@@ -36,8 +36,7 @@ class RetrievalResult:
     def __post_init__(self):
         ids = [v for v, _ in self.retrieved]
         for v in (self.query_id, *ids):
-            if not (isinstance(v, (int, np.integer)) and 0 <= v < ID_END):
-                raise InvalidRecord(f"image id {v!r} is not an integer in [0, 2^64)")
+            image_id(v)
         if self.query_id in ids:
             raise InvalidRecord("a query must not retrieve itself")
         if len(set(ids)) != len(ids):

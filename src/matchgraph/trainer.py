@@ -28,7 +28,7 @@ from .gcn import (
     Workspace, backward, init_model, prepare,
 )
 from .knn import build_index
-from .overlaps import TAU_CT, TAU_MO, OverlapStore, label_pair
+from .overlaps import TAU_CT, TAU_MO, OverlapStore, check_thresholds, label_pair
 # Re-exported: the benchmark calls and traces these two under trainer's name.
 from .overlaps import load_overlaps, save_overlaps  # noqa: F401
 from .subgraph import Qes, QesParams, build_qes
@@ -58,8 +58,7 @@ class TrainConfig:
     beta2: float = 0.999
 
     def __post_init__(self):
-        if not (0.0 <= self.tau_mo <= 1.0 and 0.0 <= self.tau_ct <= 1.0):
-            raise ValueError("thresholds must lie in [0, 1]")
+        check_thresholds(self.tau_mo, self.tau_ct)
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate!r}")
         if self.epochs < 0:

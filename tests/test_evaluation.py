@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from matchgraph.evaluation import (
     write_metrics_report,
 )
 from matchgraph.retrieval import RetrievalResult, topk_retrieve
+from matchgraph.trainer import TrainConfig
 
 
 class TestPerQueryPrf:
@@ -178,12 +180,29 @@ class TestGroundTruth:
             for q in scene.embeddings.ids:
                 assert truth.relevant(q) == want.relevant(q)
 
+    @pytest.mark.parametrize("tau", [math.nan, -0.1, 1.5])
+    @pytest.mark.parametrize("which", ["tau_mo", "tau_ct"])
+    def test_thresholds_outside_the_unit_interval_rejected(self, tau, which):
+        records = [mg.OverlapRecord(1, 2, 0.3, 0.0), mg.OverlapRecord(2, 3, 0.0, 0.2)]
+        with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
+            GroundTruth.from_records(records, **{which: tau})
+        with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
+            TrainConfig(**{which: tau})
+
     @pytest.mark.parametrize("bad_id", [-1, 2**64])
     def test_from_pairs_rejects_ids_outside_u64(self, bad_id):
         with pytest.raises(InvalidRecord, match=f"pair id {bad_id} outside"):
             GroundTruth.from_pairs([(0, 1), (2, bad_id)])
         top = GroundTruth.from_pairs([(2**64 - 1, 0)])
         assert top.contains(0, 2**64 - 1) and top.relevant(0) == {2**64 - 1}
+
+    @pytest.mark.parametrize("pair, shown", [((1.7, 2.2), "1.7"), ((0, "3"), "'3'"),
+                                             ((2, 1.0), "1.0")])
+    def test_from_pairs_rejects_ids_that_are_not_integers(self, pair, shown):
+        with pytest.raises(InvalidRecord, match=f"^pair id {re.escape(shown)} is not an integer$"):
+            GroundTruth.from_pairs([(0, 1), pair])
+        numpy_ids = GroundTruth.from_pairs([(np.uint64(3), np.int64(4))])
+        assert numpy_ids.relevant(3) == {4}
 
     def test_relevant_set(self):
         truth = GroundTruth.from_pairs([(1, 2), (2, 5), (3, 4)])

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matchgraph as mg
 from matchgraph import knn
@@ -285,6 +287,45 @@ class TestPerRowWidths:
         assert (index.counts().rankings, index.counts().reranks) == (121, 1)
 
 
+WIDTH_SCENE = EmbeddingMatrix(range(48), np.random.default_rng(31).normal(size=(48, 2)))
+WIDTH_ORACLE = oracle_rows(WIDTH_SCENE, range(48), 47)
+
+rows_st = st.lists(st.integers(0, 47), min_size=1, max_size=12)
+k_st = st.integers(1, 52)
+request_st = st.one_of(
+    st.tuples(st.just("table"), rows_st, k_st),
+    st.tuples(st.just("near"), rows_st, k_st, st.integers(0, 47)),
+    st.tuples(st.just("neighbors"), st.integers(0, 47), k_st),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(request_st, min_size=1, max_size=12))
+def test_a_rows_width_comes_from_its_requests_alone(requests):
+    # a row ends ranked min(max(widest k asked, _MIN_WIDTH), N-1) wide, or
+    # not at all if never asked, whatever order the requests came in
+    emb, n = WIDTH_SCENE, len(WIDTH_SCENE)
+    index = build_index(emb)
+    widest = np.zeros(n, dtype=int)
+    for kind, *request in requests:
+        if kind == "neighbors":
+            q, k = request
+            got = [list(index.neighbors(q, k).neighbors)]
+            rows = [q]
+        else:
+            rows, k = request[:2]
+            got = table_rows(index, *index.table(rows, k, *request[2:]))
+        take = min(k, n - 1)
+        assert got == [WIDTH_ORACLE[r][:take] for r in rows]
+        widest[rows] = np.maximum(widest[rows], k)
+    want = np.where(widest > 0, np.minimum(np.maximum(widest, knn._MIN_WIDTH), n - 1), 0)
+    table = index._table
+    assert table.width.tolist() == want.tolist()
+    for r in np.flatnonzero(want):
+        w = want[r]
+        assert table_rows(index, table.pos[[r], :w], table.dist[[r], :w]) == [WIDTH_ORACLE[r][:w]]
+
+
 def many_near_ties(clusters=60):
     # `near_tie_scene` in 3-d with more clusters, so that a pool can be
     # smaller than half the rows
@@ -476,10 +517,10 @@ class TestTableCounts:
         assert index.table(range(6), 99)[0].shape == (6, 5)
         assert index.counts() == knn.TableCounts(6, 0, 12, 0, 0)
 
-    def test_frequent_reranks_rank_new_rows_at_capacity(self):
+    def test_frequent_reranks_leave_new_rows_at_the_floor(self):
         # each query row was ranked narrow as a neighbor of the one before,
-        # so every wide request re-ranks; once re-ranks pass one ranking in
-        # `_RERANK_SHARE`, new rows are ranked at the table's capacity
+        # so every wide request re-ranks; a new row asked narrow is still
+        # ranked at the floor, and asked wider it is ranked again
         emb = random_scene(200)
         index = build_index(emb)
         index.table([0], 50)
@@ -487,10 +528,12 @@ class TestTableCounts:
         for q in range(1, 12):
             index.table([q], 50)
         counts = index.counts()
-        assert counts.reranks * knn._RERANK_SHARE > counts.rankings
+        assert counts.reranks == 11
         index.table([150, 151], 5)
+        assert index._table.width[[150, 151]].tolist() == [16, 16]
         index.table([150, 151], 50)
-        assert index.counts().rankings == counts.rankings + 2
+        after = index.counts()
+        assert (after.rankings, after.reranks) == (counts.rankings + 4, counts.reranks + 2)
         pos, dist = index.table([150, 151], 50)
         assert table_rows(index, pos, dist) == oracle_rows(emb, [150, 151], 50)
 

@@ -389,7 +389,8 @@ class TestResultValidation:
         ("3", ()),
     ])
     def test_id_not_an_integer_in_u64_rejected(self, query_id, retrieved):
-        with pytest.raises(InvalidRecord, match=r"is not an integer in \[0, 2\^64\)"):
+        with pytest.raises(InvalidRecord,
+                           match=r"^image id \S+ (outside \[0, 2\^64\)|is not an integer)$"):
             RetrievalResult(query_id, retrieved)
 
     def test_u64_ends_export_a_readable_pair_file(self):
